@@ -64,7 +64,6 @@ from .statespace import (
     lft_closed_loop,
     pack_controller,
     param_count,
-    plant_subsystem,
     transfer_eval,
     unpack_controller,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "Controller",
     "lft_closed_loop",
     "transfer_eval",
-    "plant_subsystem",
     "pack_controller",
     "unpack_controller",
     "param_count",

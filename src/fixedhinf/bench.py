@@ -22,8 +22,10 @@ from pathlib import Path
 
 import numpy as np
 
+from .analysis import NormResult
 from .errors import FixedHinfError
 from .fileio import load_controller, load_plant
+from .statespace import Controller, Plant, lft_closed_loop, transfer_eval
 from .synthesis import (
     SynthesisOptions,
     SynthesisStatus,
@@ -305,6 +307,15 @@ def _case_seed(root: int, case_name: str, order: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+def _attained(plant: Plant, k: Controller, cert: NormResult) -> bool:
+    """sigma_max at the certified peak (sigma_max(D) when the peak is at
+    infinity) agrees with the certified norm to 1e-6 relative."""
+    cl = lft_closed_loop(plant, k)
+    T = cl.D if cert.attained_at_infinity else transfer_eval(cl, 1j * cert.omega_peak)
+    sigma = float(np.linalg.norm(T, 2)) if T.size else 0.0
+    return abs(sigma - cert.gamma) <= 1e-6 * cert.gamma
+
+
 def run_benchmark(case: BenchmarkCase, opts: BenchOptions) -> CaseReport:
     """Run one case: synthesize at every declared order and compare.
 
@@ -362,11 +373,13 @@ def run_benchmark(case: BenchmarkCase, opts: BenchOptions) -> CaseReport:
                 )
             )
             continue
-        # independent re-check before reporting
+        # re-check before reporting: the norm must be bracketed by the level
+        # iteration and attained at its peak by a direct resolvent solve,
+        # a code path apart from the eigenbasis the norm was computed in
         try:
             _, cert = certify_controller(plant, result.controller)
             achieved = cert.gamma
-            certified = abs(achieved - result.norm) <= 1e-6 * (1.0 + abs(achieved))
+            certified = cert.converged and _attained(plant, result.controller, cert)
         except FixedHinfError:
             achieved = result.norm
             certified = False

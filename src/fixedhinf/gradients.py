@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as la
 
-from .analysis import DEFAULT_TIE_TOL, _FreqEvaluator, _refine_peak, _scan_grid, hinf_norm
+from .analysis import DEFAULT_TIE_TOL, _FreqEvaluator, _polish, _scan_grid, hinf_norm
 from .errors import EigenFailure
 from .statespace import Controller, Plant, lft_closed_loop
 
@@ -63,7 +63,7 @@ def _secondary_peak_gap(
     to the main branch itself.
     """
     ev = _FreqEvaluator(cl)
-    grid = _scan_grid(np.linalg.eigvals(cl.A), omega_peak, 256)
+    grid = _scan_grid(ev.lam, omega_peak, 256)
     vals = ev.sigma_max_many(grid)
     nn = len(grid)
     maxima = [
@@ -90,15 +90,7 @@ def _secondary_peak_gap(
         return math.inf
     competitors.sort(key=lambda i: -vals[i])
     # grid values undersample sharp resonances; polish the strongest rivals
-    best = -math.inf
-    for i in competitors[:4]:
-        lo = grid[max(i - 1, 0)]
-        hi = grid[min(i + 1, nn - 1)]
-        if hi > lo:
-            _, val = _refine_peak(ev, lo, hi)
-        else:
-            val = float(vals[i])
-        best = max(best, val)
+    best = max(_polish(ev, grid, vals, i)[1] for i in competitors[:4])
     return float(gamma - best)
 
 
@@ -236,28 +228,17 @@ def hinf_gradient(
             # competing branch; the tail itself rises to that value anyway
             gaps.append(_secondary_peak_gap(cl, 0.0, gamma, at_infinity=True))
     else:
-        # the level iteration certifies gamma to rel_tol but localizes the
-        # peak frequency only to about sqrt(rel_tol) on a flat peak, which
-        # the envelope-theorem gradient inherits linearly; polish locally
-        ev = _FreqEvaluator(cl)
+        # hinf_norm polishes the peak until d sigma/d omega vanishes, so the
+        # envelope theorem gives the gradient from the singular vectors there
         omega = result.omega_peak
-        if omega > 0.0:
-            lo, hi = 0.95 * omega, 1.05 * omega
-        else:
-            scale = float(np.max(np.abs(np.linalg.eigvals(cl.A)), initial=1.0))
-            lo, hi = 0.0, 1e-2 * scale
-        refined, val = _refine_peak(ev, lo, hi, iters=120)
-        if val >= ev.sigma_max(omega):
-            omega = refined
-            gamma = max(gamma, float(val))
-        M = 1j * omega * np.eye(cl.n) - cl.A
-        X = la.solve(M, cl.B.astype(complex))
+        lu = la.lu_factor(1j * omega * np.eye(cl.n) - cl.A)
+        X = la.lu_solve(lu, cl.B.astype(complex))
         T = cl.C @ X + cl.D
         U, svals, Vh = np.linalg.svd(T)
         u = U[:, 0]
         v = np.conj(Vh[0])
         b = X @ v
-        r = la.solve(M.T, cl.C.T @ np.conj(u))
+        r = la.lu_solve(lu, cl.C.T @ np.conj(u), trans=1)
         Ga = np.outer(r, b)
         Gb = np.outer(r, v)
         Gc = np.outer(np.conj(u), b)

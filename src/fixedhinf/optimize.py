@@ -48,8 +48,9 @@ class Phase(enum.Enum):
 class OptOptions:
     """Knobs shared by all optimization phases.
 
-    cpu_budget_seconds bounds wall-clock work; loops check the deadline
-    between oracle calls, so overshoot is at most one call.  sampling_radii
+    cpu_budget_seconds is a wall-clock deadline, not CPU time, despite its
+    name; loops check it between oracle calls, so overshoot is at most one
+    call.  sampling_radii
     is the gradient-sampling radius schedule, relative to 1 + ||x||.
     """
 

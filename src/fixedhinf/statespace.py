@@ -27,7 +27,6 @@ __all__ = [
     "Controller",
     "lft_closed_loop",
     "transfer_eval",
-    "plant_subsystem",
     "pack_controller",
     "unpack_controller",
     "param_count",
@@ -366,12 +365,3 @@ def transfer_eval(sys: StateSpace, s: complex, *, cond_cap: float = 1e12) -> np.
     X = la.lu_solve((lu, piv), sys.B.astype(complex))
     return sys.C @ X + sys.D
 
-
-def plant_subsystem(plant: Plant, i: int, j: int) -> StateSpace:
-    """Open-loop subsystem from input port j to output port i (ports 1 or 2)."""
-    if i not in (1, 2) or j not in (1, 2):
-        raise DimensionMismatch(f"port indices must be 1 or 2, got ({i}, {j})")
-    B = plant.B1 if j == 1 else plant.B2
-    C = plant.C1 if i == 1 else plant.C2
-    D = getattr(plant, f"D{i}{j}")
-    return StateSpace(plant.A, B, C, D)

@@ -58,8 +58,8 @@ CERT_REL_TOL = 1e-9
 class SynthesisOptions:
     """Synthesis protocol knobs.
 
-    runs independent randomized runs are performed, each with a CPU budget of
-    cpumax_seconds covering both stages.  warm_start, when given, is added to
+    runs independent randomized runs are performed, each with a wall-clock
+    deadline (not CPU time) of cpumax_seconds covering both stages.  warm_start, when given, is added to
     the stage-1 start list of every run.  stabilization_margin > 0 asks stage
     1 for abscissa < -margin instead of merely < 0.
     """

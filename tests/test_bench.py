@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -16,6 +17,7 @@ from fixedhinf import (
     run_benchmark,
     run_suite,
     save_plant,
+    synthesis,
 )
 from fixedhinf.bench import case_names
 
@@ -124,6 +126,21 @@ def test_synthetic_case_passes_against_its_true_optimum(tmp_path, interior_plant
     assert entry.achieved == pytest.approx(INTERIOR_OPTIMUM, rel=1e-6)
     assert len(entry.seeds) == 2
     assert len(entry.stage2_norms) == 2
+
+
+def test_inflated_norm_is_not_certified(tmp_path, interior_plant, monkeypatch):
+    # a norm 5% above sigma_max at its own peak must fail the resolvent re-check
+    exact = synthesis.hinf_norm
+
+    def inflated(*args, **kwargs):
+        res = exact(*args, **kwargs)
+        return dataclasses.replace(res, gamma=1.05 * res.gamma)
+
+    monkeypatch.setattr(synthesis, "hinf_norm", inflated)
+    case = _toy_case(tmp_path, interior_plant)
+    entry = run_benchmark(case, BenchOptions(suite_dir=str(tmp_path), **TOY_OPTS)).entries[0]
+    assert entry.achieved == pytest.approx(1.05 * INTERIOR_OPTIMUM, rel=1e-6)
+    assert entry.certified is False
 
 
 def test_synthetic_case_fails_against_unreachable_reference(tmp_path, interior_plant):

@@ -18,7 +18,6 @@ from fixedhinf import (
     lft_closed_loop,
     pack_controller,
     param_count,
-    plant_subsystem,
     transfer_eval,
     unpack_controller,
 )
@@ -220,22 +219,3 @@ def test_transfer_eval_at_eigenvalue_raises():
     with pytest.raises(SingularResolvent):
         transfer_eval(sys, -1.0)
 
-
-def test_plant_subsystem_selects_blocks(make_plant):
-    plant = make_plant(n=3, m1=2, m2=1, p1=2, p2=1)
-    g12 = plant_subsystem(plant, 1, 2)
-    assert np.array_equal(g12.B, plant.B2)
-    assert np.array_equal(g12.C, plant.C1)
-    assert np.array_equal(g12.D, plant.D12)
-    g21 = plant_subsystem(plant, 2, 1)
-    assert np.array_equal(g21.B, plant.B1)
-    assert np.array_equal(g21.C, plant.C2)
-    assert np.array_equal(g21.D, plant.D21)
-
-
-def test_plant_subsystem_rejects_bad_port():
-    plant = Plant.from_blocks(
-        -np.eye(1), np.ones((1, 1)), np.ones((1, 1)), np.ones((1, 1)), np.ones((1, 1))
-    )
-    with pytest.raises(DimensionMismatch):
-        plant_subsystem(plant, 0, 1)
