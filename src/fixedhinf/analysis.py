@@ -11,10 +11,20 @@ the requested relative tolerance.
 Each new lower bound is polished to a local peak of sigma_max by safeguarded
 Newton steps on d(sigma^2)/dw, with derivatives from the singular vectors
 (Boyd & Balakrishnan, 1990), so one Hamiltonian eigen-solve usually certifies
-the polished best pole-frequency guess.  One eigendecomposition of A serves
-the stability test and every frequency evaluation.  A dense-grid search with
-the same polish backs the method up when the Hamiltonian eigenvalue solve is
-unusable; its result is not certified.
+the polished best pole-frequency guess.  Polishing happens only where it can
+raise the lower bound: not when the best pole-frequency guess lies below
+sigma_max(D), and not past the last grid point while sigma still rises
+there.  Either way a finite peak above the bound is left to the Hamiltonian
+probe, which finds any such peak.  One eigendecomposition of A serves the
+stability test and every frequency evaluation.
+
+Once the probe finds no crossing, one grid scan guards against eigenvalues
+misclassified as off the axis.  It takes an SVD only at grid points that
+two cheap tests cannot place below its floor (the Frobenius norm, then
+positive definiteness of floor^2 I minus the Gram matrix), which cannot
+change its outcome.  A dense-grid search with the same polish backs the
+method up when the Hamiltonian eigenvalue solve is unusable; its result is
+not certified.
 """
 
 from __future__ import annotations
@@ -43,6 +53,8 @@ _HAM_IMAG_TOL = 1e-7
 # Cap on peak-polish steps; Newton needs a handful, bisection from a bracket
 # down to the 1e-13 relative step tolerance about 45.
 _POLISH_ITERS = 50
+# Relative offsets of the scan points that densify the grid near a peak.
+_NEAR_PEAK = np.geomspace(0.9, 1.1, 15)
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,10 +113,11 @@ def is_stable(A: np.ndarray) -> bool:
 
 
 class _FreqEvaluator:
-    """Frequency response T(jw) = C (jw I - A)^-1 B + D of a system with n > 0.
+    """Frequency response T(jw) = C (jw I - A)^-1 B + D of a stable system, n > 0.
 
-    Eigendecomposes A once (EigenFailure when that fails) and keeps the
-    eigenvalues in `lam`.  With a well-conditioned eigenvector basis T is a
+    Eigendecomposes A once (EigenFailure when that fails), keeps the
+    eigenvalues in `lam` and raises UnstableSystem unless they all lie in the
+    open left half-plane.  With a well-conditioned eigenvector basis T is a
     sum of modal terms; otherwise each frequency takes a factor-and-solve.
     """
 
@@ -114,11 +127,17 @@ class _FreqEvaluator:
             self.lam, V = np.linalg.eig(sys.A)
         except np.linalg.LinAlgError as exc:
             raise EigenFailure("eigenvalue iteration failed on A") from exc
+        alpha = float(self.lam.real.max())
+        if alpha >= 0.0:
+            raise UnstableSystem(f"spectral abscissa is {alpha:.6g} >= 0; H-infinity norm undefined")
         self._modal = None
-        cond = np.linalg.cond(V)
-        if np.isfinite(cond) and cond < 1e8:
+        # one LU of V gives both the condition estimate and V^-1 B; the 1e8
+        # cap applies to LAPACK's 1-norm estimate of cond(V)
+        lu, piv, info = la.lapack.zgetrf(V)
+        rcond = la.lapack.zgecon(lu, np.abs(V).sum(axis=0).max())[0] if info == 0 else 0.0
+        if rcond > 1e-8:
             CV = sys.C @ V
-            VB = np.linalg.solve(V, sys.B)
+            VB = la.lapack.zgetrs(lu, piv, sys.B)[0]
             # row k holds the residue CV[:, k] VB[k, :] of the pole lam[k]
             self._modal = (CV.T[:, :, None] * VB[:, None, :]).reshape(sys.n, -1)
 
@@ -174,12 +193,16 @@ def _polish(ev: _FreqEvaluator, omegas: np.ndarray, vals: np.ndarray, i: int) ->
     Safeguarded Newton steps on d(sigma^2)/dw inside the bracket of the
     point's grid neighbours: the slope's sign moves the bracket end on the
     descending side, and any step that is not a concave Newton step inside
-    the bracket becomes a bisection.  sigma is even in w, so the slope
+    the bracket becomes a bisection.  Past the last grid point the bracket
+    is open on the right; while sigma still rises there the polish stops
+    rather than bisect toward an arbitrary end (a finite peak beyond it is
+    left to the Hamiltonian probe).  sigma is even in w, so the slope
     vanishes at w = 0 and the curvature decides there.  Returns the best
     point evaluated, never worse than (omegas[i], vals[i]).
     """
     lo = float(omegas[i - 1]) if i > 0 else 0.0
-    hi = float(omegas[i + 1] if i + 1 < omegas.size else 2.0 * omegas[i])
+    open_right = i + 1 == omegas.size
+    hi = float(2.0 * omegas[i] if open_right else omegas[i + 1])
     w = best_omega = float(omegas[i])
     best = float(vals[i])
     tol = 1e-13 * max(w, hi - lo)
@@ -191,8 +214,11 @@ def _polish(ev: _FreqEvaluator, omegas: np.ndarray, vals: np.ndarray, i: int) ->
             lo = w
         elif slope < 0.0:
             hi = w
+            open_right = False
         nxt = max(w - slope / curv, 0.0) if curv < 0.0 else math.nan
         if not lo <= nxt <= hi:
+            if open_right and slope > 0.0:
+                break
             nxt = 0.5 * (lo + hi)
         if abs(nxt - w) <= tol:
             break
@@ -201,19 +227,28 @@ def _polish(ev: _FreqEvaluator, omegas: np.ndarray, vals: np.ndarray, i: int) ->
 
 
 def _hamiltonian(sys: StateSpace, gamma: float) -> np.ndarray:
-    """Hamiltonian whose imaginary-axis eigenvalues mark sigma crossings of gamma."""
+    """Hamiltonian whose imaginary-axis eigenvalues mark sigma crossings of gamma.
+
+    With R = gamma^2 I - D^T D = L L^T and S = gamma^2 I - D D^T = M M^T,
+    the off-diagonal blocks are gamma (L^-1 B^T)^T (L^-1 B^T) and
+    -gamma (M^-1 C)^T (M^-1 C); a Cholesky failure raises LinAlgError.
+    """
     A, B, C, D = sys.A, sys.B, sys.C, sys.D
-    m, p = sys.m, sys.p
-    R = gamma * gamma * np.eye(m) - D.T @ D
-    S = gamma * gamma * np.eye(p) - D @ D.T
-    cr = la.cho_factor(R)
-    cs = la.cho_factor(S)
-    H11 = A + B @ la.cho_solve(cr, D.T @ C)
-    H12 = gamma * (B @ la.cho_solve(cr, B.T))
-    H21 = -gamma * (C.T @ la.cho_solve(cs, C))
-    H12 = 0.5 * (H12 + H12.T)
-    H21 = 0.5 * (H21 + H21.T)
-    return np.block([[H11, H12], [H21, -H11.T]])
+    n = sys.n
+    L = np.linalg.cholesky(gamma * gamma * np.eye(sys.m) - D.T @ D)
+    M = np.linalg.cholesky(gamma * gamma * np.eye(sys.p) - D @ D.T)
+    W = np.linalg.solve(L, np.hstack([B.T, D.T @ C]))
+    Wb = W[:, :n]
+    Wc = np.linalg.solve(M, C)
+    H11 = A + Wb.T @ W[:, n:]
+    H12 = gamma * (Wb.T @ Wb)
+    H21 = -gamma * (Wc.T @ Wc)
+    H = np.empty((2 * n, 2 * n))
+    H[:n, :n] = H11
+    H[:n, n:] = 0.5 * (H12 + H12.T)
+    H[n:, :n] = 0.5 * (H21 + H21.T)
+    H[n:, n:] = -H11.T
+    return H
 
 
 def _candidate_frequencies(eigenvalues: np.ndarray) -> np.ndarray:
@@ -233,20 +268,45 @@ def _scan_grid(eigenvalues: np.ndarray, best_omega: float, points: int) -> np.nd
     hi = max(hi, 10.0 * lo)
     grid = [np.zeros(1), np.geomspace(lo, hi, points), _candidate_frequencies(eigenvalues)]
     if best_omega > 0:
-        grid.append(best_omega * np.geomspace(0.9, 1.1, 15))
+        grid.append(best_omega * _NEAR_PEAK)
     return np.unique(np.concatenate(grid))
+
+
+def _below(G: np.ndarray, c2: float) -> np.ndarray:
+    """Mask of the stacked Hermitian k x k matrices G whose largest eigenvalue
+    is below c2: those with c2 I - G positive definite, decided by an LDL^H
+    sweep (Cholesky without square roots).  It is backward stable, so a pass
+    holds for G up to rounding of a few ulps times k."""
+    k = G.shape[1]
+    S = -G
+    S[:, range(k), range(k)] += c2
+    ok = np.ones(G.shape[0], dtype=bool)
+    for _ in range(k):
+        d = S[:, 0, 0].real
+        ok &= d > 0.0
+        d = np.where(ok, d, 1.0)[:, None, None]
+        S = S[:, 1:, 1:] - S[:, 1:, :1] * (S[:, :1, 1:] / d)
+    return ok
 
 
 def _scan_above(ev: _FreqEvaluator, best_omega: float, floor: float) -> tuple[float, float] | None:
     """Polished grid peak of sigma_max when it exceeds floor, else None.
 
-    sigma_max never exceeds the Frobenius norm, so only grid points whose
-    Frobenius norm reaches the floor take an SVD; the outcome is the one an
-    SVD at every point would give.
+    A grid point takes an SVD only when sigma_max may reach a cut 1e-12
+    below the floor: its Frobenius norm must reach the cut, and then the
+    Gram matrix of size min(p, m) may not have all eigenvalues below the
+    cut squared.  Rounding in both tests is a few ulps times the port
+    widths, far inside the margin, so the outcome is the one an SVD at
+    every point would give.
     """
     omegas = _scan_grid(ev.lam, best_omega, 512)
     T = ev.responses(omegas)
-    keep = np.flatnonzero(np.linalg.norm(T, axis=(1, 2)) >= floor * (1.0 - 1e-12))
+    cut = floor * (1.0 - 1e-12)
+    keep = np.flatnonzero(np.linalg.norm(T, axis=(1, 2)) >= cut)
+    if keep.size:
+        Tk = T[keep]
+        Th = Tk.conj().transpose(0, 2, 1)
+        keep = keep[~_below(Th @ Tk if ev.sys.m <= ev.sys.p else Tk @ Th, cut * cut)]
     vals = np.full(omegas.shape, -math.inf)
     if keep.size:
         vals[keep] = np.linalg.svd(T[keep], compute_uv=False)[:, 0]
@@ -278,13 +338,10 @@ def hinf_norm(sys: StateSpace, *, rel_tol: float = 1e-7, max_iters: int = 60) ->
     """
     if not (0.0 < rel_tol <= 1e-2):
         raise ValueError(f"rel_tol must be in (0, 1e-2], got {rel_tol}")
-    sigma_d = float(la.svdvals(sys.D)[0]) if sys.D.size else 0.0
+    sigma_d = float(np.linalg.svd(sys.D, compute_uv=False)[0])
     if sys.n == 0:
         return NormResult(sigma_d, 0.0, True, True, 0)
     ev = _FreqEvaluator(sys)
-    alpha = float(ev.lam.real.max())
-    if alpha >= 0.0:
-        raise UnstableSystem(f"spectral abscissa is {alpha:.6g} >= 0; H-infinity norm undefined")
 
     cands = _candidate_frequencies(ev.lam)
     vals = ev.sigma_max_many(cands)
@@ -294,7 +351,11 @@ def hinf_norm(sys: StateSpace, *, rel_tol: float = 1e-7, max_iters: int = 60) ->
         vals = ev.sigma_max_many(cands)
         if float(vals.max()) == 0.0:
             return NormResult(0.0, 0.0, False, True, 0)
-    best_omega, best_finite = _polish(ev, cands, vals, int(np.argmax(vals)))
+    i = int(np.argmax(vals))
+    best_omega, best_finite = float(cands[i]), float(vals[i])
+    if best_finite >= sigma_d:
+        # otherwise the probe at sigma_max(D) finds any finite peak above it
+        best_omega, best_finite = _polish(ev, cands, vals, i)
 
     lower = max(best_finite, sigma_d)
     iterations = 0

@@ -18,7 +18,7 @@ import scipy.linalg as la
 
 from .analysis import DEFAULT_TIE_TOL, _FreqEvaluator, _polish, _scan_grid, hinf_norm
 from .errors import EigenFailure
-from .statespace import Controller, Plant, lft_closed_loop
+from .statespace import Controller, Plant, _interconnect
 
 __all__ = [
     "Smoothness",
@@ -94,17 +94,11 @@ def _secondary_peak_gap(
     return float(gamma - best)
 
 
-def _coupling(plant: Plant, k: Controller) -> tuple[np.ndarray, np.ndarray]:
-    """(I - D22 DK)^-1 and (I - DK D22)^-1; assumes well-posedness was checked."""
-    E = np.eye(plant.p2) - plant.D22 @ k.DK
-    delta = la.solve(E, np.eye(plant.p2))
-    delta2 = np.eye(plant.m2) + k.DK @ delta @ plant.D22
-    return delta, delta2
-
-
 def _chain_to_controller(
     plant: Plant,
     k: Controller,
+    delta: np.ndarray,
+    delta2: np.ndarray,
     Ga: np.ndarray | None,
     Gb: np.ndarray | None = None,
     Gc: np.ndarray | None = None,
@@ -112,9 +106,9 @@ def _chain_to_controller(
 ) -> np.ndarray:
     """Map sensitivities w.r.t. closed-loop (A, B, C, D) onto packed controller
     parameters.  Inputs may be complex; the real part of the chained result is
-    packed column-major in (AK, BK, CK, DK) order."""
+    packed column-major in (AK, BK, CK, DK) order.  delta and delta2 are the
+    coupling inverses (I - D22 DK)^-1 and (I - DK D22)^-1 of the closed loop."""
     n, nK = plant.n, k.order
-    delta, delta2 = _coupling(plant, k)
     L = np.vstack([plant.B2 @ delta2, k.BK @ delta @ plant.D22])
     Lz = plant.D12 @ delta2
     M = np.hstack([delta @ plant.C2, delta @ plant.D22 @ k.CK])
@@ -155,7 +149,7 @@ def abscissa_gradient(
     near_tie_tol * (1 + |alpha|) of the abscissa, or the active eigenvalue
     is so ill conditioned that it is numerically defective.
     """
-    cl = lft_closed_loop(plant, k)
+    cl, delta, delta2 = _interconnect(plant, k)
     try:
         w, vl, vr = la.eig(cl.A, left=True, right=True)
     except la.LinAlgError as exc:
@@ -171,7 +165,7 @@ def abscissa_gradient(
     if s == 0:
         s = 1e-300
     Ga = np.outer(np.conj(y), x) / s
-    grad = _chain_to_controller(plant, k, Ga)
+    grad = _chain_to_controller(plant, k, delta, delta2, Ga)
     if not np.all(np.isfinite(grad)):
         grad = np.zeros_like(grad)
         defective = True
@@ -209,10 +203,10 @@ def hinf_gradient(
     at-infinity value sigma_max(D_cl) comes within near_tie_tol relative of
     the norm.  Raises UnstableSystem for unstable closed loops.
     """
-    cl = lft_closed_loop(plant, k)
+    cl, delta, delta2 = _interconnect(plant, k)
     result = hinf_norm(cl, rel_tol=rel_tol)
     gamma = result.gamma
-    sigma_d = float(la.svdvals(cl.D)[0]) if cl.D.size else 0.0
+    sigma_d = float(np.linalg.svd(cl.D, compute_uv=False)[0])
     gaps = []
 
     if result.attained_at_infinity:
@@ -220,7 +214,7 @@ def hinf_gradient(
         u = U[:, 0]
         v = Vh[0]
         Gd = np.outer(u, v)
-        grad = _chain_to_controller(plant, k, None, None, None, Gd)
+        grad = _chain_to_controller(plant, k, delta, delta2, None, None, None, Gd)
         if svals.size > 1:
             gaps.append(float(svals[0] - svals[1]))
         if scan_secondary_peaks and cl.n:
@@ -231,19 +225,19 @@ def hinf_gradient(
         # hinf_norm polishes the peak until d sigma/d omega vanishes, so the
         # envelope theorem gives the gradient from the singular vectors there
         omega = result.omega_peak
-        lu = la.lu_factor(1j * omega * np.eye(cl.n) - cl.A)
-        X = la.lu_solve(lu, cl.B.astype(complex))
+        M = 1j * omega * np.eye(cl.n) - cl.A
+        X = np.linalg.solve(M, cl.B)
         T = cl.C @ X + cl.D
         U, svals, Vh = np.linalg.svd(T)
         u = U[:, 0]
         v = np.conj(Vh[0])
         b = X @ v
-        r = la.lu_solve(lu, cl.C.T @ np.conj(u), trans=1)
+        r = np.linalg.solve(M.T, cl.C.T @ np.conj(u))
         Ga = np.outer(r, b)
         Gb = np.outer(r, v)
         Gc = np.outer(np.conj(u), b)
         Gd = np.outer(np.conj(u), v)
-        grad = _chain_to_controller(plant, k, Ga, Gb, Gc, Gd)
+        grad = _chain_to_controller(plant, k, delta, delta2, Ga, Gb, Gc, Gd)
         if svals.size > 1:
             gaps.append(float(svals[0] - svals[1]))
         gaps.append(gamma - sigma_d)

@@ -294,24 +294,28 @@ def lft_closed_loop(
     interconnection requires I - D22*DK to be invertible; if it is singular
     or its inverse has 2-norm above `wellposedness_cap`, raises IllPosed.
     """
+    return _interconnect(plant, k, wellposedness_cap)[0]
+
+
+def _interconnect(
+    plant: Plant, k: Controller, wellposedness_cap: float = 1e12
+) -> tuple[StateSpace, np.ndarray, np.ndarray]:
+    """lft_closed_loop with the coupling inverses (I - D22 DK)^-1 and
+    (I - DK D22)^-1, which the gradient chain rules reuse."""
     if k.ny != plant.p2 or k.nu != plant.m2:
         raise DimensionMismatch(
             f"controller is {k.nu}x{k.ny} but plant ports need {plant.m2}x{plant.p2}"
         )
     n, nK = plant.n, k.order
-    p2 = plant.p2
-    E = np.eye(p2) - plant.D22 @ k.DK
+    E = np.eye(plant.p2) - plant.D22 @ k.DK
     try:
-        with warnings.catch_warnings():
-            # singularity is detected and reported below, not warned about
-            warnings.simplefilter("ignore", la.LinAlgWarning)
-            lu, piv = la.lu_factor(E)
-    except la.LinAlgError as exc:
+        delta = np.linalg.inv(E)
+    except np.linalg.LinAlgError as exc:
         raise IllPosed("I - D22*DK is singular") from exc
-    if not np.all(np.isfinite(lu)):
-        raise IllPosed("I - D22*DK is singular")
-    delta = la.lu_solve((lu, piv), np.eye(p2))
-    if not np.all(np.isfinite(delta)) or la.norm(delta, 2) > wellposedness_cap:
+    if (
+        not np.all(np.isfinite(delta))
+        or np.linalg.svd(delta, compute_uv=False)[0] > wellposedness_cap
+    ):
         raise IllPosed(
             f"interconnection badly conditioned: ||(I - D22*DK)^-1|| exceeds "
             f"{wellposedness_cap:g}"
@@ -336,7 +340,7 @@ def lft_closed_loop(
     if nK:
         C[:, n:] = plant.D12 @ delta2 @ k.CK
     D = plant.D11 + plant.D12 @ kdelta @ plant.D21
-    return StateSpace(A, B, C, D)
+    return StateSpace(A, B, C, D), delta, delta2
 
 
 def transfer_eval(sys: StateSpace, s: complex, *, cond_cap: float = 1e12) -> np.ndarray:

@@ -7,13 +7,15 @@ import pytest
 import scipy.linalg as la
 
 import oracles
-from conftest import stable_system
+from conftest import INTERIOR_OPTIMUM, stable_system
 from fixedhinf import (
+    Controller,
     StateSpace,
     UnstableSystem,
     analysis,
     hinf_norm,
     is_stable,
+    lft_closed_loop,
     spectral_abscissa,
 )
 
@@ -120,6 +122,83 @@ def test_norm_attained_at_infinity():
     res = hinf_norm(sys)
     assert res.gamma == pytest.approx(5.0, rel=1e-12)
     assert res.attained_at_infinity
+
+
+def _count_slope_calls(monkeypatch):
+    calls = []
+    slope = analysis._sigma_slope
+
+    def counted(*args):
+        calls.append(1)
+        return slope(*args)
+
+    monkeypatch.setattr(analysis, "_sigma_slope", counted)
+    return calls
+
+
+@pytest.mark.parametrize("scale", [1.0, 1.0 + 1e-6])
+def test_polish_does_not_march_toward_a_peak_at_infinity(monkeypatch, interior_plant, scale):
+    """sigma rising toward sigma_max(D) has no finite peak to polish: a norm
+    takes a handful of derivative evaluations, none when the peak is at
+    infinity, not a bisection toward an arbitrary bracket end.  The
+    1 + sqrt(3) plant at and just past its optimal static gain ties and then
+    loses the finite peak to D."""
+    gain = INTERIOR_OPTIMUM * scale
+    cases = [
+        (StateSpace([[-1.0]], [[1.0]], [[-0.5]], [[5.0]]), 5.0),
+        (lft_closed_loop(interior_plant, Controller.static([[-gain]])), gain),
+    ]
+    for sys, want in cases:
+        calls = _count_slope_calls(monkeypatch)
+        res = hinf_norm(sys)
+        assert len(calls) <= (0 if res.attained_at_infinity else 8)
+        assert res.converged
+        assert res.gamma == pytest.approx(want, rel=1e-12)
+
+
+def test_polish_stops_where_the_open_bracket_still_rises(monkeypatch, interior_plant):
+    # from the last pole frequency sigma keeps rising toward sigma_max(D):
+    # no finite maximum lies beyond it
+    gain = INTERIOR_OPTIMUM * (1.0 + 1e-6)
+    ev = analysis._FreqEvaluator(lft_closed_loop(interior_plant, Controller.static([[-gain]])))
+    omegas = analysis._candidate_frequencies(ev.lam)
+    vals = ev.sigma_max_many(omegas)
+    i = omegas.size - 1
+    assert int(np.argmax(vals)) == i
+    calls = _count_slope_calls(monkeypatch)
+    omega, sigma = analysis._polish(ev, omegas, vals, i)
+    assert len(calls) <= 8
+    assert omega >= omegas[i] and vals[i] <= sigma < gain
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_scan_filter_matches_full_svd_scan(p, m):
+    """The tests that spare SVDs in the confirmation scan never change its
+    outcome: against an SVD at every grid point, the same None or the same
+    polished (w, sigma), for floors below, at and above the grid maximum."""
+    rng = np.random.default_rng(6100 + 10 * p + m)
+    for _ in range(3):
+        sys = stable_system(rng, int(rng.integers(2, 7)), m, p, margin=0.1 + rng.random())
+        ev = analysis._FreqEvaluator(sys)
+        best_omega = float(np.abs(ev.lam).max())
+        omegas = analysis._scan_grid(ev.lam, best_omega, 512)
+        vals = np.linalg.svd(ev.responses(omegas), compute_uv=False)[:, 0]
+        i = int(np.argmax(vals))
+        top = vals[i]
+        floors = [
+            0.5 * top,
+            float(np.quantile(vals, 0.9)),
+            top * (1.0 - 1e-9),
+            np.nextafter(top, 0.0),
+            top,
+            np.nextafter(top, np.inf),
+            top * (1.0 + 1e-9),
+            1.5 * top,
+        ]
+        for floor in floors:
+            want = None if top <= floor else analysis._polish(ev, omegas, vals, i)
+            assert analysis._scan_above(ev, best_omega, floor) == want
 
 
 def test_norm_of_static_system_is_largest_singular_value():

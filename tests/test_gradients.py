@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,30 @@ def test_hinf_gradient_matches_fd(rng):
         if abs(fd - rep.grad @ d) <= FD_REL * (1.0 + abs(fd)):
             hits += 1
     assert hits == trials
+
+
+def test_gradients_with_d22_and_dynamic_controller_match_fd():
+    """D22 != 0 and a first-order controller: both chain rules run through
+    the coupling inverses (I - D22 DK)^-1 and (I - DK D22)^-1 of the closed
+    loop, in every parameter block."""
+    rng = np.random.default_rng(5150)
+    plant = random_plant(rng, 3, 2, 2, 2, 2, stable=True, margin=1.0)
+    plant = dataclasses.replace(plant, D22=0.6 * rng.standard_normal((2, 2)))
+    order = 1
+    theta = 0.3 * rng.standard_normal(param_count(order, plant.p2, plant.m2))
+    k = unpack_controller(theta, order, plant.p2, plant.m2)
+    assert np.linalg.norm(plant.D22 @ k.DK, 2) > 0.05
+    for grad_of, value_of in (
+        (abscissa_gradient, _abscissa_of),
+        (hinf_gradient, _norm_of),
+    ):
+        rep = grad_of(plant, k)
+        assert rep.smoothness_hint is Smoothness.SMOOTH
+        for _ in range(3):
+            d = rng.standard_normal(theta.size)
+            d /= np.linalg.norm(d)
+            fd = oracles.fd_directional(lambda t: value_of(plant, t, order), theta, d, FD_STEP)
+            assert abs(fd - rep.grad @ d) <= FD_REL * (1.0 + abs(fd))
 
 
 def test_hinf_gradient_value_matches_norm(make_plant):
