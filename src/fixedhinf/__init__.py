@@ -11,7 +11,6 @@ from .analysis import (
     AbscissaResult,
     NormResult,
     hinf_norm,
-    is_stable,
     spectral_abscissa,
 )
 from .bench import (
@@ -96,7 +95,6 @@ __all__ = [
     "AbscissaResult",
     "NormResult",
     "spectral_abscissa",
-    "is_stable",
     "hinf_norm",
     # gradients
     "GradientReport",

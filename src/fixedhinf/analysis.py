@@ -42,12 +42,13 @@ __all__ = [
     "AbscissaResult",
     "NormResult",
     "spectral_abscissa",
-    "is_stable",
     "hinf_norm",
 ]
 
 # Relative half-width of the eigenvalue tie window, scaled by 1 + |alpha|.
 DEFAULT_TIE_TOL = 1e-8
+# Cap on Hamiltonian probes per norm; one or two usually certify.
+_LEVEL_ITERS = 60
 # |Re(lam)| below this times the eigenvalue scale counts as "on the axis".
 _HAM_IMAG_TOL = 1e-7
 # Cap on peak-polish steps; Newton needs a handful, bisection from a bracket
@@ -86,11 +87,11 @@ class NormResult:
     iterations: int = 0
 
 
-def spectral_abscissa(A: np.ndarray, *, tie_tol: float | None = None) -> AbscissaResult:
+def spectral_abscissa(A: np.ndarray) -> AbscissaResult:
     """Max real part over the spectrum of A, with the active eigenvalue set.
 
-    Eigenvalues within tie_tol * (1 + |alpha|) of the abscissa are reported
-    active; tie_tol defaults to 1e-8.
+    Eigenvalues within DEFAULT_TIE_TOL * (1 + |alpha|) of the abscissa are
+    reported active.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -102,14 +103,9 @@ def spectral_abscissa(A: np.ndarray, *, tie_tol: float | None = None) -> Absciss
     except np.linalg.LinAlgError as exc:
         raise EigenFailure("eigenvalue iteration failed on A") from exc
     alpha = float(w.real.max())
-    tol = (DEFAULT_TIE_TOL if tie_tol is None else tie_tol) * (1.0 + abs(alpha))
+    tol = DEFAULT_TIE_TOL * (1.0 + abs(alpha))
     active = tuple(int(i) for i in np.flatnonzero(w.real >= alpha - tol))
     return AbscissaResult(alpha, active, w)
-
-
-def is_stable(A: np.ndarray) -> bool:
-    """True when every eigenvalue of A has strictly negative real part."""
-    return spectral_abscissa(A).alpha < 0.0
 
 
 class _FreqEvaluator:
@@ -117,8 +113,9 @@ class _FreqEvaluator:
 
     Eigendecomposes A once (EigenFailure when that fails), keeps the
     eigenvalues in `lam` and raises UnstableSystem unless they all lie in the
-    open left half-plane.  With a well-conditioned eigenvector basis T is a
-    sum of modal terms; otherwise each frequency takes a factor-and-solve.
+    open left half-plane; `cands` holds their candidate peak frequencies.
+    With a well-conditioned eigenvector basis T is a sum of modal terms;
+    otherwise each frequency takes a factor-and-solve.
     """
 
     def __init__(self, sys: StateSpace):
@@ -130,6 +127,7 @@ class _FreqEvaluator:
         alpha = float(self.lam.real.max())
         if alpha >= 0.0:
             raise UnstableSystem(f"spectral abscissa is {alpha:.6g} >= 0; H-infinity norm undefined")
+        self.cands = _candidate_frequencies(self.lam)
         self._modal = None
         # one LU of V gives both the condition estimate and V^-1 B; the 1e8
         # cap applies to LAPACK's 1-norm estimate of cond(V)
@@ -258,15 +256,15 @@ def _candidate_frequencies(eigenvalues: np.ndarray) -> np.ndarray:
     return np.unique(np.concatenate([[0.0], mags[mags > 0], imags[imags > 0]]))
 
 
-def _scan_grid(eigenvalues: np.ndarray, best_omega: float, points: int) -> np.ndarray:
+def _scan_grid(ev: _FreqEvaluator, best_omega: float, points: int) -> np.ndarray:
     """Log grid spanning the pole frequencies, densified near the current peak."""
-    mags = np.abs(eigenvalues)
+    mags = np.abs(ev.lam)
     mags = mags[mags > 0]
     lo = float(mags.min()) * 1e-4 if mags.size else 1e-4
     hi = float(mags.max()) * 1e4 if mags.size else 1e4
     lo = max(lo, 1e-12)
     hi = max(hi, 10.0 * lo)
-    grid = [np.zeros(1), np.geomspace(lo, hi, points), _candidate_frequencies(eigenvalues)]
+    grid = [np.zeros(1), np.geomspace(lo, hi, points), ev.cands]
     if best_omega > 0:
         grid.append(best_omega * _NEAR_PEAK)
     return np.unique(np.concatenate(grid))
@@ -299,7 +297,7 @@ def _scan_above(ev: _FreqEvaluator, best_omega: float, floor: float) -> tuple[fl
     widths, far inside the margin, so the outcome is the one an SVD at
     every point would give.
     """
-    omegas = _scan_grid(ev.lam, best_omega, 512)
+    omegas = _scan_grid(ev, best_omega, 512)
     T = ev.responses(omegas)
     cut = floor * (1.0 - 1e-12)
     keep = np.flatnonzero(np.linalg.norm(T, axis=(1, 2)) >= cut)
@@ -318,7 +316,7 @@ def _scan_above(ev: _FreqEvaluator, best_omega: float, floor: float) -> tuple[fl
 
 def _grid_fallback(ev: _FreqEvaluator, sigma_d: float, iterations: int) -> NormResult:
     """Dense-grid peak search; a grid certifies nothing, so not converged."""
-    omegas = _scan_grid(ev.lam, 0.0, 2048 if ev.sys.n <= 60 else 512)
+    omegas = _scan_grid(ev, 0.0, 2048 if ev.sys.n <= 60 else 512)
     vals = ev.sigma_max_many(omegas)
     peaks = [_polish(ev, omegas, vals, int(i)) for i in np.argsort(vals)[::-1][:8]]
     best_omega, best = max(peaks, key=lambda peak: peak[1])
@@ -327,12 +325,12 @@ def _grid_fallback(ev: _FreqEvaluator, sigma_d: float, iterations: int) -> NormR
     return NormResult(best, best_omega, False, False, iterations)
 
 
-def hinf_norm(sys: StateSpace, *, rel_tol: float = 1e-7, max_iters: int = 60) -> NormResult:
+def hinf_norm(sys: StateSpace, *, rel_tol: float = 1e-7) -> NormResult:
     """H-infinity norm of a stable system to relative tolerance rel_tol.
 
     Raises UnstableSystem when the spectral abscissa of A is not strictly
     negative.  When the level iteration cannot certify the tolerance within
-    max_iters, the best verified lower bound is returned with
+    60 Hamiltonian probes, the best verified lower bound is returned with
     converged=False instead of raising.  A finite omega_peak is a polished
     local peak of sigma_max, where its frequency derivative vanishes.
     """
@@ -343,11 +341,11 @@ def hinf_norm(sys: StateSpace, *, rel_tol: float = 1e-7, max_iters: int = 60) ->
         return NormResult(sigma_d, 0.0, True, True, 0)
     ev = _FreqEvaluator(sys)
 
-    cands = _candidate_frequencies(ev.lam)
+    cands = ev.cands
     vals = ev.sigma_max_many(cands)
     if float(vals.max()) == 0.0 and sigma_d == 0.0:
         # possibly a zero system; a coarse scan decides
-        cands = _scan_grid(ev.lam, 0.0, 256)
+        cands = _scan_grid(ev, 0.0, 256)
         vals = ev.sigma_max_many(cands)
         if float(vals.max()) == 0.0:
             return NormResult(0.0, 0.0, False, True, 0)
@@ -361,7 +359,7 @@ def hinf_norm(sys: StateSpace, *, rel_tol: float = 1e-7, max_iters: int = 60) ->
     iterations = 0
     converged = False
     scanned = False
-    while iterations < max_iters:
+    while iterations < _LEVEL_ITERS:
         iterations += 1
         probe = lower * (1.0 + rel_tol)
         try:

@@ -48,6 +48,8 @@ __all__ = [
 
 QUICK = "quick"
 LARGE = "large"
+# Relative margin above a reference norm that still passes.
+DEFAULT_TOLERANCE = 0.05
 
 
 @dataclass(frozen=True)
@@ -65,7 +67,6 @@ class BenchmarkCase:
     plant_file: str
     orders: tuple[int, ...]
     references: tuple[Reference, ...] = ()
-    tolerance_policy: float = 0.05
     tier: str = QUICK
     warm_start_file: str | None = None
     notes: str = ""
@@ -75,8 +76,6 @@ class BenchmarkCase:
             raise ValueError(f"{self.name}: reference norms must be nonnegative")
         if any(o < 0 for o in self.orders):
             raise ValueError(f"{self.name}: orders must be nonnegative")
-        if self.tolerance_policy <= 0:
-            raise ValueError(f"{self.name}: tolerance_policy must be positive")
 
 
 def _refs(tag: str, pairs) -> tuple[Reference, ...]:
@@ -188,7 +187,7 @@ class BenchOptions:
     cpumax_seconds: float = 300.0
     seed: int = 0
     norm_rel_tol: float = 1e-7
-    tolerance: float | None = None  # overrides each case's tolerance_policy
+    tolerance: float | None = None  # overrides DEFAULT_TOLERANCE
 
 
 @dataclass(frozen=True)
@@ -344,7 +343,7 @@ def run_benchmark(case: BenchmarkCase, opts: BenchOptions) -> CaseReport:
     except FixedHinfError as exc:
         return CaseReport(case.name, "load-error", str(exc))
 
-    tol = opts.tolerance if opts.tolerance is not None else case.tolerance_policy
+    tol = opts.tolerance if opts.tolerance is not None else DEFAULT_TOLERANCE
     entries = []
     for order in case.orders:
         if order > plant.n:

@@ -179,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--cpumax", type=float, default=300.0)
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--tolerance", type=float, default=None,
-                         help="override each case's pass tolerance")
+                         help="override the pass tolerance (default 0.05)")
     p_bench.add_argument("--norm-rel-tol", dest="norm_rel_tol", type=float,
                          default=1e-7)
     p_bench.set_defaults(func=_cmd_bench)

@@ -63,7 +63,7 @@ def _secondary_peak_gap(
     to the main branch itself.
     """
     ev = _FreqEvaluator(cl)
-    grid = _scan_grid(ev.lam, omega_peak, 256)
+    grid = _scan_grid(ev, omega_peak, 256)
     vals = ev.sigma_max_many(grid)
     nn = len(grid)
     maxima = [
@@ -139,15 +139,13 @@ def _chain_to_controller(
     )
 
 
-def abscissa_gradient(
-    plant: Plant, k: Controller, *, near_tie_tol: float = DEFAULT_NEAR_TIE_TOL
-) -> GradientReport:
+def abscissa_gradient(plant: Plant, k: Controller) -> GradientReport:
     """Gradient of the closed-loop spectral abscissa at k.
 
     Differentiates the first eigenvalue (by solver index) inside the active
     window.  Near-tie is flagged when another eigenvalue group is within
-    near_tie_tol * (1 + |alpha|) of the abscissa, or the active eigenvalue
-    is so ill conditioned that it is numerically defective.
+    DEFAULT_NEAR_TIE_TOL * (1 + |alpha|) of the abscissa, or the active
+    eigenvalue is so ill conditioned that it is numerically defective.
     """
     cl, delta, delta2 = _interconnect(plant, k)
     try:
@@ -181,7 +179,7 @@ def abscissa_gradient(
                 break
     rest = [w[j].real for j in range(w.size) if j not in exclude]
     tie_gap = alpha - max(rest) if rest else math.inf
-    near = defective or tie_gap <= near_tie_tol * (1.0 + abs(alpha))
+    near = defective or tie_gap <= DEFAULT_NEAR_TIE_TOL * (1.0 + abs(alpha))
     hint = Smoothness.NEAR_TIE if near else Smoothness.SMOOTH
     return GradientReport(alpha, grad, hint, tie_gap)
 
@@ -191,7 +189,6 @@ def hinf_gradient(
     k: Controller,
     *,
     rel_tol: float = 1e-7,
-    near_tie_tol: float = DEFAULT_NEAR_TIE_TOL,
     scan_secondary_peaks: bool = True,
 ) -> GradientReport:
     """Gradient of the closed-loop H-infinity norm at k.
@@ -200,8 +197,8 @@ def hinf_gradient(
     singular vectors; when the peak is attained at infinity only the D
     feedthrough path contributes.  Near-tie is flagged when the second
     singular value at the peak, a secondary frequency peak, or the
-    at-infinity value sigma_max(D_cl) comes within near_tie_tol relative of
-    the norm.  Raises UnstableSystem for unstable closed loops.
+    at-infinity value sigma_max(D_cl) comes within DEFAULT_NEAR_TIE_TOL
+    relative of the norm.  Raises UnstableSystem for unstable closed loops.
     """
     cl, delta, delta2 = _interconnect(plant, k)
     result = hinf_norm(cl, rel_tol=rel_tol)
@@ -245,6 +242,6 @@ def hinf_gradient(
             gaps.append(_secondary_peak_gap(cl, omega, gamma))
 
     tie_gap = min(gaps) if gaps else math.inf
-    near = tie_gap <= near_tie_tol * (1.0 + gamma)
+    near = tie_gap <= DEFAULT_NEAR_TIE_TOL * (1.0 + gamma)
     hint = Smoothness.NEAR_TIE if near else Smoothness.SMOOTH
     return GradientReport(float(gamma), grad, hint, tie_gap)

@@ -44,43 +44,36 @@ class Phase(enum.Enum):
     GRADIENT_SAMPLING = "gradient-sampling"
 
 
+# Wolfe sufficient-decrease and curvature constants (the Armijo test of
+# gradient sampling uses the same c1)
+_WOLFE_C1 = 1e-4
+_WOLFE_C2 = 0.5
+# gradient-sampling radius schedule, relative to 1 + ||x||; the bundle
+# phase takes its search radii from the same schedule
+_SAMPLING_RADII = (1e-3, 1e-4, 1e-5)
+
+
 @dataclass(frozen=True)
 class OptOptions:
     """Knobs shared by all optimization phases.
 
     cpu_budget_seconds is a wall-clock deadline, not CPU time, despite its
     name; loops check it between oracle calls, so overshoot is at most one
-    call.  sampling_radii
-    is the gradient-sampling radius schedule, relative to 1 + ||x||.
+    call.
     """
 
     max_iters: int = 1000
     cpu_budget_seconds: float = 300.0
-    wolfe_c1: float = 1e-4
-    wolfe_c2: float = 0.5
     grad_norm_tol: float = 1e-6
-    sampling_radii: tuple[float, ...] = (1e-3, 1e-4, 1e-5)
-    samples_per_iter: int | None = None
-    bundle_size: int | None = None
     rng_seed: int = 0
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if not (0.0 < self.wolfe_c1 < self.wolfe_c2 < 1.0):
-            raise ValueError("need 0 < wolfe_c1 < wolfe_c2 < 1")
         if self.cpu_budget_seconds <= 0:
             raise ValueError("cpu_budget_seconds must be positive")
         if self.grad_norm_tol <= 0:
             raise ValueError("grad_norm_tol must be positive")
-        if len(self.sampling_radii) < 1 or any(r <= 0 for r in self.sampling_radii):
-            raise ValueError("sampling_radii must be positive")
-        if any(b >= a for a, b in zip(self.sampling_radii[:-1], self.sampling_radii[1:])):
-            raise ValueError("sampling_radii must be strictly decreasing")
-        if self.samples_per_iter is not None and self.samples_per_iter < 1:
-            raise ValueError("samples_per_iter must be >= 1")
-        if self.bundle_size is not None and self.bundle_size < 2:
-            raise ValueError("bundle_size must be >= 2")
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,8 +135,6 @@ def _weak_wolfe(
     g0: np.ndarray,
     d: np.ndarray,
     slope0: float,
-    c1: float,
-    c2: float,
     max_steps: int = 50,
 ):
     """Weak-Wolfe line search by bisection, robust to f = +inf regions.
@@ -161,9 +152,9 @@ def _weak_wolfe(
     for _ in range(max_steps):
         xt = x + t * d
         ft, gt = track.call(xt)
-        if not math.isfinite(ft) or ft > f0 + c1 * t * slope0:
+        if not math.isfinite(ft) or ft > f0 + _WOLFE_C1 * t * slope0:
             beta = t
-        elif gt @ d < c2 * slope0:
+        elif gt @ d < _WOLFE_C2 * slope0:
             alpha, xa, fa, ga = t, xt, ft, gt
         else:
             return t, xt, ft, gt, "wolfe"
@@ -218,9 +209,7 @@ def bfgs_nonsmooth(oracle, x0, opts: OptOptions | None = None) -> OptResult:
             scaled = False
             d = -g
             slope = -(gnorm * gnorm)
-        t, xn, fn, gn, outcome = _weak_wolfe(
-            track, x, f, g, d, slope, opts.wolfe_c1, opts.wolfe_c2
-        )
+        t, xn, fn, gn, outcome = _weak_wolfe(track, x, f, g, d, slope)
         if outcome == "fail":
             status = "line-search"
             break
@@ -342,11 +331,11 @@ def bundle_phase(oracle, x0, opts: OptOptions | None = None) -> OptResult:
         raise InfeasibleStart("f(x0) is not finite")
     dim = x.size
     rng = _phase_rng(opts.rng_seed, 1)
-    maxlen = opts.bundle_size if opts.bundle_size is not None else min(100, 2 * dim + 4)
+    maxlen = min(100, 2 * dim + 4)
     bundle: list[tuple[np.ndarray, np.ndarray]] = [(x.copy(), g.copy())]
     scale = 1.0 + float(np.linalg.norm(x))
-    radius = opts.sampling_radii[0] * scale
-    floor = opts.sampling_radii[-1] * scale * 0.1
+    radius = _SAMPLING_RADII[0] * scale
+    floor = _SAMPLING_RADII[-1] * scale * 0.1
     x_best, f_best = x.copy(), f
     measure = float(np.linalg.norm(g))
     improved = False
@@ -364,9 +353,7 @@ def bundle_phase(oracle, x0, opts: OptOptions | None = None) -> OptResult:
         if measure <= opts.grad_norm_tol:
             break
         slope = -measure * measure
-        t, xn, fn, gn, outcome = _weak_wolfe(
-            track, x, f, g, -d, slope, opts.wolfe_c1, opts.wolfe_c2
-        )
+        t, xn, fn, gn, outcome = _weak_wolfe(track, x, f, g, -d, slope)
         meaningful = fn < f - 1e-12 * (1.0 + abs(f))
         if outcome != "fail" and fn < f:
             x, f, g = xn, fn, gn
@@ -409,9 +396,9 @@ def bundle_phase(oracle, x0, opts: OptOptions | None = None) -> OptResult:
 
 
 def gradient_sampling(oracle, x0, opts: OptOptions | None = None) -> OptResult:
-    """Gradient sampling over the radius schedule in opts.sampling_radii.
+    """Gradient sampling over a fixed, shrinking radius schedule.
 
-    Each iteration draws samples_per_iter points uniformly in a ball around
+    Each iteration draws 2 * dim points uniformly in a ball around
     the iterate, discards infeasible ones, and descends along the negated
     smallest convex combination of the sampled gradients with a backtracking
     Armijo search.
@@ -424,12 +411,12 @@ def gradient_sampling(oracle, x0, opts: OptOptions | None = None) -> OptResult:
         raise InfeasibleStart("f(x0) is not finite")
     dim = x.size
     rng = _phase_rng(opts.rng_seed, 2)
-    m = opts.samples_per_iter if opts.samples_per_iter is not None else 2 * dim
+    m = 2 * dim
     x_best, f_best = x.copy(), f
     measure = float(np.linalg.norm(g))
     status = "radius-schedule-complete"
     it = 0
-    for rad_scale in opts.sampling_radii:
+    for rad_scale in _SAMPLING_RADII:
         radius = rad_scale * (1.0 + float(np.linalg.norm(x)))
         while it < opts.max_iters:
             if track.out_of_time:
@@ -453,7 +440,7 @@ def gradient_sampling(oracle, x0, opts: OptOptions | None = None) -> OptResult:
             f_prev = f
             for _ in range(30):
                 ft, gt = track.call(x - t * d)
-                if math.isfinite(ft) and ft <= f - opts.wolfe_c1 * t * measure * measure:
+                if math.isfinite(ft) and ft <= f - _WOLFE_C1 * t * measure * measure:
                     x, f, g = x - t * d, ft, gt
                     accepted = True
                     break

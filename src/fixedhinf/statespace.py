@@ -32,6 +32,11 @@ __all__ = [
     "param_count",
 ]
 
+# Largest admitted 2-norm of (I - D22*DK)^-1; above it the loop is ill posed.
+_WELLPOSEDNESS_CAP = 1e12
+# Largest admitted condition estimate of sI - A in transfer_eval.
+_COND_CAP = 1e12
+
 
 def _as_matrix(value, rows: int, cols: int, name: str) -> np.ndarray:
     """Coerce `value` to a read-only float64 matrix of the given shape."""
@@ -284,22 +289,18 @@ def unpack_controller(theta: np.ndarray, order: int, ny: int, nu: int) -> Contro
     )
 
 
-def lft_closed_loop(
-    plant: Plant, k: Controller, *, wellposedness_cap: float = 1e12
-) -> StateSpace:
+def lft_closed_loop(plant: Plant, k: Controller) -> StateSpace:
     """Close the loop u = K y around the generalized plant.
 
     Returns the lower linear fractional transformation of the plant by the
     controller as a StateSpace of order n + nK.  With D22 nonzero the
     interconnection requires I - D22*DK to be invertible; if it is singular
-    or its inverse has 2-norm above `wellposedness_cap`, raises IllPosed.
+    or its inverse has 2-norm above 1e12, raises IllPosed.
     """
-    return _interconnect(plant, k, wellposedness_cap)[0]
+    return _interconnect(plant, k)[0]
 
 
-def _interconnect(
-    plant: Plant, k: Controller, wellposedness_cap: float = 1e12
-) -> tuple[StateSpace, np.ndarray, np.ndarray]:
+def _interconnect(plant: Plant, k: Controller) -> tuple[StateSpace, np.ndarray, np.ndarray]:
     """lft_closed_loop with the coupling inverses (I - D22 DK)^-1 and
     (I - DK D22)^-1, which the gradient chain rules reuse."""
     if k.ny != plant.p2 or k.nu != plant.m2:
@@ -314,11 +315,11 @@ def _interconnect(
         raise IllPosed("I - D22*DK is singular") from exc
     if (
         not np.all(np.isfinite(delta))
-        or np.linalg.svd(delta, compute_uv=False)[0] > wellposedness_cap
+        or np.linalg.svd(delta, compute_uv=False)[0] > _WELLPOSEDNESS_CAP
     ):
         raise IllPosed(
             f"interconnection badly conditioned: ||(I - D22*DK)^-1|| exceeds "
-            f"{wellposedness_cap:g}"
+            f"{_WELLPOSEDNESS_CAP:g}"
         )
     # (I - DK*D22)^-1 via the push-through identity; shares delta's conditioning.
     kdelta = k.DK @ delta
@@ -343,11 +344,11 @@ def _interconnect(
     return StateSpace(A, B, C, D), delta, delta2
 
 
-def transfer_eval(sys: StateSpace, s: complex, *, cond_cap: float = 1e12) -> np.ndarray:
+def transfer_eval(sys: StateSpace, s: complex) -> np.ndarray:
     """Evaluate the transfer matrix C (sI - A)^-1 B + D at one complex point.
 
     Uses a factor-and-solve, never an explicit inverse.  Raises
-    SingularResolvent when sI - A is singular to within `cond_cap`.
+    SingularResolvent when its condition estimate exceeds 1e12.
     """
     if sys.n == 0:
         return sys.D.astype(complex)
@@ -362,7 +363,7 @@ def transfer_eval(sys: StateSpace, s: complex, *, cond_cap: float = 1e12) -> np.
         raise SingularResolvent(f"sI - A is singular at s = {s}")
     anorm = la.norm(M, 1)
     rcond = la.lapack.zgecon(lu, anorm)[0]
-    if not np.isfinite(rcond) or rcond < 1.0 / cond_cap:
+    if not np.isfinite(rcond) or rcond < 1.0 / _COND_CAP:
         raise SingularResolvent(
             f"sI - A numerically singular at s = {s} (rcond = {rcond:.3e})"
         )

@@ -31,7 +31,6 @@ def _toy_case(tmp_path, interior_plant, refs=None, orders=(0,)):
         "toy.json",
         tuple(orders),
         tuple(refs) if refs else (),
-        tolerance_policy=0.05,
     )
 
 
@@ -86,8 +85,6 @@ def test_case_validation_rejects_bad_definitions():
         BenchmarkCase("x", "x.json", (0,), (Reference("t", 0, -1.0),))
     with pytest.raises(ValueError):
         BenchmarkCase("x", "x.json", (-1,))
-    with pytest.raises(ValueError):
-        BenchmarkCase("x", "x.json", (0,), tolerance_policy=0.0)
 
 
 def test_missing_plant_file_reports_data_unavailable(tmp_path):

@@ -210,15 +210,6 @@ def test_hinf_near_tie_when_feedthrough_competes():
     assert rep.smoothness_hint is Smoothness.NEAR_TIE
 
 
-def test_near_tie_tol_widens_the_flagged_region(make_plant):
-    plant = make_plant(n=4, m1=2, m2=1, p1=2, p2=1, stable=True)
-    k = Controller.zero(0, plant.p2, plant.m2)
-    rep = abscissa_gradient(plant, k)
-    if rep.smoothness_hint is Smoothness.SMOOTH and np.isfinite(rep.tie_gap):
-        wide = abscissa_gradient(plant, k, near_tie_tol=1e6)
-        assert wide.smoothness_hint is Smoothness.NEAR_TIE
-
-
 def test_gradient_consistent_with_packing_layout(rng):
     """Perturbing one packed coordinate must move the objective by the
     matching gradient entry, which pins the AK/BK/CK/DK ordering."""

@@ -67,13 +67,7 @@ def test_options_validation():
     with pytest.raises(ValueError):
         OptOptions(max_iters=0)
     with pytest.raises(ValueError):
-        OptOptions(wolfe_c1=0.5, wolfe_c2=0.1)
-    with pytest.raises(ValueError):
         OptOptions(cpu_budget_seconds=0.0)
-    with pytest.raises(ValueError):
-        OptOptions(sampling_radii=(1e-3, 1e-3))
-    with pytest.raises(ValueError):
-        OptOptions(bundle_size=1)
 
 
 def test_bfgs_smooth_quadratic():
@@ -175,9 +169,7 @@ def test_bundle_and_sampling_measures_agree_on_piecewise_linear(rng):
         i = int(np.argmax(vals))
         return float(vals[i]), A[i].copy()
 
-    opts = OptOptions(
-        max_iters=1, sampling_radii=(1e-5,), rng_seed=11, cpu_budget_seconds=10.0
-    )
+    opts = OptOptions(max_iters=1, rng_seed=11, cpu_budget_seconds=10.0)
     x0 = np.zeros(4)
     mb = bundle_phase(pl, x0, opts).optimality_measure
     ms = gradient_sampling(pl, x0, opts).optimality_measure
