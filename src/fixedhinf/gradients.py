@@ -95,46 +95,23 @@ def _secondary_peak_gap(
 
 
 def _chain_to_controller(
-    plant: Plant,
-    k: Controller,
-    delta: np.ndarray,
-    delta2: np.ndarray,
-    Ga: np.ndarray | None,
-    Gb: np.ndarray | None = None,
-    Gc: np.ndarray | None = None,
-    Gd: np.ndarray | None = None,
+    k: Controller, L: np.ndarray, R: np.ndarray, left: np.ndarray, right: np.ndarray
 ) -> np.ndarray:
-    """Map sensitivities w.r.t. closed-loop (A, B, C, D) onto packed controller
-    parameters.  Inputs may be complex; the real part of the chained result is
-    packed column-major in (AK, BK, CK, DK) order.  delta and delta2 are the
-    coupling inverses (I - D22 DK)^-1 and (I - DK D22)^-1 of the closed loop."""
-    n, nK = plant.n, k.order
-    L = np.vstack([plant.B2 @ delta2, k.BK @ delta @ plant.D22])
-    Lz = plant.D12 @ delta2
-    M = np.hstack([delta @ plant.C2, delta @ plant.D22 @ k.CK])
-    Mw = delta @ plant.D21
+    """Gradient over the packed controller of a function whose gradient over
+    the closed loop's [[A, B], [C, D]] is the rank-one left right^T.
 
-    N = n + nK
-    if Ga is None:
-        Ga = np.zeros((N, N))
-    dAK = Ga[n:, n:].copy()
-    dBK = Ga[n:, :] @ M.T
-    dCK = L.T @ Ga[:, n:]
-    dDK = L.T @ Ga @ M.T
-    if Gb is not None:
-        dBK = dBK + Gb[n:, :] @ Mw.T
-        dDK = dDK + L.T @ Gb @ Mw.T
-    if Gc is not None:
-        dCK = dCK + Lz.T @ Gc[:, n:]
-        dDK = dDK + Lz.T @ Gc @ M.T
-    if Gd is not None:
-        dDK = dDK + Lz.T @ Gd @ Mw.T
+    L and R are the factors from _interconnect, or matching row slices of L
+    and column slices of R when left and right vanish outside them.  The
+    gradient over K = [[DK, CK], [BK, AK]] is Re((L^T left)(R right)^T),
+    packed column-major in (AK, BK, CK, DK) order."""
+    G = np.real(np.outer(L.T @ left, R @ right))
+    nu, ny = k.nu, k.ny
     return np.concatenate(
         [
-            np.real(dAK).ravel(order="F"),
-            np.real(dBK).ravel(order="F"),
-            np.real(dCK).ravel(order="F"),
-            np.real(dDK).ravel(order="F"),
+            G[nu:, ny:].ravel(order="F"),
+            G[nu:, :ny].ravel(order="F"),
+            G[:nu, ny:].ravel(order="F"),
+            G[:nu, :ny].ravel(order="F"),
         ]
     )
 
@@ -147,7 +124,7 @@ def abscissa_gradient(plant: Plant, k: Controller) -> GradientReport:
     DEFAULT_NEAR_TIE_TOL * (1 + |alpha|) of the abscissa, or the active
     eigenvalue is so ill conditioned that it is numerically defective.
     """
-    cl, delta, delta2 = _interconnect(plant, k)
+    cl, L, R = _interconnect(plant, k)
     try:
         w, vl, vr = la.eig(cl.A, left=True, right=True)
     except la.LinAlgError as exc:
@@ -162,8 +139,7 @@ def abscissa_gradient(plant: Plant, k: Controller) -> GradientReport:
     defective = abs(s) < 1e-8 * la.norm(x) * la.norm(y)
     if s == 0:
         s = 1e-300
-    Ga = np.outer(np.conj(y), x) / s
-    grad = _chain_to_controller(plant, k, delta, delta2, Ga)
+    grad = _chain_to_controller(k, L[: cl.n], R[:, : cl.n], np.conj(y) / s, x)
     if not np.all(np.isfinite(grad)):
         grad = np.zeros_like(grad)
         defective = True
@@ -200,7 +176,7 @@ def hinf_gradient(
     at-infinity value sigma_max(D_cl) comes within DEFAULT_NEAR_TIE_TOL
     relative of the norm.  Raises UnstableSystem for unstable closed loops.
     """
-    cl, delta, delta2 = _interconnect(plant, k)
+    cl, L, R = _interconnect(plant, k)
     result = hinf_norm(cl, rel_tol=rel_tol)
     gamma = result.gamma
     sigma_d = float(np.linalg.svd(cl.D, compute_uv=False)[0])
@@ -208,10 +184,7 @@ def hinf_gradient(
 
     if result.attained_at_infinity:
         U, svals, Vh = np.linalg.svd(cl.D)
-        u = U[:, 0]
-        v = Vh[0]
-        Gd = np.outer(u, v)
-        grad = _chain_to_controller(plant, k, delta, delta2, None, None, None, Gd)
+        grad = _chain_to_controller(k, L[cl.n :], R[:, cl.n :], U[:, 0], Vh[0])
         if svals.size > 1:
             gaps.append(float(svals[0] - svals[1]))
         if scan_secondary_peaks and cl.n:
@@ -230,11 +203,9 @@ def hinf_gradient(
         v = np.conj(Vh[0])
         b = X @ v
         r = np.linalg.solve(M.T, cl.C.T @ np.conj(u))
-        Ga = np.outer(r, b)
-        Gb = np.outer(r, v)
-        Gc = np.outer(np.conj(u), b)
-        Gd = np.outer(np.conj(u), v)
-        grad = _chain_to_controller(plant, k, delta, delta2, Ga, Gb, Gc, Gd)
+        grad = _chain_to_controller(
+            k, L, R, np.concatenate([r, np.conj(u)]), np.concatenate([b, v])
+        )
         if svals.size > 1:
             gaps.append(float(svals[0] - svals[1]))
         gaps.append(gamma - sigma_d)

@@ -281,9 +281,10 @@ def min_norm_convex_hull(gradients) -> tuple[np.ndarray, np.ndarray]:
             rhs[kk] = 1.0
             try:
                 sol = np.linalg.solve(KKT, rhs)
-                if not np.all(np.isfinite(sol)):
-                    raise np.linalg.LinAlgError
+                solved = np.all(np.isfinite(sol))
             except np.linalg.LinAlgError:
+                solved = False
+            if not solved:
                 sol = np.linalg.lstsq(KKT, rhs, rcond=None)[0]
             alpha = sol[:kk]
             if np.all(alpha >= -1e-12):

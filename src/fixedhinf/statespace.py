@@ -4,6 +4,10 @@ Conventions: a generalized plant maps exogenous inputs w (m1 wide) and control
 inputs u (m2 wide) to performance outputs z (p1 tall) and measured outputs y
 (p2 tall).  A controller of order nK maps y to u.  Parameter vectors stack the
 controller blocks AK, BK, CK, DK in column-major order.
+
+The loop is closed as static feedback: the controller is the gain
+K = [[DK, CK], [BK, AK]] from [y; xK] to [u; xK'] on the plant augmented with
+nK integrator states, so every controller order shares one formula.
 """
 
 from __future__ import annotations
@@ -292,56 +296,64 @@ def unpack_controller(theta: np.ndarray, order: int, ny: int, nu: int) -> Contro
 def lft_closed_loop(plant: Plant, k: Controller) -> StateSpace:
     """Close the loop u = K y around the generalized plant.
 
-    Returns the lower linear fractional transformation of the plant by the
-    controller as a StateSpace of order n + nK.  With D22 nonzero the
-    interconnection requires I - D22*DK to be invertible; if it is singular
-    or its inverse has 2-norm above 1e12, raises IllPosed.
+    The controller acts as the static gain K = [[DK, CK], [BK, AK]] from
+    [y; xK] to [u; xK'] on the plant augmented with nK integrator states, so
+    the result is a StateSpace of order n + nK.  The loop is well posed when
+    I - D22*DK is invertible; if it is singular or its inverse has 2-norm
+    above 1e12, raises IllPosed.
     """
     return _interconnect(plant, k)[0]
 
 
 def _interconnect(plant: Plant, k: Controller) -> tuple[StateSpace, np.ndarray, np.ndarray]:
-    """lft_closed_loop with the coupling inverses (I - D22 DK)^-1 and
-    (I - DK D22)^-1, which the gradient chain rules reuse."""
+    """lft_closed_loop, with the factors L and R of its derivative: a change
+    dK of the gain moves the loop's [[A, B], [C, D]] by L dK R.  With the
+    augmented plant's S0 = [[A, B1], [C1, D11]], P = [[B2], [D12]],
+    Q = [C2, D21] and D22, the loop is S0 + P K R, R = (I - D22 K)^-1 Q and
+    L = P (I - K D22)^-1."""
     if k.ny != plant.p2 or k.nu != plant.m2:
         raise DimensionMismatch(
             f"controller is {k.nu}x{k.ny} but plant ports need {plant.m2}x{plant.p2}"
         )
-    n, nK = plant.n, k.order
-    E = np.eye(plant.p2) - plant.D22 @ k.DK
+    n, nK, m2, p2 = plant.n, k.order, plant.m2, plant.p2
+    N = n + nK
+    P = np.zeros((N + plant.p1, m2 + nK))
+    P[:n, :m2] = plant.B2
+    P[n:N, m2:] = np.eye(nK)
+    P[N:, :m2] = plant.D12
+    Q = np.zeros((p2 + nK, N + plant.m1))
+    Q[:p2, :n] = plant.C2
+    Q[p2:, n:N] = np.eye(nK)
+    Q[:p2, N:] = plant.D21
+    D22 = np.zeros((p2 + nK, m2 + nK))
+    D22[:p2, :m2] = plant.D22
+    K = np.concatenate([np.concatenate([k.DK, k.CK], 1), np.concatenate([k.BK, k.AK], 1)])
     try:
-        delta = np.linalg.inv(E)
+        delta = np.linalg.inv(np.eye(p2 + nK) - D22 @ K)
     except np.linalg.LinAlgError as exc:
         raise IllPosed("I - D22*DK is singular") from exc
+    # delta = [[(I - D22*DK)^-1, *], [0, I]]: its leading block sets the conditioning
     if (
         not np.all(np.isfinite(delta))
-        or np.linalg.svd(delta, compute_uv=False)[0] > _WELLPOSEDNESS_CAP
+        or np.linalg.svd(delta[:p2, :p2], compute_uv=False)[0] > _WELLPOSEDNESS_CAP
     ):
         raise IllPosed(
             f"interconnection badly conditioned: ||(I - D22*DK)^-1|| exceeds "
             f"{_WELLPOSEDNESS_CAP:g}"
         )
-    # (I - DK*D22)^-1 via the push-through identity; shares delta's conditioning.
-    kdelta = k.DK @ delta
-    delta2 = np.eye(k.nu) + kdelta @ plant.D22
-
-    N = n + nK
-    A = np.zeros((N, N))
-    A[:n, :n] = plant.A + plant.B2 @ kdelta @ plant.C2
-    if nK:
-        A[:n, n:] = plant.B2 @ delta2 @ k.CK
-        A[n:, :n] = k.BK @ delta @ plant.C2
-        A[n:, n:] = k.AK + k.BK @ delta @ plant.D22 @ k.CK
-    B = np.zeros((N, plant.m1))
-    B[:n] = plant.B1 + plant.B2 @ kdelta @ plant.D21
-    if nK:
-        B[n:] = k.BK @ delta @ plant.D21
-    C = np.zeros((plant.p1, N))
-    C[:, :n] = plant.C1 + plant.D12 @ kdelta @ plant.C2
-    if nK:
-        C[:, n:] = plant.D12 @ delta2 @ k.CK
-    D = plant.D11 + plant.D12 @ kdelta @ plant.D21
-    return StateSpace(A, B, C, D), delta, delta2
+    R = delta @ Q
+    # (I - K D22)^-1 = I + K delta D22 by the push-through identity
+    L = P + P @ (K @ delta @ D22)
+    # S0 + P K R block by block, with no loop-sized temporary; S0 is zero off the plant
+    PK = P @ K
+    A = PK[:N] @ R[:, :N]
+    A[:n, :n] += plant.A
+    B = PK[:N] @ R[:, N:]
+    B[:n] += plant.B1
+    C = PK[N:] @ R[:, :N]
+    C[:, :n] += plant.C1
+    D = PK[N:] @ R[:, N:] + plant.D11
+    return StateSpace(A, B, C, D), L, R
 
 
 def transfer_eval(sys: StateSpace, s: complex) -> np.ndarray:

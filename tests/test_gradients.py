@@ -110,8 +110,8 @@ def test_hinf_gradient_matches_fd(rng):
 
 def test_gradients_with_d22_and_dynamic_controller_match_fd():
     """D22 != 0 and a first-order controller: both chain rules run through
-    the coupling inverses (I - D22 DK)^-1 and (I - DK D22)^-1 of the closed
-    loop, in every parameter block."""
+    L = P (I - K D22)^-1 and R = (I - D22 K)^-1 Q of the augmented plant,
+    with K = [[DK, CK], [BK, AK]], in every parameter block."""
     rng = np.random.default_rng(5150)
     plant = random_plant(rng, 3, 2, 2, 2, 2, stable=True, margin=1.0)
     plant = dataclasses.replace(plant, D22=0.6 * rng.standard_normal((2, 2)))
@@ -141,17 +141,54 @@ def test_hinf_gradient_value_matches_norm(make_plant):
     assert rep.value == pytest.approx(direct, rel=1e-7)
 
 
-def test_hinf_gradient_at_infinity_differentiates_feedthrough():
-    """Peak at infinity: only the D11 + D12 DK D21 path carries sensitivity."""
+def _feedthrough_static():
     plant = Plant.from_blocks(
         [[-1.0]], [[1.0]], [[1.0]], [[-0.5]], [[1.0]],
         D11=[[5.0]], D12=[[1.0]], D21=[[1.0]],
     )
-    k = Controller.static([[0.25]])
+    return plant, Controller.static([[0.25]])
+
+
+def _feedthrough_order2_d22():
+    plant = Plant.from_blocks(
+        np.diag([-1.0, -2.0]), np.eye(2), np.eye(2), np.diag([-0.5, 0.3]), np.eye(2),
+        D11=np.diag([5.0, 3.0]), D12=np.eye(2), D21=np.eye(2), D22=[[0.5, 0.2], [0.0, 0.4]],
+    )
+    k = Controller(
+        [[-2.0, 0.5], [0.0, -3.0]],
+        [[0.1, 0.0], [0.0, 0.2]],
+        [[0.1, 0.0], [0.3, 0.1]],
+        [[0.25, 0.1], [-0.05, 0.2]],
+    )
+    return plant, k
+
+
+@pytest.mark.parametrize(
+    "make", [_feedthrough_static, _feedthrough_order2_d22], ids=["static", "order2-d22"]
+)
+def test_hinf_gradient_at_infinity_differentiates_feedthrough(make):
+    """Peak at infinity: only D_cl = D11 + D12 DK (I - D22 DK)^-1 D21 carries
+    sensitivity, so the AK, BK and CK blocks vanish exactly and the DK block
+    is the derivative of sigma_max(D_cl)."""
+    plant, k = make()
+    assert hinf_norm(lft_closed_loop(plant, k)).attained_at_infinity
+    theta = pack_controller(k)
+
+    def sigma_d(t):
+        kt = unpack_controller(t, k.order, k.ny, k.nu)
+        return np.linalg.norm(lft_closed_loop(plant, kt).D, 2)
+
     rep = hinf_gradient(plant, k)
-    assert rep.value == pytest.approx(5.25, rel=1e-9)
-    # d sigma_max(D_cl)/d dk = d(5 + dk)/d dk = 1
-    assert rep.grad[0] == pytest.approx(1.0, rel=1e-9)
+    assert rep.value == pytest.approx(sigma_d(theta), rel=1e-9)
+    n_dk = k.nu * k.ny
+    assert np.all(rep.grad[: theta.size - n_dk] == 0.0)
+    for i in range(theta.size - n_dk, theta.size):
+        fd = oracles.fd_directional(sigma_d, theta, np.eye(theta.size)[i], FD_STEP)
+        assert abs(fd - rep.grad[i]) <= FD_REL * (1.0 + abs(fd))
+    if k.order == 0:
+        # D_cl = 5 + dk, so the norm is 5.25 and its derivative 1
+        assert rep.value == pytest.approx(5.25, rel=1e-9)
+        assert rep.grad[0] == pytest.approx(1.0, rel=1e-9)
 
 
 def test_abscissa_near_tie_on_repeated_eigenvalue():
