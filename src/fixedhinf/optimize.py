@@ -1,6 +1,6 @@
 """Nonsmooth, nonconvex local optimization.
 
-The driver chains three phases, each consuming part of a shared CPU budget:
+The driver chains three phases under one shared wall-clock deadline:
 
 1. BFGS with a weak-Wolfe line search.  On nonsmooth problems the quasi-Newton
    matrix absorbs the U/V structure of the objective; no curvature resets are
@@ -128,6 +128,20 @@ def _phase_rng(seed: int, tag: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, tag))))
 
 
+def _start(oracle, x0, opts: OptOptions | None):
+    """A phase's options, tracker, start point and first evaluation.
+
+    Raises InfeasibleStart when f(x0) = +inf.
+    """
+    opts = opts if opts is not None else OptOptions()
+    track = _Tracker(oracle, opts.cpu_budget_seconds)
+    x = np.array(x0, dtype=float).ravel()
+    f, g = track.call(x)
+    if not math.isfinite(f):
+        raise InfeasibleStart("f(x0) is not finite")
+    return opts, track, x, f, g
+
+
 def _weak_wolfe(
     track: _Tracker,
     x: np.ndarray,
@@ -180,12 +194,7 @@ def bfgs_nonsmooth(oracle, x0, opts: OptOptions | None = None) -> OptResult:
     safely positive; the matrix is reset to (scaled) identity only on
     numerical breakdown.  Raises InfeasibleStart when f(x0) = +inf.
     """
-    opts = opts if opts is not None else OptOptions()
-    track = _Tracker(oracle, opts.cpu_budget_seconds)
-    x = np.array(x0, dtype=float).ravel()
-    f, g = track.call(x)
-    if not math.isfinite(f):
-        raise InfeasibleStart("f(x0) is not finite")
+    opts, track, x, f, g = _start(oracle, x0, opts)
     dim = x.size
     H = np.eye(dim)
     x_best, f_best, g_best = x.copy(), f, g.copy()
@@ -248,45 +257,37 @@ def bfgs_nonsmooth(oracle, x0, opts: OptOptions | None = None) -> OptResult:
 def min_norm_convex_hull(gradients) -> tuple[np.ndarray, np.ndarray]:
     """Smallest-norm point of the convex hull of the given vectors.
 
-    Implements the nearest-point-in-polytope active-set iteration working on
-    the Gram matrix.  Returns (d, coeffs) with d = coeffs @ G, coeffs on the
-    unit simplex.
+    Wolfe's nearest-point iteration (Math. Prog. 1976): start at the shortest
+    vector, add the vertex that most violates optimality, and replace the
+    support by the affine minimizer over it, stepping back to the first
+    vertex whose weight would turn negative.  Each affine minimizer is a
+    least-squares solve on the vectors themselves rather than a linear
+    system on their Gram matrix, which would square their condition number.
+    Returns (d, coeffs) with d = coeffs @ G, coeffs on the unit simplex.
     """
     G = np.atleast_2d(np.asarray(list(gradients), dtype=float))
     if G.size == 0 or G.ndim != 2:
         raise ValueError("need at least one vector")
     count = G.shape[0]
     if count == 1:
-        return G[0].astype(float).copy(), np.ones(1)
-    Q = G @ G.T
-    scale = max(1.0, float(np.diag(Q).max()))
-    tol = 1e-12 * scale
-    support = [int(np.argmin(np.diag(Q)))]
+        return G[0].copy(), np.ones(1)
+    sq = np.einsum("ij,ij->i", G, G)
+    tol = 1e-12 * max(1.0, float(sq.max()))
+    support = [int(np.argmin(sq))]
     lam = np.ones(1)
     for _ in range(200 + 10 * count):
-        xg = lam @ Q[np.ix_(support, range(count))]
-        xx = float(lam @ Q[np.ix_(support, support)] @ lam)
+        d = lam @ G[support]
+        xg = G @ d
         j = int(np.argmin(xg))
-        if xg[j] >= xx - tol or j in support:
+        if xg[j] >= d @ d - tol or j in support:
             break
         support.append(j)
         lam = np.append(lam, 0.0)
         while True:
-            kk = len(support)
-            KKT = np.zeros((kk + 1, kk + 1))
-            KKT[:kk, :kk] = Q[np.ix_(support, support)]
-            KKT[:kk, kk] = 1.0
-            KKT[kk, :kk] = 1.0
-            rhs = np.zeros(kk + 1)
-            rhs[kk] = 1.0
-            try:
-                sol = np.linalg.solve(KKT, rhs)
-                solved = np.all(np.isfinite(sol))
-            except np.linalg.LinAlgError:
-                solved = False
-            if not solved:
-                sol = np.linalg.lstsq(KKT, rhs, rcond=None)[0]
-            alpha = sol[:kk]
+            # affine minimizer: e0 + sum_i beta_i (e_i - e0) on the support
+            GS = G[support]
+            beta = np.linalg.lstsq((GS[1:] - GS[0]).T, -GS[0], rcond=None)[0]
+            alpha = np.concatenate(([1.0 - beta.sum()], beta))
             if np.all(alpha >= -1e-12):
                 lam = np.clip(alpha, 0.0, None)
                 break
@@ -305,13 +306,7 @@ def min_norm_convex_hull(gradients) -> tuple[np.ndarray, np.ndarray]:
                 lam = np.ones(1)
                 break
     coeffs = np.zeros(count)
-    coeffs[support] = lam
-    coeffs = np.clip(coeffs, 0.0, None)
-    total = coeffs.sum()
-    if total > 0:
-        coeffs = coeffs / total
-    else:
-        coeffs[int(np.argmin(np.diag(Q)))] = 1.0
+    coeffs[support] = lam / lam.sum()
     return coeffs @ G, coeffs
 
 
@@ -324,12 +319,7 @@ def bundle_phase(oracle, x0, opts: OptOptions | None = None) -> OptResult:
     "improvement" when the candidate was strictly improved but not verified,
     "inconclusive" otherwise.
     """
-    opts = opts if opts is not None else OptOptions()
-    track = _Tracker(oracle, opts.cpu_budget_seconds)
-    x = np.array(x0, dtype=float).ravel()
-    f, g = track.call(x)
-    if not math.isfinite(f):
-        raise InfeasibleStart("f(x0) is not finite")
+    opts, track, x, f, g = _start(oracle, x0, opts)
     dim = x.size
     rng = _phase_rng(opts.rng_seed, 1)
     maxlen = min(100, 2 * dim + 4)
@@ -404,12 +394,7 @@ def gradient_sampling(oracle, x0, opts: OptOptions | None = None) -> OptResult:
     smallest convex combination of the sampled gradients with a backtracking
     Armijo search.
     """
-    opts = opts if opts is not None else OptOptions()
-    track = _Tracker(oracle, opts.cpu_budget_seconds)
-    x = np.array(x0, dtype=float).ravel()
-    f, g = track.call(x)
-    if not math.isfinite(f):
-        raise InfeasibleStart("f(x0) is not finite")
+    opts, track, x, f, g = _start(oracle, x0, opts)
     dim = x.size
     rng = _phase_rng(opts.rng_seed, 2)
     m = 2 * dim
@@ -508,32 +493,21 @@ def hanso(oracle, starts, opts: OptOptions | None = None) -> OptResult:
     x, f = best.x_best, best.f_best
     measure = best.optimality_measure
     phase = Phase.BFGS_ONLY
-    verified = False
-
-    remaining = deadline - time.perf_counter()
-    if remaining > 0:
-        sub = replace(opts, cpu_budget_seconds=remaining)
-        rb = bundle_phase(oracle, x, sub)
-        iters += rb.iterations
-        evals += rb.n_evals
-        phase = Phase.BUNDLE
-        measure = rb.optimality_measure
-        statuses.append(f"bundle:{rb.status}")
-        if rb.f_best < f:
-            x, f = rb.x_best, rb.f_best
-        verified = rb.status == "verified"
-
-    remaining = deadline - time.perf_counter()
-    if not verified and remaining > 0:
-        sub = replace(opts, cpu_budget_seconds=remaining)
-        rg = gradient_sampling(oracle, x, sub)
-        iters += rg.iterations
-        evals += rg.n_evals
-        phase = Phase.GRADIENT_SAMPLING
-        measure = rg.optimality_measure
-        statuses.append(f"sampling:{rg.status}")
-        if rg.f_best < f:
-            x, f = rg.x_best, rg.f_best
+    # looked up at call time, so that wrappers installed on the module apply
+    for refine, name in ((bundle_phase, "bundle"), (gradient_sampling, "sampling")):
+        remaining = deadline - time.perf_counter()
+        if remaining <= 0:
+            break
+        r = refine(oracle, x, replace(opts, cpu_budget_seconds=remaining))
+        iters += r.iterations
+        evals += r.n_evals
+        phase = r.phase_reached
+        measure = r.optimality_measure
+        statuses.append(f"{name}:{r.status}")
+        if r.f_best < f:
+            x, f = r.x_best, r.f_best
+        if r.status == "verified":
+            break
 
     return OptResult(
         x,

@@ -28,7 +28,7 @@ from .errors import (
     UnstableSystem,
 )
 from .gradients import abscissa_gradient, hinf_gradient
-from .optimize import OptOptions, hanso
+from .optimize import OptOptions, _phase_rng, hanso
 from .statespace import (
     Controller,
     Plant,
@@ -131,10 +131,6 @@ def _run_seed(root_seed: int, run_index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _rng(seed: int, tag: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, tag))))
-
-
 def random_controller(
     order: int, ny: int, nu: int, scale: float, rng: np.random.Generator
 ) -> Controller:
@@ -193,7 +189,6 @@ def stabilize(
     opts: SynthesisOptions | None = None,
     *,
     run_seed: int | None = None,
-    budget_seconds: float | None = None,
 ) -> tuple[Controller, AbscissaResult]:
     """Find a controller with closed-loop abscissa < -stabilization_margin.
 
@@ -205,8 +200,7 @@ def stabilize(
     """
     opts = opts if opts is not None else SynthesisOptions()
     seed = run_seed if run_seed is not None else _run_seed(opts.rng_seed, 0)
-    budget = budget_seconds if budget_seconds is not None else opts.cpumax_seconds
-    rng = _rng(seed, 3)
+    rng = _phase_rng(seed, 3)
 
     starts = []
     if opts.warm_start is not None:
@@ -229,7 +223,7 @@ def stabilize(
     oracle = _stage1_oracle(plant, opts.order, opts.stabilization_margin)
     hopts = OptOptions(
         max_iters=opts.max_iters,
-        cpu_budget_seconds=budget,
+        cpu_budget_seconds=opts.cpumax_seconds,
         rng_seed=seed,
     )
     try:
@@ -312,9 +306,7 @@ def synthesize(plant: Plant, opts: SynthesisOptions | None = None) -> SynthesisR
         seed_r = _run_seed(opts.rng_seed, r)
         t_run = time.perf_counter()
         try:
-            k1, absc = stabilize(
-                plant, opts, run_seed=seed_r, budget_seconds=opts.cpumax_seconds
-            )
+            k1, absc = stabilize(plant, opts, run_seed=seed_r)
         except NoStabilizingController as exc:
             records.append(
                 RunRecord(

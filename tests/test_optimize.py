@@ -147,6 +147,26 @@ def test_min_norm_hull_matches_simplex_grid_oracle(rng):
         assert abs(np.linalg.norm(d) - np.linalg.norm(d_ref)) <= 1e-3
 
 
+def test_min_norm_hull_is_optimal_on_two_clusters():
+    # gradients at a kink: two tight clusters around two random directions,
+    # where a solve on the Gram matrix loses half the digits
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        dim = int(rng.integers(2, 15))
+        count = int(rng.integers(2, 30))
+        a, b = rng.standard_normal((2, dim))
+        split = int(rng.integers(1, count))
+        G = np.vstack([np.tile(a, (split, 1)), np.tile(b, (count - split, 1))])
+        G += 1e-9 * rng.standard_normal((count, dim))
+        d, w = min_norm_convex_hull(list(G))
+        scale = float(np.max(np.sum(G * G, axis=1)))
+        # optimality: no vector of the hull lies beyond the plane through d
+        assert np.min(G @ d) >= d @ d - 1e-12 * scale
+        assert abs(w.sum() - 1.0) <= 1e-12
+        assert np.all(w >= 0.0)
+        assert np.allclose(d, w @ G, rtol=0.0, atol=1e-14 * math.sqrt(scale))
+
+
 def test_bundle_verifies_linf_minimizer():
     res = bundle_phase(linf, np.zeros(2), OptOptions(rng_seed=3))
     assert res.optimality_measure <= 1e-6
