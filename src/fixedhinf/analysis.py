@@ -16,7 +16,8 @@ raise the lower bound: not when the best pole-frequency guess lies below
 sigma_max(D), and not past the last grid point while sigma still rises
 there.  Either way a finite peak above the bound is left to the Hamiltonian
 probe, which finds any such peak.  One eigendecomposition of A serves the
-stability test and every frequency evaluation.
+stability test and every frequency evaluation, the gradient's rival-peak
+scan included: the result carries the evaluator on.
 
 Once the probe finds no crossing, one grid scan guards against eigenvalues
 misclassified as off the axis.  It takes an SVD only at grid points that
@@ -30,7 +31,7 @@ not certified.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as la
@@ -77,7 +78,9 @@ class NormResult:
 
     `converged` is False when the level-set iteration stalled before
     certifying the requested tolerance; `gamma` is then the best verified
-    lower bound rather than a bracketed value.
+    lower bound rather than a bracketed value.  `_ev` is the frequency
+    evaluator of the system (None when it has no states), for later scans
+    of the same system.
     """
 
     gamma: float
@@ -85,6 +88,7 @@ class NormResult:
     attained_at_infinity: bool
     converged: bool = True
     iterations: int = 0
+    _ev: _FreqEvaluator | None = field(default=None, repr=False)
 
 
 def spectral_abscissa(A: np.ndarray) -> AbscissaResult:
@@ -115,11 +119,12 @@ class _FreqEvaluator:
     eigenvalues in `lam` and raises UnstableSystem unless they all lie in the
     open left half-plane; `cands` holds their candidate peak frequencies.
     With a well-conditioned eigenvector basis T is a sum of modal terms;
-    otherwise each frequency takes a factor-and-solve.
+    otherwise each frequency takes a factor-and-solve, and only then are A,
+    B and C kept.
     """
 
     def __init__(self, sys: StateSpace):
-        self.sys = sys
+        self.n, self.p, self.m, self.D = sys.n, sys.p, sys.m, sys.D
         try:
             self.lam, V = np.linalg.eig(sys.A)
         except np.linalg.LinAlgError as exc:
@@ -128,7 +133,7 @@ class _FreqEvaluator:
         if alpha >= 0.0:
             raise UnstableSystem(f"spectral abscissa is {alpha:.6g} >= 0; H-infinity norm undefined")
         self.cands = _candidate_frequencies(self.lam)
-        self._modal = None
+        self._modal, self._abc = None, (sys.A, sys.B, sys.C)
         # one LU of V gives both the condition estimate and V^-1 B; the 1e8
         # cap applies to LAPACK's 1-norm estimate of cond(V)
         lu, piv, info = la.lapack.zgetrf(V)
@@ -138,31 +143,32 @@ class _FreqEvaluator:
             VB = la.lapack.zgetrs(lu, piv, sys.B)[0]
             # row k holds the residue CV[:, k] VB[k, :] of the pole lam[k]
             self._modal = (CV.T[:, :, None] * VB[:, None, :]).reshape(sys.n, -1)
+            self._abc = None
 
     def responses(self, omegas: np.ndarray) -> np.ndarray:
         """T(jw) stacked over the frequencies, shape (len(omegas), p, m)."""
         if self._modal is None:
             return np.stack([self.derivatives(w)[0] for w in omegas])
         R = 1.0 / (1j * np.asarray(omegas, dtype=float)[:, None] - self.lam)
-        return (R @ self._modal).reshape(-1, self.sys.p, self.sys.m) + self.sys.D
+        return (R @ self._modal).reshape(-1, self.p, self.m) + self.D
 
     def sigma_max_many(self, omegas: np.ndarray) -> np.ndarray:
         return np.linalg.svd(self.responses(omegas), compute_uv=False)[:, 0]
 
     def derivatives(self, omega: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """T, dT/dw and d2T/dw2 at one frequency."""
-        sys = self.sys
         if self._modal is None:
-            lu = la.lu_factor(1j * omega * np.eye(sys.n) - sys.A)
-            X1 = la.lu_solve(lu, sys.B.astype(complex))
+            A, B, C = self._abc
+            lu = la.lu_factor(1j * omega * np.eye(self.n) - A)
+            X1 = la.lu_solve(lu, B.astype(complex))
             X2 = la.lu_solve(lu, X1)
             X3 = la.lu_solve(lu, X2)
-            return sys.C @ X1 + sys.D, -1j * (sys.C @ X2), -2.0 * (sys.C @ X3)
+            return C @ X1 + self.D, -1j * (C @ X2), -2.0 * (C @ X3)
         r = 1.0 / (1j * omega - self.lam)
         T0, T1, T2 = (np.stack([r, -1j * r * r, -2.0 * r**3]) @ self._modal).reshape(
-            3, sys.p, sys.m
+            3, self.p, self.m
         )
-        return T0 + sys.D, T1, T2
+        return T0 + self.D, T1, T2
 
 
 def _sigma_slope(T0: np.ndarray, T1: np.ndarray, T2: np.ndarray) -> tuple[float, float, float]:
@@ -304,7 +310,7 @@ def _scan_above(ev: _FreqEvaluator, best_omega: float, floor: float) -> tuple[fl
     if keep.size:
         Tk = T[keep]
         Th = Tk.conj().transpose(0, 2, 1)
-        keep = keep[~_below(Th @ Tk if ev.sys.m <= ev.sys.p else Tk @ Th, cut * cut)]
+        keep = keep[~_below(Th @ Tk if ev.m <= ev.p else Tk @ Th, cut * cut)]
     vals = np.full(omegas.shape, -math.inf)
     if keep.size:
         vals[keep] = np.linalg.svd(T[keep], compute_uv=False)[:, 0]
@@ -316,13 +322,54 @@ def _scan_above(ev: _FreqEvaluator, best_omega: float, floor: float) -> tuple[fl
 
 def _grid_fallback(ev: _FreqEvaluator, sigma_d: float, iterations: int) -> NormResult:
     """Dense-grid peak search; a grid certifies nothing, so not converged."""
-    omegas = _scan_grid(ev, 0.0, 2048 if ev.sys.n <= 60 else 512)
+    omegas = _scan_grid(ev, 0.0, 2048 if ev.n <= 60 else 512)
     vals = ev.sigma_max_many(omegas)
     peaks = [_polish(ev, omegas, vals, int(i)) for i in np.argsort(vals)[::-1][:8]]
     best_omega, best = max(peaks, key=lambda peak: peak[1])
     if sigma_d >= best:
-        return NormResult(sigma_d, 0.0, True, False, iterations)
-    return NormResult(best, best_omega, False, False, iterations)
+        return NormResult(sigma_d, 0.0, True, False, iterations, ev)
+    return NormResult(best, best_omega, False, False, iterations, ev)
+
+
+def _secondary_peak_gap(norm: NormResult) -> float:
+    """Margin between the norm and the next-highest distinct local maximum of
+    sigma_max over frequency (+inf when the response has a single peak).
+
+    Distinct means separated from the main basin by a genuine valley; grid
+    wiggles at machine precision on a flat top are not rivals, and when the
+    peak is attained at infinity the tail rising toward sigma_max(D) belongs
+    to the main branch itself.  Scans with the norm's own evaluator.
+    """
+    ev, gamma = norm._ev, norm.gamma
+    grid = _scan_grid(ev, norm.omega_peak, 256)
+    vals = ev.sigma_max_many(grid)
+    nn = len(grid)
+    maxima = [
+        i
+        for i in range(nn)
+        if (i == 0 or vals[i] > vals[i - 1]) and (i == nn - 1 or vals[i] >= vals[i + 1])
+    ]
+    if not maxima:
+        return math.inf
+    if norm.attained_at_infinity:
+        main = nn - 1
+    else:
+        main = min(maxima, key=lambda i: abs(grid[i] - norm.omega_peak))
+    dip = 1e-9 * (1.0 + gamma)
+    competitors = []
+    for i in maxima:
+        a, b = (i, main) if i < main else (main, i)
+        if b - a < 1:
+            continue
+        valley = float(np.min(vals[a : b + 1]))
+        if min(float(vals[a]), float(vals[b])) - valley > dip:
+            competitors.append(i)
+    if not competitors:
+        return math.inf
+    competitors.sort(key=lambda i: -vals[i])
+    # grid values undersample sharp resonances; polish the strongest rivals
+    best = max(_polish(ev, grid, vals, i)[1] for i in competitors[:4])
+    return float(gamma - best)
 
 
 def hinf_norm(sys: StateSpace, *, rel_tol: float = 1e-7) -> NormResult:
@@ -348,7 +395,7 @@ def hinf_norm(sys: StateSpace, *, rel_tol: float = 1e-7) -> NormResult:
         cands = _scan_grid(ev, 0.0, 256)
         vals = ev.sigma_max_many(cands)
         if float(vals.max()) == 0.0:
-            return NormResult(0.0, 0.0, False, True, 0)
+            return NormResult(0.0, 0.0, False, True, 0, ev)
     i = int(np.argmax(vals))
     best_omega, best_finite = float(cands[i]), float(vals[i])
     if best_finite >= sigma_d:
@@ -400,4 +447,4 @@ def hinf_norm(sys: StateSpace, *, rel_tol: float = 1e-7) -> NormResult:
 
     at_infinity = sigma_d > best_finite
     omega_peak = 0.0 if at_infinity else best_omega
-    return NormResult(max(sigma_d, best_finite), omega_peak, at_infinity, converged, iterations)
+    return NormResult(max(sigma_d, best_finite), omega_peak, at_infinity, converged, iterations, ev)

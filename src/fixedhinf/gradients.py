@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as la
 
-from .analysis import DEFAULT_TIE_TOL, _FreqEvaluator, _polish, _scan_grid, hinf_norm
+from .analysis import DEFAULT_TIE_TOL, _secondary_peak_gap, hinf_norm
 from .errors import EigenFailure
 from .statespace import Controller, Plant, _interconnect
 
@@ -49,49 +49,6 @@ class GradientReport:
     grad: np.ndarray
     smoothness_hint: Smoothness
     tie_gap: float
-
-
-def _secondary_peak_gap(
-    cl, omega_peak: float, gamma: float, *, at_infinity: bool = False
-) -> float:
-    """Margin between the norm and the next-highest distinct local maximum of
-    sigma_max over frequency (+inf when the response has a single peak).
-
-    Distinct means separated from the main basin by a genuine valley; grid
-    wiggles at machine precision on a flat top are not rivals, and when the
-    peak is attained at infinity the tail rising toward sigma_max(D) belongs
-    to the main branch itself.
-    """
-    ev = _FreqEvaluator(cl)
-    grid = _scan_grid(ev, omega_peak, 256)
-    vals = ev.sigma_max_many(grid)
-    nn = len(grid)
-    maxima = [
-        i
-        for i in range(nn)
-        if (i == 0 or vals[i] > vals[i - 1]) and (i == nn - 1 or vals[i] >= vals[i + 1])
-    ]
-    if not maxima:
-        return math.inf
-    if at_infinity:
-        main = nn - 1
-    else:
-        main = min(maxima, key=lambda i: abs(grid[i] - omega_peak))
-    dip = 1e-9 * (1.0 + gamma)
-    competitors = []
-    for i in maxima:
-        a, b = (i, main) if i < main else (main, i)
-        if b - a < 1:
-            continue
-        valley = float(np.min(vals[a : b + 1]))
-        if min(float(vals[a]), float(vals[b])) - valley > dip:
-            competitors.append(i)
-    if not competitors:
-        return math.inf
-    competitors.sort(key=lambda i: -vals[i])
-    # grid values undersample sharp resonances; polish the strongest rivals
-    best = max(_polish(ev, grid, vals, i)[1] for i in competitors[:4])
-    return float(gamma - best)
 
 
 def _chain_to_controller(
@@ -179,18 +136,13 @@ def hinf_gradient(
     cl, L, R = _interconnect(plant, k)
     result = hinf_norm(cl, rel_tol=rel_tol)
     gamma = result.gamma
-    sigma_d = float(np.linalg.svd(cl.D, compute_uv=False)[0])
-    gaps = []
 
     if result.attained_at_infinity:
+        # the norm is sigma_max(D) itself; a distinct finite peak near it is
+        # the competing branch, which the rival scan below looks for
         U, svals, Vh = np.linalg.svd(cl.D)
         grad = _chain_to_controller(k, L[cl.n :], R[:, cl.n :], U[:, 0], Vh[0])
-        if svals.size > 1:
-            gaps.append(float(svals[0] - svals[1]))
-        if scan_secondary_peaks and cl.n:
-            # a distinct finite peak approaching sigma_max(D) is the
-            # competing branch; the tail itself rises to that value anyway
-            gaps.append(_secondary_peak_gap(cl, 0.0, gamma, at_infinity=True))
+        gaps = []
     else:
         # hinf_norm polishes the peak until d sigma/d omega vanishes, so the
         # envelope theorem gives the gradient from the singular vectors there
@@ -206,13 +158,13 @@ def hinf_gradient(
         grad = _chain_to_controller(
             k, L, R, np.concatenate([r, np.conj(u)]), np.concatenate([b, v])
         )
-        if svals.size > 1:
-            gaps.append(float(svals[0] - svals[1]))
-        gaps.append(gamma - sigma_d)
-        if scan_secondary_peaks:
-            gaps.append(_secondary_peak_gap(cl, omega, gamma))
+        gaps = [gamma - float(np.linalg.svd(cl.D, compute_uv=False)[0])]
+    if svals.size > 1:
+        gaps.append(float(svals[0] - svals[1]))
+    if scan_secondary_peaks:
+        gaps.append(_secondary_peak_gap(result))
 
-    tie_gap = min(gaps) if gaps else math.inf
+    tie_gap = min(gaps, default=math.inf)
     near = tie_gap <= DEFAULT_NEAR_TIE_TOL * (1.0 + gamma)
     hint = Smoothness.NEAR_TIE if near else Smoothness.SMOOTH
     return GradientReport(float(gamma), grad, hint, tie_gap)

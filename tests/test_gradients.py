@@ -14,6 +14,7 @@ from fixedhinf import (
     Plant,
     Smoothness,
     abscissa_gradient,
+    analysis,
     hinf_gradient,
     hinf_norm,
     lft_closed_loop,
@@ -234,6 +235,36 @@ def test_hinf_near_tie_on_twin_resonant_peaks():
     rep = hinf_gradient(plant, Controller.static([[0.0]]))
     assert rep.smoothness_hint is Smoothness.NEAR_TIE
     assert abs(rep.tie_gap) <= 1e-3 * (1.0 + rep.value)
+    # the singular-value and feedthrough gaps are wide: the rival-peak scan
+    # alone flags the tie
+    rep = hinf_gradient(plant, Controller.static([[0.0]]), scan_secondary_peaks=False)
+    assert rep.smoothness_hint is Smoothness.SMOOTH
+
+
+@pytest.mark.parametrize("at_infinity", [False, True])
+def test_hinf_gradient_builds_one_frequency_evaluator(monkeypatch, at_infinity):
+    """The rival-peak scan reuses the evaluator of the norm, so a default
+    gradient call eigendecomposes its closed loop once."""
+    # a resonance at w = 1, or 1/(s + 1) - 2 rising to |-2| at infinity
+    A = [[-1.0, 0.0], [0.0, -2.0]] if at_infinity else [[0.0, 1.0], [-1.0, -0.2]]
+    plant = Plant.from_blocks(
+        A, [[1.0], [0.0]], [[1e-9], [0.0]], [[1.0, 0.0]], [[1.0, 0.0]],
+        D11=[[-2.0 if at_infinity else 0.0]],
+    )
+    built = []
+    init = analysis._FreqEvaluator.__init__
+
+    def counting_init(self, sys):
+        built.append(sys.n)
+        init(self, sys)
+
+    monkeypatch.setattr(analysis._FreqEvaluator, "__init__", counting_init)
+    k = Controller.static([[0.0]])
+    assert hinf_norm(lft_closed_loop(plant, k)).attained_at_infinity is at_infinity
+    built.clear()
+    rep = hinf_gradient(plant, k)
+    assert built == [2]
+    assert np.isfinite(rep.value) and np.all(np.isfinite(rep.grad))
 
 
 def test_hinf_near_tie_when_feedthrough_competes():
