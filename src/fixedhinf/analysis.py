@@ -148,22 +148,29 @@ class _FreqEvaluator:
     def responses(self, omegas: np.ndarray) -> np.ndarray:
         """T(jw) stacked over the frequencies, shape (len(omegas), p, m)."""
         if self._modal is None:
-            return np.stack([self.derivatives(w)[0] for w in omegas])
+            return np.stack([self._solve(w, 1)[0] + self.D for w in omegas])
         R = 1.0 / (1j * np.asarray(omegas, dtype=float)[:, None] - self.lam)
         return (R @ self._modal).reshape(-1, self.p, self.m) + self.D
 
     def sigma_max_many(self, omegas: np.ndarray) -> np.ndarray:
         return np.linalg.svd(self.responses(omegas), compute_uv=False)[:, 0]
 
+    def _solve(self, omega: float, powers: int) -> list[np.ndarray]:
+        """C (jw I - A)^-k B for k = 1 .. powers, from one factorization."""
+        A, B, C = self._abc
+        lu = la.lu_factor(1j * omega * np.eye(self.n) - A)
+        X = B.astype(complex)
+        out = []
+        for _ in range(powers):
+            X = la.lu_solve(lu, X)
+            out.append(C @ X)
+        return out
+
     def derivatives(self, omega: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """T, dT/dw and d2T/dw2 at one frequency."""
         if self._modal is None:
-            A, B, C = self._abc
-            lu = la.lu_factor(1j * omega * np.eye(self.n) - A)
-            X1 = la.lu_solve(lu, B.astype(complex))
-            X2 = la.lu_solve(lu, X1)
-            X3 = la.lu_solve(lu, X2)
-            return C @ X1 + self.D, -1j * (C @ X2), -2.0 * (C @ X3)
+            CX1, CX2, CX3 = self._solve(omega, 3)
+            return CX1 + self.D, -1j * CX2, -2.0 * CX3
         r = 1.0 / (1j * omega - self.lam)
         T0, T1, T2 = (np.stack([r, -1j * r * r, -2.0 * r**3]) @ self._modal).reshape(
             3, self.p, self.m

@@ -1,5 +1,20 @@
 """Exception hierarchy shared across the package."""
 
+__all__ = [
+    "FixedHinfError",
+    "DimensionMismatch",
+    "LengthMismatch",
+    "IllPosed",
+    "SingularResolvent",
+    "EigenFailure",
+    "UnstableSystem",
+    "InfeasibleStart",
+    "AllStartsInfeasible",
+    "NotStabilizing",
+    "NoStabilizingController",
+    "ParseError",
+]
+
 
 class FixedHinfError(Exception):
     """Base class for all errors raised by this package."""

@@ -3,17 +3,23 @@
 All writers emit deterministic bytes (sorted keys, fixed separators, trailing
 newline); floats use Python's shortest exact representation, so a written
 file parses back to bit-identical matrices.
+
+Loading checks only what belongs to the file: valid JSON, the required keys,
+integer dimension fields, and numeric, finite entries (ParseError).  Block
+shapes follow the constructors' rules and raise DimensionMismatch; every
+message names the file.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DimensionMismatch, ParseError
-from .statespace import Controller, Plant, StateSpace
+from .statespace import Controller, Plant, StateSpace, _as_matrix
 
 __all__ = [
     "load_plant",
@@ -23,6 +29,8 @@ __all__ = [
     "load_statespace",
     "load_system",
 ]
+
+_PLANT_DIMS = ("n", "m1", "m2", "p1", "p2")
 
 
 def _read_json(path) -> dict:
@@ -42,10 +50,14 @@ def _read_json(path) -> dict:
     return raw
 
 
-def _require_int(raw: dict, key: str, path, minimum: int) -> int:
+def _require(raw: dict, key: str, path):
     if key not in raw:
         raise ParseError(f"{path}: missing required key '{key}'")
-    value = raw[key]
+    return raw[key]
+
+
+def _require_int(raw: dict, key: str, path, minimum: int) -> int:
+    value = _require(raw, key, path)
     if isinstance(value, bool) or not isinstance(value, int):
         raise ParseError(f"{path}: key '{key}' must be an integer")
     if value < minimum:
@@ -53,29 +65,63 @@ def _require_int(raw: dict, key: str, path, minimum: int) -> int:
     return value
 
 
-def _matrix(raw: dict, key: str, rows: int, cols: int, path, required: bool) -> np.ndarray:
-    if key not in raw:
-        if required:
-            raise ParseError(f"{path}: missing required key '{key}'")
-        return np.zeros((rows, cols))
+def _numeric(raw: dict, key: str, path) -> np.ndarray:
+    """The required entry `key` as a float array of finite numbers."""
     try:
-        arr = np.asarray(raw[key], dtype=float)
+        arr = np.asarray(_require(raw, key, path), dtype=float)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{path}: key '{key}' is not a numeric matrix: {exc}") from exc
-    if arr.size == 0:
-        arr = arr.reshape(
-            (0, cols) if rows == 0 else (rows, 0) if cols == 0 else arr.shape
-        )
-    if arr.ndim == 1 and rows == 1:
-        arr = arr.reshape(1, -1)
-    if arr.ndim != 2 or arr.shape != (rows, cols):
-        raise DimensionMismatch(
-            f"{path}: block '{key}' must have shape ({rows}, {cols}), "
-            f"got {tuple(arr.shape)}"
-        )
-    if arr.size and not np.all(np.isfinite(arr)):
+    if not np.all(np.isfinite(arr)):
         raise ParseError(f"{path}: block '{key}' contains non-finite entries")
     return arr
+
+
+def _blocks(raw: dict, path, shapes: dict, optional=()) -> dict:
+    """Each block of `shapes` present in the file, checked against its shape;
+    a block listed in `optional` may be absent."""
+    return {
+        key: _as_matrix(_numeric(raw, key, path), rows, cols, f"{path}: block '{key}'")
+        for key, (rows, cols) in shapes.items()
+        if key in raw or key not in optional
+    }
+
+
+def _dump(obj: dict, path) -> None:
+    Path(path).write_text(
+        json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
+    )
+
+
+def _block_lists(obj) -> dict:
+    return {f.name: getattr(obj, f.name).tolist() for f in fields(obj)}
+
+
+def _plant(raw: dict, path) -> Plant:
+    n, m1, m2, p1, p2 = (_require_int(raw, key, path, 1) for key in _PLANT_DIMS)
+    shapes = {
+        "A": (n, n), "B1": (n, m1), "B2": (n, m2), "C1": (p1, n), "C2": (p2, n),
+        "D11": (p1, m1), "D12": (p1, m2), "D21": (p2, m1), "D22": (p2, m2),
+    }
+    return Plant.from_blocks(**_blocks(raw, path, shapes, ("D11", "D12", "D21", "D22")))
+
+
+def _controller(raw: dict, path) -> Controller:
+    nK = _require_int(raw, "nK", path, 0)
+    DK = np.atleast_2d(_numeric(raw, "DK", path))
+    if DK.ndim != 2 or min(DK.shape) < 1:
+        raise DimensionMismatch(f"{path}: block 'DK' must be a nonempty matrix")
+    nu, ny = DK.shape
+    shapes = {"AK": (nK, nK), "BK": (nK, ny), "CK": (nu, nK)}
+    blocks = _blocks(raw, path, shapes, shapes if nK == 0 else ())
+    return Controller(DK=DK, **{key: blocks.get(key, np.zeros(s)) for key, s in shapes.items()})
+
+
+def _statespace(raw: dict, path) -> StateSpace:
+    # n, m and p are read off A, B and C; every block must then agree with them
+    A, B, C = (np.atleast_2d(_numeric(raw, key, path)) for key in ("A", "B", "C"))
+    n, m, p = A.shape[0], B.shape[1], C.shape[0]
+    shapes = {"A": (n, n), "B": (n, m), "C": (p, n), "D": (p, m)}
+    return StateSpace(**{"D": np.zeros((p, m)), **_blocks(raw, path, shapes, ("D",))})
 
 
 def load_plant(path) -> Plant:
@@ -85,48 +131,11 @@ def load_plant(path) -> Plant:
     The D blocks default to zeros when absent.  Unknown keys (such as name
     or comment fields) are ignored.
     """
-    raw = _read_json(path)
-    n = _require_int(raw, "n", path, 1)
-    m1 = _require_int(raw, "m1", path, 1)
-    m2 = _require_int(raw, "m2", path, 1)
-    p1 = _require_int(raw, "p1", path, 1)
-    p2 = _require_int(raw, "p2", path, 1)
-    return Plant(
-        A=_matrix(raw, "A", n, n, path, True),
-        B1=_matrix(raw, "B1", n, m1, path, True),
-        B2=_matrix(raw, "B2", n, m2, path, True),
-        C1=_matrix(raw, "C1", p1, n, path, True),
-        C2=_matrix(raw, "C2", p2, n, path, True),
-        D11=_matrix(raw, "D11", p1, m1, path, False),
-        D12=_matrix(raw, "D12", p1, m2, path, False),
-        D21=_matrix(raw, "D21", p2, m1, path, False),
-        D22=_matrix(raw, "D22", p2, m2, path, False),
-    )
-
-
-def _dump(obj: dict, path) -> None:
-    Path(path).write_text(
-        json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
-    )
+    return _plant(_read_json(path), path)
 
 
 def save_plant(plant: Plant, path, *, name: str | None = None) -> None:
-    obj = {
-        "n": plant.n,
-        "m1": plant.m1,
-        "m2": plant.m2,
-        "p1": plant.p1,
-        "p2": plant.p2,
-        "A": plant.A.tolist(),
-        "B1": plant.B1.tolist(),
-        "B2": plant.B2.tolist(),
-        "C1": plant.C1.tolist(),
-        "C2": plant.C2.tolist(),
-        "D11": plant.D11.tolist(),
-        "D12": plant.D12.tolist(),
-        "D21": plant.D21.tolist(),
-        "D22": plant.D22.tolist(),
-    }
+    obj = {key: getattr(plant, key) for key in _PLANT_DIMS} | _block_lists(plant)
     if name is not None:
         obj["name"] = name
     _dump(obj, path)
@@ -138,69 +147,27 @@ def load_controller(path) -> Controller:
     DK is always required and fixes the port widths; for nK = 0 the other
     blocks may be empty lists or omitted.
     """
-    raw = _read_json(path)
-    nK = _require_int(raw, "nK", path, 0)
-    if "DK" not in raw:
-        raise ParseError(f"{path}: missing required key 'DK'")
-    try:
-        DK = np.atleast_2d(np.asarray(raw["DK"], dtype=float))
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: key 'DK' is not a numeric matrix: {exc}") from exc
-    if DK.ndim != 2 or min(DK.shape) < 1:
-        raise DimensionMismatch(f"{path}: block 'DK' must be a nonempty matrix")
-    nu, ny = DK.shape
-    required = nK > 0
-    return Controller(
-        AK=_matrix(raw, "AK", nK, nK, path, required),
-        BK=_matrix(raw, "BK", nK, ny, path, required),
-        CK=_matrix(raw, "CK", nu, nK, path, required),
-        DK=DK,
-    )
+    return _controller(_read_json(path), path)
 
 
 def save_controller(k: Controller, path) -> None:
-    obj = {
-        "nK": k.order,
-        "AK": k.AK.tolist(),
-        "BK": k.BK.tolist(),
-        "CK": k.CK.tolist(),
-        "DK": k.DK.tolist(),
-    }
-    _dump(obj, path)
+    _dump({"nK": k.order} | _block_lists(k), path)
 
 
 def load_statespace(path) -> StateSpace:
-    """Read a plain (A, B, C, D) system; D defaults to zeros."""
-    raw = _read_json(path)
-    for key in ("A", "B", "C"):
-        if key not in raw:
-            raise ParseError(f"{path}: missing required key '{key}'")
-    try:
-        A = np.atleast_2d(np.asarray(raw["A"], dtype=float))
-        B = np.atleast_2d(np.asarray(raw["B"], dtype=float))
-        C = np.atleast_2d(np.asarray(raw["C"], dtype=float))
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: non-numeric matrix: {exc}") from exc
-    n = A.shape[0]
-    if A.shape != (n, n):
-        raise DimensionMismatch(f"{path}: block 'A' must be square")
-    if B.shape[0] != n and B.shape[1] == n:
-        B = B.T
-    m = B.shape[1]
-    p = C.shape[0]
-    D = _matrix(raw, "D", p, m, path, False)
-    return StateSpace(A, B, C, D)
+    """Read a plain (A, B, C, D) system; B must be n x m, D defaults to zeros."""
+    return _statespace(_read_json(path), path)
 
 
 def load_system(path):
     """Dispatch on file keys: plant (B1), controller (DK), or state space (B)."""
     raw = _read_json(path)
     if "B1" in raw:
-        return load_plant(path)
+        return _plant(raw, path)
     if "DK" in raw or "nK" in raw:
-        return load_controller(path)
+        return _controller(raw, path)
     if "B" in raw:
-        return load_statespace(path)
+        return _statespace(raw, path)
     raise ParseError(
         f"{path}: cannot identify file kind (expected plant, controller, "
         f"or state-space keys)"

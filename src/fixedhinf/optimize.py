@@ -48,6 +48,8 @@ class Phase(enum.Enum):
 # gradient sampling uses the same c1)
 _WOLFE_C1 = 1e-4
 _WOLFE_C2 = 0.5
+# bisection steps of one weak-Wolfe line search
+_LINE_SEARCH_STEPS = 50
 # gradient-sampling radius schedule, relative to 1 + ||x||; the bundle
 # phase takes its search radii from the same schedule
 _SAMPLING_RADII = (1e-3, 1e-4, 1e-5)
@@ -149,9 +151,9 @@ def _weak_wolfe(
     g0: np.ndarray,
     d: np.ndarray,
     slope0: float,
-    max_steps: int = 50,
 ):
-    """Weak-Wolfe line search by bisection, robust to f = +inf regions.
+    """Weak-Wolfe line search by bisection, robust to f = +inf regions; at
+    most _LINE_SEARCH_STEPS trial points.
 
     Returns (t, x_t, f_t, g_t, outcome) with outcome "wolfe" when both
     conditions hold, "decrease" when only sufficient decrease was secured
@@ -163,7 +165,7 @@ def _weak_wolfe(
     xa, fa, ga = x, f0, g0
     beta = math.inf
     t = 1.0
-    for _ in range(max_steps):
+    for _ in range(_LINE_SEARCH_STEPS):
         xt = x + t * d
         ft, gt = track.call(xt)
         if not math.isfinite(ft) or ft > f0 + _WOLFE_C1 * t * slope0:
@@ -392,7 +394,9 @@ def gradient_sampling(oracle, x0, opts: OptOptions | None = None) -> OptResult:
     Each iteration draws 2 * dim points uniformly in a ball around
     the iterate, discards infeasible ones, and descends along the negated
     smallest convex combination of the sampled gradients with a backtracking
-    Armijo search.
+    Armijo search.  Status is "radius-schedule-complete" when every radius
+    ran to its end, "iteration-limit" when max_iters stopped the schedule
+    first, and "budget" at the deadline.
     """
     opts, track, x, f, g = _start(oracle, x0, opts)
     dim = x.size
@@ -442,7 +446,9 @@ def gradient_sampling(oracle, x0, opts: OptOptions | None = None) -> OptResult:
                     break
             else:
                 break
-        if status == "budget":
+        else:
+            status = "iteration-limit"
+        if status != "radius-schedule-complete":
             break
     return OptResult(
         x_best,

@@ -13,7 +13,7 @@ import enum
 import math
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -139,13 +139,6 @@ def random_controller(
     return unpack_controller(theta, order, ny, nu)
 
 
-def _check_dims(plant: Plant, k: Controller, what: str) -> None:
-    if k.ny != plant.p2 or k.nu != plant.m2:
-        raise DimensionMismatch(
-            f"{what} is {k.nu}x{k.ny} but plant ports need {plant.m2}x{plant.p2}"
-        )
-
-
 def _stage1_oracle(plant: Plant, order: int, margin: float):
     ny, nu = plant.p2, plant.m2
 
@@ -203,13 +196,14 @@ def stabilize(
     rng = _phase_rng(seed, 3)
 
     starts = []
-    if opts.warm_start is not None:
-        _check_dims(plant, opts.warm_start, "warm start")
-        if opts.warm_start.order != opts.order:
+    ws = opts.warm_start
+    if ws is not None:
+        if (ws.order, ws.nu, ws.ny) != (opts.order, plant.m2, plant.p2):
             raise DimensionMismatch(
-                f"warm start has order {opts.warm_start.order}, requested {opts.order}"
+                f"warm start has order {ws.order} and ports {ws.nu}x{ws.ny}, expected "
+                f"order {opts.order} and ports {plant.m2}x{plant.p2}"
             )
-        starts.append(pack_controller(opts.warm_start))
+        starts.append(pack_controller(ws))
     starts.append(pack_controller(_default_start(plant, opts.order)))
     for _ in range(opts.stage1_starts):
         starts.append(
@@ -248,26 +242,25 @@ def optimize_performance(
     opts: SynthesisOptions | None = None,
     *,
     run_seed: int | None = None,
-    budget_seconds: float | None = None,
 ) -> tuple[Controller, NormResult]:
     """Locally minimize the closed-loop H-infinity norm from a stabilizing k0.
 
-    Unstable or ill-posed parameter points act as an infinite barrier.  The
-    returned NormResult is recomputed at the tight certification tolerance
-    on the final controller.  Raises NotStabilizing when k0 itself is not
-    stabilizing.
+    The search stops at opts.max_iters per phase or at the wall-clock
+    deadline opts.cpumax_seconds.  Unstable or ill-posed parameter points act
+    as an infinite barrier.  The returned NormResult is recomputed at the
+    tight certification tolerance on the final controller.  Raises
+    NotStabilizing when k0 itself is not stabilizing.
     """
     opts = opts if opts is not None else SynthesisOptions(order=k0.order)
     a0 = spectral_abscissa(lft_closed_loop(plant, k0).A)
     if a0.alpha >= 0.0:
         raise NotStabilizing(f"initial controller has closed-loop abscissa {a0.alpha:.6g}")
     seed = run_seed if run_seed is not None else _run_seed(opts.rng_seed, 0)
-    budget = budget_seconds if budget_seconds is not None else opts.cpumax_seconds
 
     oracle = _stage2_oracle(plant, k0.order, opts.norm_rel_tol)
     hopts = OptOptions(
         max_iters=opts.max_iters,
-        cpu_budget_seconds=budget,
+        cpu_budget_seconds=opts.cpumax_seconds,
         rng_seed=seed,
     )
     res = hanso(oracle, [pack_controller(k0)], hopts)
@@ -290,7 +283,8 @@ def synthesize(plant: Plant, opts: SynthesisOptions | None = None) -> SynthesisR
     """Randomized multi-run fixed-order synthesis; returns the best run.
 
     Each run derives its own seed from (rng_seed, run index), so run r is
-    reproducible independently of how many runs are requested.  Runs that
+    reproducible independently of how many runs are requested.  A run's
+    stage 2 gets what stage 1 left of cpumax_seconds.  Runs that
     fail to stabilize are recorded with stage2_norm = +inf; the overall
     status is NO_STABILIZING_CONTROLLER only when every run fails.
     """
@@ -317,7 +311,7 @@ def synthesize(plant: Plant, opts: SynthesisOptions | None = None) -> SynthesisR
         used = time.perf_counter() - t_run
         remaining = max(opts.cpumax_seconds - used, 1e-3)
         k2, cert = optimize_performance(
-            plant, k1, opts, run_seed=seed_r, budget_seconds=remaining
+            plant, k1, replace(opts, cpumax_seconds=remaining), run_seed=seed_r
         )
         records.append(
             RunRecord(seed_r, absc.alpha, cert.gamma, time.perf_counter() - t_run)

@@ -296,3 +296,20 @@ def test_norm_tight_tolerance_reports_convergence(make_stable_system):
     if not res.attained_at_infinity:
         got = oracles._sigma_max(sys.A, sys.B, sys.C, sys.D, res.omega_peak)
         assert got == pytest.approx(res.gamma, rel=1e-7)
+
+
+def test_responses_take_one_solve_per_frequency_on_the_solve_path(rng, monkeypatch):
+    # a 40-state Jordan block has no usable eigenvector basis, so every
+    # frequency is a factor-and-solve
+    n = 40
+    A = -np.eye(n) + np.diag(np.ones(n - 1), 1)
+    sys = StateSpace(A, rng.standard_normal((n, 2)), rng.standard_normal((2, n)), np.zeros((2, 2)))
+    ev = analysis._FreqEvaluator(sys)
+    omegas = np.linspace(0.0, 3.0, 10)
+    calls = []
+    lu_solve = la.lu_solve
+    monkeypatch.setattr(la, "lu_solve", lambda *a, **k: calls.append(1) or lu_solve(*a, **k))
+    T = ev.responses(omegas)
+    assert len(calls) == omegas.size
+    for w, Tw in zip(omegas, T):
+        assert np.array_equal(Tw, ev.derivatives(w)[0])

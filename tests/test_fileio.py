@@ -218,3 +218,36 @@ def test_round_trip_preserves_tiny_and_huge_magnitudes(tmp_path):
     assert loaded.A[0, 0] == -1e-17
     assert loaded.B1[0, 0] == 1e300
     assert loaded.B2[0, 0] == 3.0000000000000004
+
+
+def test_load_statespace_rejects_a_transposed_b(tmp_path):
+    path = _write(
+        tmp_path, "bt.json",
+        {"A": [[-1.0, 0.0], [0.0, -2.0]], "B": [[1.0, 1.0]], "C": [[1.0, 0.0]]},
+    )
+    with pytest.raises(DimensionMismatch, match="'B'"):
+        load_statespace(path)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"nK": 0, "DK": [[float("inf")]]},
+        {"A": [[float("nan")]], "B": [[1.0]], "C": [[1.0]]},
+        {"A": [[-1.0]], "B": [[1.0]], "C": [[float("-inf")]]},
+    ],
+)
+def test_non_finite_entries_raise_parse_error_in_every_kind(tmp_path, obj):
+    path = _write(tmp_path, "nonfinite.json", obj)
+    with pytest.raises(ParseError, match="nonfinite.json.*non-finite"):
+        load_system(path)
+
+
+def test_load_system_parses_the_file_once(rng, tmp_path, monkeypatch):
+    path = tmp_path / "p.json"
+    save_plant(random_plant(rng, 2, 1, 1, 1, 1), path)
+    calls = []
+    loads = json.loads
+    monkeypatch.setattr(json, "loads", lambda *a, **k: calls.append(1) or loads(*a, **k))
+    assert isinstance(load_system(path), Plant)
+    assert len(calls) == 1

@@ -313,3 +313,10 @@ def test_result_fields_are_consistent():
         "iteration-limit",
         "budget",
     }
+
+
+def test_sampling_reports_the_iteration_limit():
+    # one iteration stops the schedule at its first of three radii
+    res = gradient_sampling(max_plus_quad, np.array([1.0, 1.1]), OptOptions(max_iters=1, rng_seed=42))
+    assert res.iterations == 1
+    assert res.status == "iteration-limit"
