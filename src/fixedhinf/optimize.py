@@ -1,6 +1,7 @@
 """Nonsmooth, nonconvex local optimization.
 
-The driver chains three phases under one shared wall-clock deadline:
+`hanso` chains three phases under one stop rule: a wall-clock deadline
+shared by every start and phase, and an optional target value of f:
 
 1. BFGS with a weak-Wolfe line search.  On nonsmooth problems the quasi-Newton
    matrix absorbs the U/V structure of the objective; no curvature resets are
@@ -20,7 +21,7 @@ from __future__ import annotations
 import enum
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,8 +61,8 @@ class OptOptions:
     """Knobs shared by all optimization phases.
 
     cpu_budget_seconds is a wall-clock deadline, not CPU time, despite its
-    name; loops check it between oracle calls, so overshoot is at most one
-    call.
+    name, for one phase call or one whole hanso call; loops check it before
+    oracle calls, so overshoot is at most one call.
     """
 
     max_iters: int = 1000
@@ -91,13 +92,16 @@ class OptResult:
 
 
 class _Tracker:
-    """Wraps an oracle with an eval counter and a shared deadline."""
+    """One run's stop rule: an eval counter, a deadline and a target f;
+    hit is the first evaluated (x, f) with f < target."""
 
-    def __init__(self, oracle, budget_seconds: float):
+    def __init__(self, oracle, budget_seconds: float, target: float = -math.inf):
         self.oracle = oracle
         self.t0 = time.perf_counter()
         self.deadline = self.t0 + budget_seconds
+        self.target = target
         self.n_evals = 0
+        self.hit = None
 
     def call(self, x: np.ndarray) -> tuple[float, np.ndarray | None]:
         self.n_evals += 1
@@ -105,15 +109,24 @@ class _Tracker:
         f = float(f)
         if g is not None:
             g = np.asarray(g, dtype=float).ravel()
+        if f < self.target:
+            self.hit = (np.array(x, dtype=float), f)
         return f, g
 
     @property
-    def out_of_time(self) -> bool:
-        return time.perf_counter() >= self.deadline
+    def stop(self) -> str | None:
+        """"target" once a point met the target, "budget" past the deadline,
+        None while the run may go on."""
+        if self.hit is not None:
+            return "target"
+        if time.perf_counter() >= self.deadline:
+            return "budget"
+        return None
 
-    @property
-    def elapsed(self) -> float:
-        return time.perf_counter() - self.t0
+    def result(self, x, f, measure, phase, iterations, status) -> OptResult:
+        """An OptResult with this tracker's clock and eval count."""
+        elapsed = time.perf_counter() - self.t0
+        return OptResult(x, f, measure, phase, iterations, elapsed, status, self.n_evals)
 
 
 def _ball_sample(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -130,13 +143,16 @@ def _phase_rng(seed: int, tag: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, tag))))
 
 
-def _start(oracle, x0, opts: OptOptions | None):
+def _start(oracle, x0, opts: OptOptions | None, track: _Tracker | None):
     """A phase's options, tracker, start point and first evaluation.
 
-    Raises InfeasibleStart when f(x0) = +inf.
+    A phase called on its own builds its tracker from opts; under hanso it
+    shares the run's, whose counts and clock span the run.  Raises
+    InfeasibleStart when f(x0) = +inf.
     """
     opts = opts if opts is not None else OptOptions()
-    track = _Tracker(oracle, opts.cpu_budget_seconds)
+    if track is None:
+        track = _Tracker(oracle, opts.cpu_budget_seconds)
     x = np.array(x0, dtype=float).ravel()
     f, g = track.call(x)
     if not math.isfinite(f):
@@ -174,7 +190,7 @@ def _weak_wolfe(
             alpha, xa, fa, ga = t, xt, ft, gt
         else:
             return t, xt, ft, gt, "wolfe"
-        if track.out_of_time:
+        if track.stop:
             break
         if math.isfinite(beta):
             if beta - alpha <= 1e-16 * max(1.0, alpha):
@@ -189,14 +205,14 @@ def _weak_wolfe(
     return 0.0, x, f0, g0, "fail"
 
 
-def bfgs_nonsmooth(oracle, x0, opts: OptOptions | None = None) -> OptResult:
+def bfgs_nonsmooth(oracle, x0, opts: OptOptions | None = None, *, _track=None) -> OptResult:
     """BFGS with a weak-Wolfe line search, tolerant of nonsmooth objectives.
 
     The inverse-Hessian update is skipped whenever the curvature s'y is not
     safely positive; the matrix is reset to (scaled) identity only on
     numerical breakdown.  Raises InfeasibleStart when f(x0) = +inf.
     """
-    opts, track, x, f, g = _start(oracle, x0, opts)
+    opts, track, x, f, g = _start(oracle, x0, opts, _track)
     dim = x.size
     H = np.eye(dim)
     x_best, f_best, g_best = x.copy(), f, g.copy()
@@ -208,8 +224,8 @@ def bfgs_nonsmooth(oracle, x0, opts: OptOptions | None = None) -> OptResult:
         if gnorm <= opts.grad_norm_tol:
             status = "gradient-tolerance"
             break
-        if track.out_of_time:
-            status = "budget"
+        if track.stop:
+            status = track.stop
             break
         it += 1
         d = -(H @ g)
@@ -244,16 +260,8 @@ def bfgs_nonsmooth(oracle, x0, opts: OptOptions | None = None) -> OptResult:
             rho = 1.0 / sy
             H += rho * (1.0 + rho * float(yv @ Hy)) * np.outer(s, s)
             H -= rho * (np.outer(s, Hy) + np.outer(Hy, s))
-    return OptResult(
-        x_best,
-        f_best,
-        float(np.linalg.norm(g_best)),
-        Phase.BFGS_ONLY,
-        it,
-        track.elapsed,
-        status,
-        track.n_evals,
-    )
+    measure = float(np.linalg.norm(g_best))
+    return track.result(x_best, f_best, measure, Phase.BFGS_ONLY, it, status)
 
 
 def min_norm_convex_hull(gradients) -> tuple[np.ndarray, np.ndarray]:
@@ -312,7 +320,7 @@ def min_norm_convex_hull(gradients) -> tuple[np.ndarray, np.ndarray]:
     return coeffs @ G, coeffs
 
 
-def bundle_phase(oracle, x0, opts: OptOptions | None = None) -> OptResult:
+def bundle_phase(oracle, x0, opts: OptOptions | None = None, *, _track=None) -> OptResult:
     """Lightweight local-optimality verifier around a candidate minimizer.
 
     Collects gradients at nearby points, measures the smallest convex
@@ -321,7 +329,7 @@ def bundle_phase(oracle, x0, opts: OptOptions | None = None) -> OptResult:
     "improvement" when the candidate was strictly improved but not verified,
     "inconclusive" otherwise.
     """
-    opts, track, x, f, g = _start(oracle, x0, opts)
+    opts, track, x, f, g = _start(oracle, x0, opts, _track)
     dim = x.size
     rng = _phase_rng(opts.rng_seed, 1)
     maxlen = min(100, 2 * dim + 4)
@@ -336,7 +344,7 @@ def bundle_phase(oracle, x0, opts: OptOptions | None = None) -> OptResult:
     it = 0
     while it < opts.max_iters:
         it += 1
-        if track.out_of_time:
+        if track.stop:
             break
         # the current gradient always participates; trimming may have evicted
         # the iterate's own bundle entry
@@ -356,6 +364,8 @@ def bundle_phase(oracle, x0, opts: OptOptions | None = None) -> OptResult:
                 x_best, f_best = x.copy(), f
         if outcome != "fail" and meaningful:
             stalls = 0
+        elif track.stop:
+            break
         else:
             # no real progress along the hull direction: enrich the bundle
             # with a gradient sampled nearby, shrinking the radius when that
@@ -383,12 +393,10 @@ def bundle_phase(oracle, x0, opts: OptOptions | None = None) -> OptResult:
         status = "improvement"
     else:
         status = "inconclusive"
-    return OptResult(
-        x_best, f_best, measure, Phase.BUNDLE, it, track.elapsed, status, track.n_evals
-    )
+    return track.result(x_best, f_best, measure, Phase.BUNDLE, it, status)
 
 
-def gradient_sampling(oracle, x0, opts: OptOptions | None = None) -> OptResult:
+def gradient_sampling(oracle, x0, opts: OptOptions | None = None, *, _track=None) -> OptResult:
     """Gradient sampling over a fixed, shrinking radius schedule.
 
     Each iteration draws 2 * dim points uniformly in a ball around
@@ -396,9 +404,9 @@ def gradient_sampling(oracle, x0, opts: OptOptions | None = None) -> OptResult:
     smallest convex combination of the sampled gradients with a backtracking
     Armijo search.  Status is "radius-schedule-complete" when every radius
     ran to its end, "iteration-limit" when max_iters stopped the schedule
-    first, and "budget" at the deadline.
+    first, and "budget" or "target" when the stop rule ended it.
     """
-    opts, track, x, f, g = _start(oracle, x0, opts)
+    opts, track, x, f, g = _start(oracle, x0, opts, _track)
     dim = x.size
     rng = _phase_rng(opts.rng_seed, 2)
     m = 2 * dim
@@ -409,13 +417,13 @@ def gradient_sampling(oracle, x0, opts: OptOptions | None = None) -> OptResult:
     for rad_scale in _SAMPLING_RADII:
         radius = rad_scale * (1.0 + float(np.linalg.norm(x)))
         while it < opts.max_iters:
-            if track.out_of_time:
-                status = "budget"
+            if track.stop:
+                status = track.stop
                 break
             it += 1
             grads = [g]
             for _ in range(m):
-                if track.out_of_time:
+                if track.stop:
                     break
                 fs, gs = track.call(x + radius * _ball_sample(rng, dim))
                 if math.isfinite(fs):
@@ -429,14 +437,14 @@ def gradient_sampling(oracle, x0, opts: OptOptions | None = None) -> OptResult:
             accepted = False
             f_prev = f
             for _ in range(30):
+                if track.stop:
+                    break
                 ft, gt = track.call(x - t * d)
                 if math.isfinite(ft) and ft <= f - _WOLFE_C1 * t * measure * measure:
                     x, f, g = x - t * d, ft, gt
                     accepted = True
                     break
                 t *= 0.5
-                if track.out_of_time:
-                    break
             if accepted:
                 improvement = f_prev - f
                 if f < f_best:
@@ -450,46 +458,37 @@ def gradient_sampling(oracle, x0, opts: OptOptions | None = None) -> OptResult:
             status = "iteration-limit"
         if status != "radius-schedule-complete":
             break
-    return OptResult(
-        x_best,
-        f_best,
-        measure,
-        Phase.GRADIENT_SAMPLING,
-        it,
-        track.elapsed,
-        status,
-        track.n_evals,
-    )
+    return track.result(x_best, f_best, measure, Phase.GRADIENT_SAMPLING, it, status)
 
 
-def hanso(oracle, starts, opts: OptOptions | None = None) -> OptResult:
+def hanso(
+    oracle, starts, opts: OptOptions | None = None, *, target: float = -math.inf
+) -> OptResult:
     """Multi-start BFGS, then bundle verification, then gradient sampling.
 
-    Runs BFGS from each start (sequentially, under the shared budget), takes
-    the best terminal point, verifies it with the bundle phase, and falls
-    back to gradient sampling when verification is inconclusive and budget
-    remains.  Raises AllStartsInfeasible when every start has f = +inf.
+    Runs BFGS from each start in turn, takes the best terminal point,
+    verifies it with the bundle phase, and falls back to gradient sampling
+    when verification is inconclusive.  Every start and phase shares one
+    deadline, and the run ends at the first evaluation with f < target,
+    which it returns; the status then ends with "budget" or "target".
+    Raises AllStartsInfeasible when every start has f = +inf.
     """
     opts = opts if opts is not None else OptOptions()
-    t0 = time.perf_counter()
-    deadline = t0 + opts.cpu_budget_seconds
+    track = _Tracker(oracle, opts.cpu_budget_seconds, target)
 
     best: OptResult | None = None
     iters = 0
-    evals = 0
     statuses = []
     for x0 in starts:
-        remaining = deadline - time.perf_counter()
-        if remaining <= 0 and best is not None:
+        # past the deadline, starts are still tried until one is feasible
+        if track.stop and best is not None:
             break
-        sub = replace(opts, cpu_budget_seconds=max(remaining, 1e-3))
         try:
-            r = bfgs_nonsmooth(oracle, x0, sub)
+            r = bfgs_nonsmooth(oracle, x0, opts, _track=track)
         except InfeasibleStart:
             statuses.append("infeasible-start")
             continue
         iters += r.iterations
-        evals += r.n_evals
         if best is None or r.f_best < best.f_best:
             best = r
     if best is None:
@@ -501,12 +500,10 @@ def hanso(oracle, starts, opts: OptOptions | None = None) -> OptResult:
     phase = Phase.BFGS_ONLY
     # looked up at call time, so that wrappers installed on the module apply
     for refine, name in ((bundle_phase, "bundle"), (gradient_sampling, "sampling")):
-        remaining = deadline - time.perf_counter()
-        if remaining <= 0:
+        if track.stop:
             break
-        r = refine(oracle, x, replace(opts, cpu_budget_seconds=remaining))
+        r = refine(oracle, x, opts, _track=track)
         iters += r.iterations
-        evals += r.n_evals
         phase = r.phase_reached
         measure = r.optimality_measure
         statuses.append(f"{name}:{r.status}")
@@ -514,14 +511,10 @@ def hanso(oracle, starts, opts: OptOptions | None = None) -> OptResult:
             x, f = r.x_best, r.f_best
         if r.status == "verified":
             break
+    # the hit may be a trial point that its line search rejected
+    if track.hit is not None:
+        x, f = track.hit
+    if track.stop:
+        statuses.append(track.stop)
 
-    return OptResult(
-        x,
-        f,
-        measure,
-        phase,
-        iters,
-        time.perf_counter() - t0,
-        ";".join(statuses),
-        evals,
-    )
+    return track.result(x, f, measure, phase, iters, ";".join(statuses))

@@ -59,7 +59,8 @@ class SynthesisOptions:
     """Synthesis protocol knobs.
 
     runs independent randomized runs are performed, each with a wall-clock
-    deadline (not CPU time) of cpumax_seconds covering both stages.
+    deadline (not CPU time) of cpumax_seconds covering both stages; within
+    a stage, every start and phase shares the one deadline.
     warm_start, when given, is added to the stage-1 start list of every run.
     stabilization_margin > 0 asks stage 1 for abscissa < -margin instead of
     merely < 0.
@@ -98,12 +99,14 @@ class SynthesisStatus(enum.Enum):
 
 @dataclass(frozen=True)
 class RunRecord:
-    """Outcome of one randomized run; stage2_norm is +inf when stage 1 failed."""
+    """Outcome of one randomized run; stage2_norm is +inf and converged is
+    False when stage 1 failed."""
 
     seed: int
     stage1_abscissa: float
     stage2_norm: float
     elapsed_seconds: float
+    converged: bool = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,15 +117,6 @@ class SynthesisResult:
     per_run: tuple[RunRecord, ...]
     status: SynthesisStatus
     certificate: NormResult | None
-
-
-class _TargetReached(Exception):
-    """Internal stage-1 stop signal carrying the satisfying point."""
-
-    def __init__(self, theta: np.ndarray, value: float):
-        super().__init__(value)
-        self.theta = np.array(theta, dtype=float)
-        self.value = value
 
 
 def _run_seed(root_seed: int, run_index: int) -> int:
@@ -139,7 +133,7 @@ def random_controller(
     return unpack_controller(theta, order, ny, nu)
 
 
-def _stage1_oracle(plant: Plant, order: int, margin: float):
+def _stage1_oracle(plant: Plant, order: int):
     ny, nu = plant.p2, plant.m2
 
     def oracle(theta: np.ndarray):
@@ -148,8 +142,6 @@ def _stage1_oracle(plant: Plant, order: int, margin: float):
             rep = abscissa_gradient(plant, k)
         except (IllPosed, EigenFailure):
             return math.inf, None
-        if rep.value < -margin:
-            raise _TargetReached(theta, rep.value)
         return rep.value, rep.grad
 
     return oracle
@@ -186,10 +178,10 @@ def stabilize(
     """Find a controller with closed-loop abscissa < -stabilization_margin.
 
     Starts from the warm start (if any), the zero controller, and
-    stage1_starts random controllers; the abscissa minimization stops the
-    moment any evaluation satisfies the target.  Raises
-    NoStabilizingController when the budget is exhausted without success;
-    the best abscissa reached is attached to the exception.
+    stage1_starts random controllers, all under one deadline; the abscissa
+    minimization returns the first evaluated controller that meets the
+    margin.  Raises NoStabilizingController, saying whether the search
+    stalled or ran out of time; the best abscissa is attached to it.
     """
     opts = opts if opts is not None else SynthesisOptions()
     seed = run_seed if run_seed is not None else _run_seed(opts.rng_seed, 0)
@@ -214,23 +206,24 @@ def stabilize(
             )
         )
 
-    oracle = _stage1_oracle(plant, opts.order, opts.stabilization_margin)
+    oracle = _stage1_oracle(plant, opts.order)
     hopts = OptOptions(
         max_iters=opts.max_iters,
         cpu_budget_seconds=opts.cpumax_seconds,
         rng_seed=seed,
     )
     try:
-        res = hanso(oracle, starts, hopts)
-    except _TargetReached as hit:
-        k = unpack_controller(hit.theta, opts.order, plant.p2, plant.m2)
-        return k, spectral_abscissa(lft_closed_loop(plant, k).A)
+        res = hanso(oracle, starts, hopts, target=-opts.stabilization_margin)
     except AllStartsInfeasible as exc:
         raise NoStabilizingController(
             "every stage-1 start was infeasible (ill-posed interconnection)"
         ) from exc
+    if res.status.endswith("target"):
+        k = unpack_controller(res.x_best, opts.order, plant.p2, plant.m2)
+        return k, spectral_abscissa(lft_closed_loop(plant, k).A)
+    how = "ran out of time" if res.status.endswith("budget") else "stalled"
     raise NoStabilizingController(
-        f"stage 1 stalled at abscissa {res.f_best:.6g} "
+        f"stage 1 {how} at abscissa {res.f_best:.6g} "
         f"(target < {-opts.stabilization_margin:g})",
         best_abscissa=res.f_best,
     )
@@ -284,9 +277,11 @@ def synthesize(plant: Plant, opts: SynthesisOptions | None = None) -> SynthesisR
 
     Each run derives its own seed from (rng_seed, run index), so run r is
     reproducible independently of how many runs are requested.  A run's
-    stage 2 gets what stage 1 left of cpumax_seconds.  Runs that
-    fail to stabilize are recorded with stage2_norm = +inf; the overall
-    status is NO_STABILIZING_CONTROLLER only when every run fails.
+    stage 2 gets what stage 1 left of cpumax_seconds.  The best run has the
+    lowest certified norm among the runs whose certificate converged; an
+    unconverged one wins only when no run's converged.  Runs that fail to
+    stabilize are recorded with stage2_norm = +inf; the overall status is
+    NO_STABILIZING_CONTROLLER only when every run fails.
     """
     opts = opts if opts is not None else SynthesisOptions()
     if opts.order > plant.n:
@@ -295,7 +290,7 @@ def synthesize(plant: Plant, opts: SynthesisOptions | None = None) -> SynthesisR
             stacklevel=2,
         )
     records: list[RunRecord] = []
-    best: tuple[float, Controller, NormResult] | None = None
+    best: tuple[tuple[bool, float], Controller, NormResult] | None = None
     for r in range(opts.runs):
         seed_r = _run_seed(opts.rng_seed, r)
         t_run = time.perf_counter()
@@ -313,11 +308,12 @@ def synthesize(plant: Plant, opts: SynthesisOptions | None = None) -> SynthesisR
         k2, cert = optimize_performance(
             plant, k1, replace(opts, cpumax_seconds=remaining), run_seed=seed_r
         )
-        records.append(
-            RunRecord(seed_r, absc.alpha, cert.gamma, time.perf_counter() - t_run)
-        )
-        if best is None or cert.gamma < best[0]:
-            best = (cert.gamma, k2, cert)
+        elapsed = time.perf_counter() - t_run
+        records.append(RunRecord(seed_r, absc.alpha, cert.gamma, elapsed, cert.converged))
+        # an unconverged norm is only a lower bound: it ranks below any converged one
+        rank = (not cert.converged, cert.gamma)
+        if best is None or rank < best[0]:
+            best = (rank, k2, cert)
     if best is None:
         return SynthesisResult(
             None,
@@ -327,8 +323,8 @@ def synthesize(plant: Plant, opts: SynthesisOptions | None = None) -> SynthesisR
             SynthesisStatus.NO_STABILIZING_CONTROLLER,
             None,
         )
-    gamma, k, cert = best
+    _, k, cert = best
     final_absc = spectral_abscissa(lft_closed_loop(plant, k).A)
     return SynthesisResult(
-        k, gamma, final_absc.alpha, tuple(records), SynthesisStatus.SUCCESS, cert
+        k, cert.gamma, final_absc.alpha, tuple(records), SynthesisStatus.SUCCESS, cert
     )

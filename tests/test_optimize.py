@@ -302,6 +302,57 @@ def test_budget_is_respected():
     assert res.elapsed_seconds <= 0.15 + 0.2
 
 
+@pytest.mark.parametrize(
+    "target, rejected",
+    [
+        # the first BFGS trial, x = -0.9999, lies below 0.9998 but fails the
+        # Armijo test, so no phase ever holds it as an incumbent
+        (0.9998, True),
+        # the bisected trial x = 5e-5 is accepted
+        (0.5, False),
+    ],
+)
+def test_hanso_returns_the_first_point_below_the_target(target, rejected):
+    calls = []
+
+    def recording(x):
+        f = 0.99995 * float(x @ x)
+        calls.append((x.copy(), f))
+        return f, 2.0 * 0.99995 * x
+
+    res = hanso(recording, [np.array([1.0]), np.array([5.0])], OptOptions(), target=target)
+    x_hit, f_hit = calls[-1]
+    assert all(f >= target for _, f in calls[:-1])
+    assert f_hit < target
+    assert np.array_equal(res.x_best, x_hit) and res.f_best == f_hit
+    assert res.n_evals == len(calls)
+    assert res.status.endswith(";target")
+    # the second start is never evaluated once the target is met
+    assert all(x[0] != 5.0 for x, _ in calls)
+    f0 = calls[0][1]
+    slope = -((2.0 * 0.99995) ** 2)
+    assert (f_hit > f0 + 1e-4 * slope) == rejected
+
+
+def test_hanso_shares_one_deadline_over_all_starts():
+    delay, budget = 0.02, 0.1
+    calls = []
+
+    def slow(x):
+        calls.append(x.copy())
+        time.sleep(delay)
+        return linf(x)
+
+    starts = [np.full(3, float(s)) for s in (1, 2, 3, 4)]
+    res = hanso(slow, starts, OptOptions(cpu_budget_seconds=budget))
+    # no call starts past the deadline, and each call takes at least delay
+    assert len(calls) <= budget / delay + 1
+    assert res.n_evals == len(calls)
+    assert res.status.endswith(";budget")
+    assert res.elapsed_seconds >= budget
+    assert not any(np.array_equal(x, starts[-1]) for x in calls)
+
+
 def test_result_fields_are_consistent():
     res = bfgs_nonsmooth(quadratic([1.0]), np.zeros(1), OptOptions(max_iters=30))
     assert isinstance(res, OptResult)

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import time
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import fixedhinf.synthesis as synthesis_module
 from conftest import INTERIOR_OPTIMUM, random_plant
 from fixedhinf import (
     Controller,
@@ -81,9 +85,26 @@ def test_stabilize_respects_margin():
 def test_stabilize_raises_when_control_has_no_authority():
     # B2 = 0: the unstable mode is uncontrollable at any order
     plant = Plant.from_blocks([[1.0]], [[1.0]], [[0.0]], [[1.0]], [[1.0]])
-    with pytest.raises(NoStabilizingController) as info:
+    with pytest.raises(NoStabilizingController, match="stalled") as info:
         stabilize(plant, SynthesisOptions(order=0, cpumax_seconds=2.0, max_iters=40))
     assert getattr(info.value, "best_abscissa", 1.0) >= 1.0 - 1e-9
+
+
+def test_stabilize_says_when_the_deadline_stopped_it(monkeypatch):
+    real = synthesis_module.abscissa_gradient
+    calls = []
+
+    def slow(plant, k):
+        calls.append(k)
+        time.sleep(0.05)
+        return real(plant, k)
+
+    monkeypatch.setattr(synthesis_module, "abscissa_gradient", slow)
+    # the zero controller leaves the unstable pole at +1
+    with pytest.raises(NoStabilizingController, match="ran out of time") as info:
+        stabilize(_scalar_unstable_plant(), SynthesisOptions(order=0, cpumax_seconds=0.01))
+    assert len(calls) == 1
+    assert info.value.best_abscissa == pytest.approx(1.0)
 
 
 def test_stabilize_succeeds_on_synthetic_plants_across_seeds(rng):
@@ -234,6 +255,27 @@ def test_synthesize_failure_status_when_unstabilizable():
     assert res.controller is None
     assert not np.isfinite(res.norm)
     assert len(res.per_run) == 2
+
+
+def test_synthesize_ranks_unconverged_norms_below_converged_ones(interior_plant, monkeypatch):
+    real = synthesis_module.hinf_norm
+    certs = []
+
+    def first_unconverged(cl, **kwargs):
+        res = real(cl, **kwargs)
+        certs.append(res)
+        if len(certs) == 1:
+            # run 0's certificate: lower than any real one, but not converged
+            return replace(res, gamma=0.5 * res.gamma, converged=False)
+        return res
+
+    monkeypatch.setattr(synthesis_module, "hinf_norm", first_unconverged)
+    res = synthesize(interior_plant, SynthesisOptions(order=0, runs=2, rng_seed=0, **QUICK))
+    assert len(certs) == 2
+    assert [r.converged for r in res.per_run] == [False, True]
+    assert res.per_run[0].stage2_norm < res.per_run[1].stage2_norm
+    assert res.certificate.converged
+    assert res.norm == res.per_run[1].stage2_norm
 
 
 def test_synthesize_warns_above_plant_order(interior_plant):
