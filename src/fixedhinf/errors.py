@@ -8,8 +8,6 @@ __all__ = [
     "SingularResolvent",
     "EigenFailure",
     "UnstableSystem",
-    "InfeasibleStart",
-    "AllStartsInfeasible",
     "NotStabilizing",
     "NoStabilizingController",
     "ParseError",
@@ -43,14 +41,6 @@ class EigenFailure(FixedHinfError):
 
 class UnstableSystem(FixedHinfError):
     """The system is not asymptotically stable, so the H-infinity norm is infinite."""
-
-
-class InfeasibleStart(FixedHinfError):
-    """An optimization start point has f = +inf (outside the feasible region)."""
-
-
-class AllStartsInfeasible(FixedHinfError):
-    """Every supplied optimization start point was infeasible."""
 
 
 class NotStabilizing(FixedHinfError):

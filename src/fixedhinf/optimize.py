@@ -13,7 +13,10 @@ shared by every start and phase, and an optional target value of f:
    with convergence guarantees that is much slower per iteration.
 
 Oracles return (f, grad); infeasible points are signalled by f = +inf with
-grad = None, and the line searches retreat rather than evaluate onward.
+grad = None, and f = +inf is the only feasibility signal.  The line searches
+retreat rather than evaluate onward; a phase started at an infeasible point
+returns at once with status "infeasible-start", and hanso skips such starts,
+returning f = +inf with status "infeasible" when every start is infeasible.
 """
 
 from __future__ import annotations
@@ -24,8 +27,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import AllStartsInfeasible, InfeasibleStart
 
 __all__ = [
     "Phase",
@@ -147,16 +148,15 @@ def _start(oracle, x0, opts: OptOptions | None, track: _Tracker | None):
     """A phase's options, tracker, start point and first evaluation.
 
     A phase called on its own builds its tracker from opts; under hanso it
-    shares the run's, whose counts and clock span the run.  Raises
-    InfeasibleStart when f(x0) = +inf.
+    shares the run's, whose counts and clock span the run.  A phase returns
+    at once, with f_best = +inf and status "infeasible-start", when f(x0) is
+    not finite.
     """
     opts = opts if opts is not None else OptOptions()
     if track is None:
         track = _Tracker(oracle, opts.cpu_budget_seconds)
     x = np.array(x0, dtype=float).ravel()
     f, g = track.call(x)
-    if not math.isfinite(f):
-        raise InfeasibleStart("f(x0) is not finite")
     return opts, track, x, f, g
 
 
@@ -210,9 +210,11 @@ def bfgs_nonsmooth(oracle, x0, opts: OptOptions | None = None, *, _track=None) -
 
     The inverse-Hessian update is skipped whenever the curvature s'y is not
     safely positive; the matrix is reset to (scaled) identity only on
-    numerical breakdown.  Raises InfeasibleStart when f(x0) = +inf.
+    numerical breakdown.  Status is "infeasible-start" when f(x0) = +inf.
     """
     opts, track, x, f, g = _start(oracle, x0, opts, _track)
+    if not math.isfinite(f):
+        return track.result(x, math.inf, math.inf, Phase.BFGS_ONLY, 0, "infeasible-start")
     dim = x.size
     H = np.eye(dim)
     x_best, f_best, g_best = x.copy(), f, g.copy()
@@ -327,9 +329,11 @@ def bundle_phase(oracle, x0, opts: OptOptions | None = None, *, _track=None) -> 
     combination within a shrinking radius, and tries descent along its
     negation.  Status is "verified" when the measure reaches grad_norm_tol,
     "improvement" when the candidate was strictly improved but not verified,
-    "inconclusive" otherwise.
+    "infeasible-start" when f(x0) = +inf, "inconclusive" otherwise.
     """
     opts, track, x, f, g = _start(oracle, x0, opts, _track)
+    if not math.isfinite(f):
+        return track.result(x, math.inf, math.inf, Phase.BUNDLE, 0, "infeasible-start")
     dim = x.size
     rng = _phase_rng(opts.rng_seed, 1)
     maxlen = min(100, 2 * dim + 4)
@@ -404,9 +408,12 @@ def gradient_sampling(oracle, x0, opts: OptOptions | None = None, *, _track=None
     smallest convex combination of the sampled gradients with a backtracking
     Armijo search.  Status is "radius-schedule-complete" when every radius
     ran to its end, "iteration-limit" when max_iters stopped the schedule
-    first, and "budget" or "target" when the stop rule ended it.
+    first, "budget" or "target" when the stop rule ended it, and
+    "infeasible-start" when f(x0) = +inf.
     """
     opts, track, x, f, g = _start(oracle, x0, opts, _track)
+    if not math.isfinite(f):
+        return track.result(x, math.inf, math.inf, Phase.GRADIENT_SAMPLING, 0, "infeasible-start")
     dim = x.size
     rng = _phase_rng(opts.rng_seed, 2)
     m = 2 * dim
@@ -471,8 +478,11 @@ def hanso(
     when verification is inconclusive.  Every start and phase shares one
     deadline, and the run ends at the first evaluation with f < target,
     which it returns; the status then ends with "budget" or "target".
-    Raises AllStartsInfeasible when every start has f = +inf.
+    Starts with f = +inf are skipped; when every start is, the result has
+    f_best = +inf and status "infeasible".  Raises ValueError for no starts.
     """
+    if len(starts) == 0:
+        raise ValueError("hanso needs at least one start point")
     opts = opts if opts is not None else OptOptions()
     track = _Tracker(oracle, opts.cpu_budget_seconds, target)
 
@@ -481,18 +491,16 @@ def hanso(
     statuses = []
     for x0 in starts:
         # past the deadline, starts are still tried until one is feasible
-        if track.stop and best is not None:
+        if track.stop and best is not None and math.isfinite(best.f_best):
             break
-        try:
-            r = bfgs_nonsmooth(oracle, x0, opts, _track=track)
-        except InfeasibleStart:
-            statuses.append("infeasible-start")
-            continue
+        r = bfgs_nonsmooth(oracle, x0, opts, _track=track)
         iters += r.iterations
+        if r.status == "infeasible-start":
+            statuses.append(r.status)
         if best is None or r.f_best < best.f_best:
             best = r
-    if best is None:
-        raise AllStartsInfeasible("every start point had f = +inf")
+    if not math.isfinite(best.f_best):
+        return track.result(best.x_best, math.inf, math.inf, Phase.BFGS_ONLY, iters, "infeasible")
     statuses.append(f"bfgs:{best.status}")
 
     x, f = best.x_best, best.f_best

@@ -3,8 +3,10 @@
 Stage 1 minimizes the closed-loop spectral abscissa until it is strictly
 below -stabilization_margin; stage 2 locally minimizes the closed-loop
 H-infinity norm over stabilizing controllers of the same order, treating the
-unstable region as f = +inf.  The best controller over several randomized
-runs is returned together with its norm recomputed at a tight tolerance.
+unstable or ill-posed region as f = +inf, the optimizer's only feasibility
+signal.  Every run's controller is certified by `certify_controller`, and the
+best controller over several randomized runs is returned with that
+certificate.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import numpy as np
 
 from .analysis import AbscissaResult, NormResult, hinf_norm, spectral_abscissa
 from .errors import (
-    AllStartsInfeasible,
     DimensionMismatch,
     EigenFailure,
     IllPosed,
@@ -133,32 +134,36 @@ def random_controller(
     return unpack_controller(theta, order, ny, nu)
 
 
-def _stage1_oracle(plant: Plant, order: int):
+def _oracle(plant: Plant, order: int, gradient, **kwargs):
+    """(f, grad) over packed controllers from gradient(plant, k, **kwargs);
+    an ill-posed, unstable or eigen-failed loop is f = +inf."""
     ny, nu = plant.p2, plant.m2
 
     def oracle(theta: np.ndarray):
         k = unpack_controller(theta, order, ny, nu)
         try:
-            rep = abscissa_gradient(plant, k)
-        except (IllPosed, EigenFailure):
-            return math.inf, None
-        return rep.value, rep.grad
-
-    return oracle
-
-
-def _stage2_oracle(plant: Plant, order: int, rel_tol: float):
-    ny, nu = plant.p2, plant.m2
-
-    def oracle(theta: np.ndarray):
-        k = unpack_controller(theta, order, ny, nu)
-        try:
-            rep = hinf_gradient(plant, k, rel_tol=rel_tol, scan_secondary_peaks=False)
+            rep = gradient(plant, k, **kwargs)
         except (IllPosed, UnstableSystem, EigenFailure):
             return math.inf, None
         return rep.value, rep.grad
 
     return oracle
+
+
+def _stage1_oracle(plant: Plant, order: int):
+    return _oracle(plant, order, abscissa_gradient)
+
+
+def _stage2_oracle(plant: Plant, order: int, rel_tol: float):
+    return _oracle(plant, order, hinf_gradient, rel_tol=rel_tol, scan_secondary_peaks=False)
+
+
+def _hanso_options(opts: SynthesisOptions, run_seed: int | None) -> OptOptions:
+    """A stage's optimizer options; without run_seed, run 0's seed."""
+    seed = run_seed if run_seed is not None else _run_seed(opts.rng_seed, 0)
+    return OptOptions(
+        max_iters=opts.max_iters, cpu_budget_seconds=opts.cpumax_seconds, rng_seed=seed
+    )
 
 
 def _default_start(plant: Plant, order: int) -> Controller:
@@ -180,12 +185,13 @@ def stabilize(
     Starts from the warm start (if any), the zero controller, and
     stage1_starts random controllers, all under one deadline; the abscissa
     minimization returns the first evaluated controller that meets the
-    margin.  Raises NoStabilizingController, saying whether the search
-    stalled or ran out of time; the best abscissa is attached to it.
+    margin.  Raises NoStabilizingController, saying whether every start was
+    infeasible (hanso's status "infeasible"), the search stalled or it ran
+    out of time; the best abscissa is attached to it.
     """
     opts = opts if opts is not None else SynthesisOptions()
-    seed = run_seed if run_seed is not None else _run_seed(opts.rng_seed, 0)
-    rng = _phase_rng(seed, 3)
+    hopts = _hanso_options(opts, run_seed)
+    rng = _phase_rng(hopts.rng_seed, 3)
 
     starts = []
     ws = opts.warm_start
@@ -207,17 +213,11 @@ def stabilize(
         )
 
     oracle = _stage1_oracle(plant, opts.order)
-    hopts = OptOptions(
-        max_iters=opts.max_iters,
-        cpu_budget_seconds=opts.cpumax_seconds,
-        rng_seed=seed,
-    )
-    try:
-        res = hanso(oracle, starts, hopts, target=-opts.stabilization_margin)
-    except AllStartsInfeasible as exc:
+    res = hanso(oracle, starts, hopts, target=-opts.stabilization_margin)
+    if res.status == "infeasible":
         raise NoStabilizingController(
             "every stage-1 start was infeasible (ill-posed interconnection)"
-        ) from exc
+        )
     if res.status.endswith("target"):
         k = unpack_controller(res.x_best, opts.order, plant.p2, plant.m2)
         return k, spectral_abscissa(lft_closed_loop(plant, k).A)
@@ -240,26 +240,17 @@ def optimize_performance(
 
     The search stops at opts.max_iters per phase or at the wall-clock
     deadline opts.cpumax_seconds.  Unstable or ill-posed parameter points act
-    as an infinite barrier.  The returned NormResult is recomputed at the
-    tight certification tolerance on the final controller.  Raises
-    NotStabilizing when k0 itself is not stabilizing.
+    as an infinite barrier.  The returned NormResult is the final
+    controller's certificate from `certify_controller`.  Raises
+    NotStabilizing when the first oracle call finds k0 unstable or ill-posed.
     """
     opts = opts if opts is not None else SynthesisOptions(order=k0.order)
-    a0 = spectral_abscissa(lft_closed_loop(plant, k0).A)
-    if a0.alpha >= 0.0:
-        raise NotStabilizing(f"initial controller has closed-loop abscissa {a0.alpha:.6g}")
-    seed = run_seed if run_seed is not None else _run_seed(opts.rng_seed, 0)
-
     oracle = _stage2_oracle(plant, k0.order, opts.norm_rel_tol)
-    hopts = OptOptions(
-        max_iters=opts.max_iters,
-        cpu_budget_seconds=opts.cpumax_seconds,
-        rng_seed=seed,
-    )
-    res = hanso(oracle, [pack_controller(k0)], hopts)
+    res = hanso(oracle, [pack_controller(k0)], _hanso_options(opts, run_seed))
+    if res.status == "infeasible":
+        raise NotStabilizing("initial controller gives an unstable or ill-posed closed loop")
     k = unpack_controller(res.x_best, k0.order, plant.p2, plant.m2)
-    cert = hinf_norm(lft_closed_loop(plant, k), rel_tol=CERT_REL_TOL)
-    return k, cert
+    return k, certify_controller(plant, k)[1]
 
 
 def certify_controller(plant: Plant, k: Controller) -> tuple[AbscissaResult, NormResult]:

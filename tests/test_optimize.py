@@ -10,8 +10,6 @@ import pytest
 
 import oracles
 from fixedhinf import (
-    AllStartsInfeasible,
-    InfeasibleStart,
     OptOptions,
     OptResult,
     Phase,
@@ -92,12 +90,15 @@ def test_bfgs_rosenbrock():
     assert np.allclose(res.x_best, [1.0, 1.0], atol=1e-3)
 
 
-def test_bfgs_infeasible_start_raises():
+@pytest.mark.parametrize("phase", [bfgs_nonsmooth, bundle_phase, gradient_sampling])
+def test_phases_return_at_an_infeasible_start(phase):
     def oracle(x):
         return math.inf, None
 
-    with pytest.raises(InfeasibleStart):
-        bfgs_nonsmooth(oracle, np.zeros(2))
+    res = phase(oracle, np.zeros(2))
+    assert res.f_best == math.inf
+    assert res.status == "infeasible-start"
+    assert res.n_evals == 1 and res.iterations == 0
 
 
 def test_bfgs_never_accepts_infeasible_iterates():
@@ -262,12 +263,32 @@ def test_hanso_two_well_finds_a_minimum_from_both_sides():
     assert abs(abs(res.x_best[0]) - 1.0) <= 1e-4
 
 
-def test_hanso_all_starts_infeasible_raises():
+def test_hanso_all_starts_infeasible_returns_infinite_f():
     def oracle(x):
         return math.inf, None
 
-    with pytest.raises(AllStartsInfeasible):
-        hanso(oracle, [np.zeros(1), np.ones(1)], OptOptions())
+    res = hanso(oracle, [np.zeros(1), np.ones(1)], OptOptions())
+    assert res.f_best == math.inf
+    assert res.status == "infeasible"
+    assert res.n_evals == 2
+
+
+def test_hanso_rejects_an_empty_start_list():
+    with pytest.raises(ValueError, match="start"):
+        hanso(quadratic([1.0]), [], OptOptions())
+
+
+def test_hanso_past_the_deadline_still_tries_starts_until_one_is_feasible():
+    def guarded(x):
+        if x[0] < 0.0:
+            return math.inf, None
+        return float(x @ x), 2.0 * x
+
+    res = hanso(guarded, [np.array([-1.0]), np.array([3.0])], OptOptions(cpu_budget_seconds=1e-9))
+    assert res.f_best == 9.0
+    assert np.array_equal(res.x_best, [3.0])
+    assert res.status.startswith("infeasible-start;bfgs:budget")
+    assert res.n_evals == 2
 
 
 def test_monotone_incumbents_and_feasibility():

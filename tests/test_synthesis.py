@@ -13,6 +13,7 @@ from conftest import INTERIOR_OPTIMUM, random_plant
 from fixedhinf import (
     Controller,
     DimensionMismatch,
+    IllPosed,
     NoStabilizingController,
     NotStabilizing,
     Plant,
@@ -107,6 +108,15 @@ def test_stabilize_says_when_the_deadline_stopped_it(monkeypatch):
     assert info.value.best_abscissa == pytest.approx(1.0)
 
 
+def test_stabilize_says_when_every_start_was_infeasible(monkeypatch):
+    def ill_posed(plant, k):
+        raise IllPosed("I - D22 DK is singular")
+
+    monkeypatch.setattr(synthesis_module, "abscissa_gradient", ill_posed)
+    with pytest.raises(NoStabilizingController, match="every stage-1 start was infeasible"):
+        stabilize(_scalar_unstable_plant(), SynthesisOptions(order=0, **QUICK))
+
+
 def test_stabilize_succeeds_on_synthetic_plants_across_seeds(rng):
     # scalar and two-state unstable plants; the two-state loop is statically
     # stabilizable (dk < -0.7 works: trace 0.7 + dk, det 0.12 - 0.6 dk)
@@ -154,6 +164,13 @@ def test_optimize_performance_rejects_destabilizing_start():
     plant = _scalar_unstable_plant()
     with pytest.raises(NotStabilizing):
         optimize_performance(plant, Controller.static([[0.0]]))
+
+
+def test_optimize_performance_rejects_an_ill_posed_start():
+    # D22 = DK = 1: I - D22 DK is singular, so the loop does not exist
+    plant = Plant.from_blocks([[-1.0]], [[1.0]], [[1.0]], [[1.0]], [[1.0]], D22=[[1.0]])
+    with pytest.raises(NotStabilizing):
+        optimize_performance(plant, Controller.static([[1.0]]), SynthesisOptions(**QUICK))
 
 
 def test_synthesize_static_reaches_known_interior_optimum(interior_plant):
@@ -204,6 +221,22 @@ def test_synthesize_single_run_consistent_with_stage_calls(interior_plant):
     assert res.status is SynthesisStatus.SUCCESS
     assert len(res.per_run) == 1
     assert res.per_run[0].stage2_norm == pytest.approx(res.norm, rel=1e-12)
+
+
+@pytest.mark.parametrize("runs", [1, 3])
+def test_synthesize_builds_two_loops_per_run_and_one_at_the_end(interior_plant, monkeypatch, runs):
+    # per run: stage 1's abscissa and stage 2's certificate; then the winner's abscissa
+    real = synthesis_module.lft_closed_loop
+    calls = []
+
+    def counting(plant, k):
+        calls.append(k)
+        return real(plant, k)
+
+    monkeypatch.setattr(synthesis_module, "lft_closed_loop", counting)
+    res = synthesize(interior_plant, SynthesisOptions(order=0, runs=runs, rng_seed=0, **QUICK))
+    assert all(np.isfinite(r.stage2_norm) for r in res.per_run)
+    assert len(calls) == 2 * runs + 1
 
 
 def test_synthesize_is_deterministic_per_seed(interior_plant):
