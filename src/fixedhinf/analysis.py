@@ -19,6 +19,13 @@ probe, which finds any such peak.  One eigendecomposition of A serves the
 stability test and every frequency evaluation, the gradient's rival-peak
 scan included: the result carries the evaluator on.
 
+The norm runs in two stages on that one evaluator.  The lower-bound stage
+takes the eigendecomposition, the stability test and the polished best
+candidate frequency; the level-set stage takes the Hamiltonian probes and
+the confirmation scan.  `hinf_norm` runs both.  The optimizer's stage-2
+oracle stops after the first when its bound already exceeds the threshold
+the optimizer tests, where the certified norm could not change the outcome.
+
 Once the probe finds no crossing, one grid scan guards against eigenvalues
 misclassified as off the axis.  It takes an SVD only at grid points that
 two cheap tests cannot place below its floor (the Frobenius norm, then
@@ -379,37 +386,74 @@ def _secondary_peak_gap(norm: NormResult) -> float:
     return float(gamma - best)
 
 
-def hinf_norm(sys: StateSpace, *, rel_tol: float = 1e-7) -> NormResult:
-    """H-infinity norm of a stable system to relative tolerance rel_tol.
-
-    Raises UnstableSystem when the spectral abscissa of A is not strictly
-    negative.  When the level iteration cannot certify the tolerance within
-    60 Hamiltonian probes, the best verified lower bound is returned with
-    converged=False instead of raising.  A finite omega_peak is a polished
-    local peak of sigma_max, where its frequency derivative vanishes.
-    """
+def _check_rel_tol(rel_tol: float) -> None:
     if not (0.0 < rel_tol <= 1e-2):
         raise ValueError(f"rel_tol must be in (0, 1e-2], got {rel_tol}")
+
+
+@dataclass(frozen=True, eq=False)
+class _LowerBound:
+    """Outcome of the lower-bound stage of the norm.
+
+    sigma_max(D) is the value at infinity and `finite` the value at the best
+    candidate frequency `omega` (polished when it reaches sigma_max(D)); their
+    max `gamma` is a lower bound on the norm.  `done` holds the norm itself
+    when the level-set stage has nothing to add: a system without states, or
+    a zero response.
+    """
+
+    ev: _FreqEvaluator | None
+    sigma_d: float
+    omega: float
+    finite: float
+    done: NormResult | None = None
+
+    @property
+    def gamma(self) -> float:
+        return max(self.sigma_d, self.finite)
+
+    def result(self) -> NormResult:
+        """The bound as a NormResult, not converged unless it is the norm."""
+        if self.done is not None:
+            return self.done
+        at_infinity = self.sigma_d > self.finite
+        omega = 0.0 if at_infinity else self.omega
+        return NormResult(self.gamma, omega, at_infinity, False, 0, self.ev)
+
+
+def _norm_lower_bound(sys: StateSpace, hints: tuple[float, ...] = ()) -> _LowerBound:
+    """Lower-bound stage: one eigendecomposition of A (raising UnstableSystem
+    or EigenFailure), sigma_max at the pole-frequency candidates plus the
+    hint frequencies, and a polish of the best of them."""
     sigma_d = float(np.linalg.svd(sys.D, compute_uv=False)[0])
     if sys.n == 0:
-        return NormResult(sigma_d, 0.0, True, True, 0)
+        return _LowerBound(None, sigma_d, 0.0, -math.inf, NormResult(sigma_d, 0.0, True, True, 0))
     ev = _FreqEvaluator(sys)
 
-    cands = ev.cands
+    cands = np.union1d(ev.cands, hints) if len(hints) else ev.cands
     vals = ev.sigma_max_many(cands)
     if float(vals.max()) == 0.0 and sigma_d == 0.0:
         # possibly a zero system; a coarse scan decides
         cands = _scan_grid(ev, 0.0, 256)
         vals = ev.sigma_max_many(cands)
         if float(vals.max()) == 0.0:
-            return NormResult(0.0, 0.0, False, True, 0, ev)
+            return _LowerBound(ev, 0.0, 0.0, 0.0, NormResult(0.0, 0.0, False, True, 0, ev))
     i = int(np.argmax(vals))
     best_omega, best_finite = float(cands[i]), float(vals[i])
     if best_finite >= sigma_d:
         # otherwise the probe at sigma_max(D) finds any finite peak above it
         best_omega, best_finite = _polish(ev, cands, vals, i)
+    return _LowerBound(ev, sigma_d, best_omega, best_finite)
 
-    lower = max(best_finite, sigma_d)
+
+def _norm_level_set(sys: StateSpace, low: _LowerBound, rel_tol: float) -> NormResult:
+    """Level-set stage: Hamiltonian probes and the confirmation scan, from the
+    lower bound and on the evaluator of the lower-bound stage."""
+    if low.done is not None:
+        return low.done
+    ev, sigma_d = low.ev, low.sigma_d
+    best_omega, best_finite = low.omega, low.finite
+    lower = low.gamma
     iterations = 0
     converged = False
     scanned = False
@@ -455,3 +499,16 @@ def hinf_norm(sys: StateSpace, *, rel_tol: float = 1e-7) -> NormResult:
     at_infinity = sigma_d > best_finite
     omega_peak = 0.0 if at_infinity else best_omega
     return NormResult(max(sigma_d, best_finite), omega_peak, at_infinity, converged, iterations, ev)
+
+
+def hinf_norm(sys: StateSpace, *, rel_tol: float = 1e-7) -> NormResult:
+    """H-infinity norm of a stable system to relative tolerance rel_tol.
+
+    Raises UnstableSystem when the spectral abscissa of A is not strictly
+    negative.  When the level iteration cannot certify the tolerance within
+    60 Hamiltonian probes, the best verified lower bound is returned with
+    converged=False instead of raising.  A finite omega_peak is a polished
+    local peak of sigma_max, where its frequency derivative vanishes.
+    """
+    _check_rel_tol(rel_tol)
+    return _norm_level_set(sys, _norm_lower_bound(sys), rel_tol)

@@ -16,7 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as la
 
-from .analysis import DEFAULT_TIE_TOL, _secondary_peak_gap, hinf_norm
+from .analysis import (
+    DEFAULT_TIE_TOL,
+    NormResult,
+    _norm_level_set,
+    _norm_lower_bound,
+    _secondary_peak_gap,
+    hinf_norm,
+)
 from .errors import EigenFailure
 from .statespace import Controller, Plant, _interconnect
 
@@ -117,6 +124,31 @@ def abscissa_gradient(plant: Plant, k: Controller) -> GradientReport:
     return GradientReport(alpha, grad, hint, tie_gap)
 
 
+def _peak_gradient(
+    k: Controller, cl, L: np.ndarray, R: np.ndarray, norm: NormResult
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient over k of sigma_max at the norm's peak, and the singular
+    values there.
+
+    At infinity only the D feedthrough path contributes.  A finite peak is
+    polished until d sigma/d omega vanishes, so the envelope theorem gives
+    the gradient from the singular vectors there.
+    """
+    if norm.attained_at_infinity:
+        U, svals, Vh = np.linalg.svd(cl.D)
+        return _chain_to_controller(k, L[cl.n :], R[:, cl.n :], U[:, 0], Vh[0]), svals
+    M = 1j * norm.omega_peak * np.eye(cl.n) - cl.A
+    X = np.linalg.solve(M, cl.B)
+    T = cl.C @ X + cl.D
+    U, svals, Vh = np.linalg.svd(T)
+    u = U[:, 0]
+    v = np.conj(Vh[0])
+    b = X @ v
+    r = np.linalg.solve(M.T, cl.C.T @ np.conj(u))
+    grad = _chain_to_controller(k, L, R, np.concatenate([r, np.conj(u)]), np.concatenate([b, v]))
+    return grad, svals
+
+
 def hinf_gradient(
     plant: Plant,
     k: Controller,
@@ -136,29 +168,12 @@ def hinf_gradient(
     cl, L, R = _interconnect(plant, k)
     result = hinf_norm(cl, rel_tol=rel_tol)
     gamma = result.gamma
-
-    if result.attained_at_infinity:
-        # the norm is sigma_max(D) itself; a distinct finite peak near it is
-        # the competing branch, which the rival scan below looks for
-        U, svals, Vh = np.linalg.svd(cl.D)
-        grad = _chain_to_controller(k, L[cl.n :], R[:, cl.n :], U[:, 0], Vh[0])
-        gaps = []
-    else:
-        # hinf_norm polishes the peak until d sigma/d omega vanishes, so the
-        # envelope theorem gives the gradient from the singular vectors there
-        omega = result.omega_peak
-        M = 1j * omega * np.eye(cl.n) - cl.A
-        X = np.linalg.solve(M, cl.B)
-        T = cl.C @ X + cl.D
-        U, svals, Vh = np.linalg.svd(T)
-        u = U[:, 0]
-        v = np.conj(Vh[0])
-        b = X @ v
-        r = np.linalg.solve(M.T, cl.C.T @ np.conj(u))
-        grad = _chain_to_controller(
-            k, L, R, np.concatenate([r, np.conj(u)]), np.concatenate([b, v])
-        )
-        gaps = [gamma - float(np.linalg.svd(cl.D, compute_uv=False)[0])]
+    grad, svals = _peak_gradient(k, cl, L, R, result)
+    # at infinity a distinct finite peak near the norm is the competing
+    # branch, which the rival scan below looks for
+    gaps = []
+    if not result.attained_at_infinity:
+        gaps.append(gamma - float(np.linalg.svd(cl.D, compute_uv=False)[0]))
     if svals.size > 1:
         gaps.append(float(svals[0] - svals[1]))
     if scan_secondary_peaks:
@@ -168,3 +183,22 @@ def hinf_gradient(
     near = tie_gap <= DEFAULT_NEAR_TIE_TOL * (1.0 + gamma)
     hint = Smoothness.NEAR_TIE if near else Smoothness.SMOOTH
     return GradientReport(float(gamma), grad, hint, tie_gap)
+
+
+def _hinf_bounded(
+    plant: Plant, k: Controller, *, rel_tol: float, bound: float, hints: tuple[float, ...] = ()
+) -> tuple[NormResult, np.ndarray, bool]:
+    """Closed-loop H-infinity norm at k under the optimizer's oracle contract.
+
+    Runs the norm's lower-bound stage with the hint frequencies added to its
+    candidates.  When that bound exceeds `bound` it is returned uncertified,
+    in (bound, norm]; otherwise the level-set stage certifies the norm on the
+    same eigendecomposition, exactly as hinf_gradient computes it when there
+    are no hints.  Returns the NormResult, the gradient of the branch that
+    attains its value, and whether the value is certified.
+    """
+    cl, L, R = _interconnect(plant, k)
+    low = _norm_lower_bound(cl, hints)
+    certified = low.gamma <= bound
+    norm = _norm_level_set(cl, low, rel_tol) if certified else low.result()
+    return norm, _peak_gradient(k, cl, L, R, norm)[0], certified

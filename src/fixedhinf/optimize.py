@@ -12,11 +12,28 @@ shared by every start and phase, and an optional target value of f:
 3. Gradient sampling over a shrinking radius schedule, a randomized method
    with convergence guarantees that is much slower per iteration.
 
-Oracles return (f, grad); infeasible points are signalled by f = +inf with
-grad = None, and f = +inf is the only feasibility signal.  The line searches
-retreat rather than evaluate onward; a phase started at an infeasible point
-returns at once with status "infeasible-start", and hanso skips such starts,
-returning f = +inf with status "infeasible" when every start is infeasible.
+An oracle is called as oracle(x, bound) and returns (f, grad).  Every
+decision the phases take on a value compares it with a threshold, and bound
+is that threshold: when f(x) <= bound the oracle must return f(x) exactly,
+and otherwise it may return any value in (bound, f(x)], with the gradient of
+the branch that attains the returned value.  Each call site passes the
+threshold it tests: the weak-Wolfe sufficient-decrease level at a line-search
+trial, the Armijo level at a gradient-sampling trial, the incumbent f at a
+bundle ball sample, -inf at gradient-sampling sample points (only their
+gradients are read) and +inf at a phase's start.  The run's target raises
+every bound to at least the target, so a value below the target is always
+exact.  A cheap lower bound that already exceeds the threshold thus decides
+the same comparison as f(x) itself: which value in (bound, f(x)] comes back
+changes no accept/reject decision and no count of evaluations.  Only the
+gradients that the bundle and sampling phases collect at their samples
+can differ, with the branch the returned value belongs to.  An oracle that
+always returns f(x) meets the contract.
+
+Infeasible points are signalled by f = +inf with grad = None, and f = +inf
+is the only feasibility signal.  The line searches retreat rather than
+evaluate onward; a phase started at an infeasible point returns at once with
+status "infeasible-start", and hanso skips such starts, returning f = +inf
+with status "infeasible" when every start is infeasible.
 """
 
 from __future__ import annotations
@@ -82,6 +99,9 @@ class OptOptions:
 
 @dataclass(frozen=True, eq=False)
 class OptResult:
+    """A phase's or a run's best point; g_best is the oracle's gradient at
+    x_best, None when no feasible point was found."""
+
     x_best: np.ndarray
     f_best: float
     optimality_measure: float
@@ -90,11 +110,12 @@ class OptResult:
     elapsed_seconds: float
     status: str
     n_evals: int
+    g_best: np.ndarray | None = None
 
 
 class _Tracker:
     """One run's stop rule: an eval counter, a deadline and a target f;
-    hit is the first evaluated (x, f) with f < target."""
+    hit is the first evaluated (x, f, g) with f < target."""
 
     def __init__(self, oracle, budget_seconds: float, target: float = -math.inf):
         self.oracle = oracle
@@ -104,14 +125,16 @@ class _Tracker:
         self.n_evals = 0
         self.hit = None
 
-    def call(self, x: np.ndarray) -> tuple[float, np.ndarray | None]:
+    def call(self, x: np.ndarray, bound: float) -> tuple[float, np.ndarray | None]:
+        """The oracle at x; f is exact where it is at most bound or below
+        the target (see the module docstring)."""
         self.n_evals += 1
-        f, g = self.oracle(x)
+        f, g = self.oracle(x, max(bound, self.target))
         f = float(f)
         if g is not None:
             g = np.asarray(g, dtype=float).ravel()
         if f < self.target:
-            self.hit = (np.array(x, dtype=float), f)
+            self.hit = (np.array(x, dtype=float), f, g)
         return f, g
 
     @property
@@ -124,10 +147,10 @@ class _Tracker:
             return "budget"
         return None
 
-    def result(self, x, f, measure, phase, iterations, status) -> OptResult:
+    def result(self, x, f, g, measure, phase, iterations, status) -> OptResult:
         """An OptResult with this tracker's clock and eval count."""
         elapsed = time.perf_counter() - self.t0
-        return OptResult(x, f, measure, phase, iterations, elapsed, status, self.n_evals)
+        return OptResult(x, f, measure, phase, iterations, elapsed, status, self.n_evals, g)
 
 
 def _ball_sample(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -144,19 +167,20 @@ def _phase_rng(seed: int, tag: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, tag))))
 
 
-def _start(oracle, x0, opts: OptOptions | None, track: _Tracker | None):
+def _start(oracle, x0, opts: OptOptions | None, track: _Tracker | None, first):
     """A phase's options, tracker, start point and first evaluation.
 
     A phase called on its own builds its tracker from opts; under hanso it
-    shares the run's, whose counts and clock span the run.  A phase returns
-    at once, with f_best = +inf and status "infeasible-start", when f(x0) is
-    not finite.
+    shares the run's, whose counts and clock span the run, and hanso hands a
+    refinement phase the exact (f, g) it already holds at x0 as `first`
+    instead of evaluating x0 again.  A phase returns at once, with
+    f_best = +inf and status "infeasible-start", when f(x0) is not finite.
     """
     opts = opts if opts is not None else OptOptions()
     if track is None:
         track = _Tracker(oracle, opts.cpu_budget_seconds)
     x = np.array(x0, dtype=float).ravel()
-    f, g = track.call(x)
+    f, g = first if first is not None else track.call(x, math.inf)
     return opts, track, x, f, g
 
 
@@ -183,8 +207,9 @@ def _weak_wolfe(
     t = 1.0
     for _ in range(_LINE_SEARCH_STEPS):
         xt = x + t * d
-        ft, gt = track.call(xt)
-        if not math.isfinite(ft) or ft > f0 + _WOLFE_C1 * t * slope0:
+        level = f0 + _WOLFE_C1 * t * slope0
+        ft, gt = track.call(xt, level)
+        if not math.isfinite(ft) or ft > level:
             beta = t
         elif gt @ d < _WOLFE_C2 * slope0:
             alpha, xa, fa, ga = t, xt, ft, gt
@@ -205,16 +230,18 @@ def _weak_wolfe(
     return 0.0, x, f0, g0, "fail"
 
 
-def bfgs_nonsmooth(oracle, x0, opts: OptOptions | None = None, *, _track=None) -> OptResult:
+def bfgs_nonsmooth(
+    oracle, x0, opts: OptOptions | None = None, *, _track=None, _first=None
+) -> OptResult:
     """BFGS with a weak-Wolfe line search, tolerant of nonsmooth objectives.
 
     The inverse-Hessian update is skipped whenever the curvature s'y is not
     safely positive; the matrix is reset to (scaled) identity only on
     numerical breakdown.  Status is "infeasible-start" when f(x0) = +inf.
     """
-    opts, track, x, f, g = _start(oracle, x0, opts, _track)
+    opts, track, x, f, g = _start(oracle, x0, opts, _track, _first)
     if not math.isfinite(f):
-        return track.result(x, math.inf, math.inf, Phase.BFGS_ONLY, 0, "infeasible-start")
+        return track.result(x, math.inf, None, math.inf, Phase.BFGS_ONLY, 0, "infeasible-start")
     dim = x.size
     H = np.eye(dim)
     x_best, f_best, g_best = x.copy(), f, g.copy()
@@ -263,7 +290,7 @@ def bfgs_nonsmooth(oracle, x0, opts: OptOptions | None = None, *, _track=None) -
             H += rho * (1.0 + rho * float(yv @ Hy)) * np.outer(s, s)
             H -= rho * (np.outer(s, Hy) + np.outer(Hy, s))
     measure = float(np.linalg.norm(g_best))
-    return track.result(x_best, f_best, measure, Phase.BFGS_ONLY, it, status)
+    return track.result(x_best, f_best, g_best, measure, Phase.BFGS_ONLY, it, status)
 
 
 def min_norm_convex_hull(gradients) -> tuple[np.ndarray, np.ndarray]:
@@ -322,7 +349,9 @@ def min_norm_convex_hull(gradients) -> tuple[np.ndarray, np.ndarray]:
     return coeffs @ G, coeffs
 
 
-def bundle_phase(oracle, x0, opts: OptOptions | None = None, *, _track=None) -> OptResult:
+def bundle_phase(
+    oracle, x0, opts: OptOptions | None = None, *, _track=None, _first=None
+) -> OptResult:
     """Lightweight local-optimality verifier around a candidate minimizer.
 
     Collects gradients at nearby points, measures the smallest convex
@@ -331,9 +360,9 @@ def bundle_phase(oracle, x0, opts: OptOptions | None = None, *, _track=None) -> 
     "improvement" when the candidate was strictly improved but not verified,
     "infeasible-start" when f(x0) = +inf, "inconclusive" otherwise.
     """
-    opts, track, x, f, g = _start(oracle, x0, opts, _track)
+    opts, track, x, f, g = _start(oracle, x0, opts, _track, _first)
     if not math.isfinite(f):
-        return track.result(x, math.inf, math.inf, Phase.BUNDLE, 0, "infeasible-start")
+        return track.result(x, math.inf, None, math.inf, Phase.BUNDLE, 0, "infeasible-start")
     dim = x.size
     rng = _phase_rng(opts.rng_seed, 1)
     maxlen = min(100, 2 * dim + 4)
@@ -341,7 +370,7 @@ def bundle_phase(oracle, x0, opts: OptOptions | None = None, *, _track=None) -> 
     scale = 1.0 + float(np.linalg.norm(x))
     radius = _SAMPLING_RADII[0] * scale
     floor = _SAMPLING_RADII[-1] * scale * 0.1
-    x_best, f_best = x.copy(), f
+    x_best, f_best, g_best = x.copy(), f, g
     measure = float(np.linalg.norm(g))
     improved = False
     stalls = 0
@@ -365,7 +394,7 @@ def bundle_phase(oracle, x0, opts: OptOptions | None = None, *, _track=None) -> 
             bundle.append((x.copy(), g.copy()))
             improved = True
             if f < f_best:
-                x_best, f_best = x.copy(), f
+                x_best, f_best, g_best = x.copy(), f, g
         if outcome != "fail" and meaningful:
             stalls = 0
         elif track.stop:
@@ -375,14 +404,14 @@ def bundle_phase(oracle, x0, opts: OptOptions | None = None, *, _track=None) -> 
             # with a gradient sampled nearby, shrinking the radius when that
             # stops helping either
             xs = x + radius * _ball_sample(rng, dim)
-            fs, gs = track.call(xs)
+            fs, gs = track.call(xs, f)
             if math.isfinite(fs):
                 bundle.append((xs, gs))
                 if fs < f:
                     x, f, g = xs, fs, gs
                     improved = True
                     if f < f_best:
-                        x_best, f_best = x.copy(), f
+                        x_best, f_best, g_best = x.copy(), f, g
             stalls += 1
             if stalls >= 10:
                 radius *= 0.2
@@ -397,10 +426,12 @@ def bundle_phase(oracle, x0, opts: OptOptions | None = None, *, _track=None) -> 
         status = "improvement"
     else:
         status = "inconclusive"
-    return track.result(x_best, f_best, measure, Phase.BUNDLE, it, status)
+    return track.result(x_best, f_best, g_best, measure, Phase.BUNDLE, it, status)
 
 
-def gradient_sampling(oracle, x0, opts: OptOptions | None = None, *, _track=None) -> OptResult:
+def gradient_sampling(
+    oracle, x0, opts: OptOptions | None = None, *, _track=None, _first=None
+) -> OptResult:
     """Gradient sampling over a fixed, shrinking radius schedule.
 
     Each iteration draws 2 * dim points uniformly in a ball around
@@ -411,13 +442,15 @@ def gradient_sampling(oracle, x0, opts: OptOptions | None = None, *, _track=None
     first, "budget" or "target" when the stop rule ended it, and
     "infeasible-start" when f(x0) = +inf.
     """
-    opts, track, x, f, g = _start(oracle, x0, opts, _track)
+    opts, track, x, f, g = _start(oracle, x0, opts, _track, _first)
     if not math.isfinite(f):
-        return track.result(x, math.inf, math.inf, Phase.GRADIENT_SAMPLING, 0, "infeasible-start")
+        return track.result(
+            x, math.inf, None, math.inf, Phase.GRADIENT_SAMPLING, 0, "infeasible-start"
+        )
     dim = x.size
     rng = _phase_rng(opts.rng_seed, 2)
     m = 2 * dim
-    x_best, f_best = x.copy(), f
+    x_best, f_best, g_best = x.copy(), f, g
     measure = float(np.linalg.norm(g))
     status = "radius-schedule-complete"
     it = 0
@@ -432,7 +465,7 @@ def gradient_sampling(oracle, x0, opts: OptOptions | None = None, *, _track=None
             for _ in range(m):
                 if track.stop:
                     break
-                fs, gs = track.call(x + radius * _ball_sample(rng, dim))
+                fs, gs = track.call(x + radius * _ball_sample(rng, dim), -math.inf)
                 if math.isfinite(fs):
                     grads.append(gs)
             d, _ = min_norm_convex_hull(grads)
@@ -446,8 +479,9 @@ def gradient_sampling(oracle, x0, opts: OptOptions | None = None, *, _track=None
             for _ in range(30):
                 if track.stop:
                     break
-                ft, gt = track.call(x - t * d)
-                if math.isfinite(ft) and ft <= f - _WOLFE_C1 * t * measure * measure:
+                level = f - _WOLFE_C1 * t * measure * measure
+                ft, gt = track.call(x - t * d, level)
+                if math.isfinite(ft) and ft <= level:
                     x, f, g = x - t * d, ft, gt
                     accepted = True
                     break
@@ -455,7 +489,7 @@ def gradient_sampling(oracle, x0, opts: OptOptions | None = None, *, _track=None
             if accepted:
                 improvement = f_prev - f
                 if f < f_best:
-                    x_best, f_best = x.copy(), f
+                    x_best, f_best, g_best = x.copy(), f, g
                 # microscopic accepted steps mean this radius is exhausted
                 if improvement < 1e-12 * (1.0 + abs(f)):
                     break
@@ -465,7 +499,7 @@ def gradient_sampling(oracle, x0, opts: OptOptions | None = None, *, _track=None
             status = "iteration-limit"
         if status != "radius-schedule-complete":
             break
-    return track.result(x_best, f_best, measure, Phase.GRADIENT_SAMPLING, it, status)
+    return track.result(x_best, f_best, g_best, measure, Phase.GRADIENT_SAMPLING, it, status)
 
 
 def hanso(
@@ -475,11 +509,18 @@ def hanso(
 
     Runs BFGS from each start in turn, takes the best terminal point,
     verifies it with the bundle phase, and falls back to gradient sampling
-    when verification is inconclusive.  Every start and phase shares one
-    deadline, and the run ends at the first evaluation with f < target,
-    which it returns; the status then ends with "budget" or "target".
-    Starts with f = +inf are skipped; when every start is, the result has
-    f_best = +inf and status "infeasible".  Raises ValueError for no starts.
+    when verification is inconclusive; each refinement phase starts from
+    the point, f and gradient that hanso already holds, without evaluating
+    it again.  Every start and phase shares one deadline, and the run ends
+    at the first evaluation with f < target, which it returns; the status
+    then ends with "budget" or "target".  Starts with f = +inf are skipped;
+    when every start is, the result has f_best = +inf and status
+    "infeasible".  Raises ValueError for no starts.
+
+    The oracle is called as oracle(x, bound) (see the module docstring): it
+    must return f(x) exactly when f(x) <= bound, and may return any value in
+    (bound, f(x)] otherwise.  Every point the run accepts, and the returned
+    f_best, has an exact f.
     """
     if len(starts) == 0:
         raise ValueError("hanso needs at least one start point")
@@ -500,29 +541,31 @@ def hanso(
         if best is None or r.f_best < best.f_best:
             best = r
     if not math.isfinite(best.f_best):
-        return track.result(best.x_best, math.inf, math.inf, Phase.BFGS_ONLY, iters, "infeasible")
+        return track.result(
+            best.x_best, math.inf, None, math.inf, Phase.BFGS_ONLY, iters, "infeasible"
+        )
     statuses.append(f"bfgs:{best.status}")
 
-    x, f = best.x_best, best.f_best
+    x, f, g = best.x_best, best.f_best, best.g_best
     measure = best.optimality_measure
     phase = Phase.BFGS_ONLY
     # looked up at call time, so that wrappers installed on the module apply
     for refine, name in ((bundle_phase, "bundle"), (gradient_sampling, "sampling")):
         if track.stop:
             break
-        r = refine(oracle, x, opts, _track=track)
+        r = refine(oracle, x, opts, _track=track, _first=(f, g))
         iters += r.iterations
         phase = r.phase_reached
         measure = r.optimality_measure
         statuses.append(f"{name}:{r.status}")
         if r.f_best < f:
-            x, f = r.x_best, r.f_best
+            x, f, g = r.x_best, r.f_best, r.g_best
         if r.status == "verified":
             break
     # the hit may be a trial point that its line search rejected
     if track.hit is not None:
-        x, f = track.hit
+        x, f, g = track.hit
     if track.stop:
         statuses.append(track.stop)
 
-    return track.result(x, f, measure, phase, iters, ";".join(statuses))
+    return track.result(x, f, g, measure, phase, iters, ";".join(statuses))

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analysis import AbscissaResult, NormResult, hinf_norm, spectral_abscissa
+from .analysis import AbscissaResult, NormResult, _check_rel_tol, hinf_norm, spectral_abscissa
 from .errors import (
     DimensionMismatch,
     EigenFailure,
@@ -28,7 +28,7 @@ from .errors import (
     NotStabilizing,
     UnstableSystem,
 )
-from .gradients import abscissa_gradient, hinf_gradient
+from .gradients import _hinf_bounded, abscissa_gradient
 from .optimize import OptOptions, _phase_rng, hanso
 from .statespace import (
     Controller,
@@ -134,28 +134,51 @@ def random_controller(
     return unpack_controller(theta, order, ny, nu)
 
 
-def _oracle(plant: Plant, order: int, gradient, **kwargs):
-    """(f, grad) over packed controllers from gradient(plant, k, **kwargs);
-    an ill-posed, unstable or eigen-failed loop is f = +inf."""
+def _oracle(plant: Plant, order: int, evaluate):
+    """The optimizer's oracle(theta, bound) over packed controllers, from
+    evaluate(k, bound) -> (f, grad); an ill-posed, unstable or eigen-failed
+    loop is f = +inf."""
     ny, nu = plant.p2, plant.m2
 
-    def oracle(theta: np.ndarray):
+    def oracle(theta: np.ndarray, bound: float):
         k = unpack_controller(theta, order, ny, nu)
         try:
-            rep = gradient(plant, k, **kwargs)
+            return evaluate(k, bound)
         except (IllPosed, UnstableSystem, EigenFailure):
             return math.inf, None
-        return rep.value, rep.grad
 
     return oracle
 
 
 def _stage1_oracle(plant: Plant, order: int):
-    return _oracle(plant, order, abscissa_gradient)
+    """The closed-loop abscissa, exact at every bound."""
+
+    def evaluate(k: Controller, bound: float):
+        rep = abscissa_gradient(plant, k)
+        return rep.value, rep.grad
+
+    return _oracle(plant, order, evaluate)
 
 
 def _stage2_oracle(plant: Plant, order: int, rel_tol: float):
-    return _oracle(plant, order, hinf_gradient, rel_tol=rel_tol, scan_secondary_peaks=False)
+    """The closed-loop H-infinity norm, certified only where the optimizer
+    can accept the point: a lower bound above `bound` is returned as it is.
+    The peak frequency of the last certified evaluation joins the next
+    lower bound's candidates, so that the bound usually finds the peak the
+    optimizer is following."""
+    _check_rel_tol(rel_tol)
+    hints = ()
+
+    def evaluate(k: Controller, bound: float):
+        nonlocal hints
+        norm, grad, certified = _hinf_bounded(
+            plant, k, rel_tol=rel_tol, bound=bound, hints=hints
+        )
+        if certified:
+            hints = (norm.omega_peak,)
+        return norm.gamma, grad
+
+    return _oracle(plant, order, evaluate)
 
 
 def _hanso_options(opts: SynthesisOptions, run_seed: int | None) -> OptOptions:
@@ -235,14 +258,15 @@ def optimize_performance(
     opts: SynthesisOptions | None = None,
     *,
     run_seed: int | None = None,
-) -> tuple[Controller, NormResult]:
+) -> tuple[Controller, AbscissaResult, NormResult]:
     """Locally minimize the closed-loop H-infinity norm from a stabilizing k0.
 
     The search stops at opts.max_iters per phase or at the wall-clock
     deadline opts.cpumax_seconds.  Unstable or ill-posed parameter points act
-    as an infinite barrier.  The returned NormResult is the final
-    controller's certificate from `certify_controller`.  Raises
-    NotStabilizing when the first oracle call finds k0 unstable or ill-posed.
+    as an infinite barrier.  Returns the final controller with its
+    certificate from `certify_controller`: the closed-loop abscissa and
+    norm.  Raises NotStabilizing when the first oracle call finds k0
+    unstable or ill-posed.
     """
     opts = opts if opts is not None else SynthesisOptions(order=k0.order)
     oracle = _stage2_oracle(plant, k0.order, opts.norm_rel_tol)
@@ -250,7 +274,7 @@ def optimize_performance(
     if res.status == "infeasible":
         raise NotStabilizing("initial controller gives an unstable or ill-posed closed loop")
     k = unpack_controller(res.x_best, k0.order, plant.p2, plant.m2)
-    return k, certify_controller(plant, k)[1]
+    return k, *certify_controller(plant, k)
 
 
 def certify_controller(plant: Plant, k: Controller) -> tuple[AbscissaResult, NormResult]:
@@ -281,7 +305,7 @@ def synthesize(plant: Plant, opts: SynthesisOptions | None = None) -> SynthesisR
             stacklevel=2,
         )
     records: list[RunRecord] = []
-    best: tuple[tuple[bool, float], Controller, NormResult] | None = None
+    best: tuple[tuple[bool, float], Controller, AbscissaResult, NormResult] | None = None
     for r in range(opts.runs):
         seed_r = _run_seed(opts.rng_seed, r)
         t_run = time.perf_counter()
@@ -296,7 +320,7 @@ def synthesize(plant: Plant, opts: SynthesisOptions | None = None) -> SynthesisR
             continue
         used = time.perf_counter() - t_run
         remaining = max(opts.cpumax_seconds - used, 1e-3)
-        k2, cert = optimize_performance(
+        k2, absc2, cert = optimize_performance(
             plant, k1, replace(opts, cpumax_seconds=remaining), run_seed=seed_r
         )
         elapsed = time.perf_counter() - t_run
@@ -304,7 +328,7 @@ def synthesize(plant: Plant, opts: SynthesisOptions | None = None) -> SynthesisR
         # an unconverged norm is only a lower bound: it ranks below any converged one
         rank = (not cert.converged, cert.gamma)
         if best is None or rank < best[0]:
-            best = (rank, k2, cert)
+            best = (rank, k2, absc2, cert)
     if best is None:
         return SynthesisResult(
             None,
@@ -314,8 +338,5 @@ def synthesize(plant: Plant, opts: SynthesisOptions | None = None) -> SynthesisR
             SynthesisStatus.NO_STABILIZING_CONTROLLER,
             None,
         )
-    _, k, cert = best
-    final_absc = spectral_abscissa(lft_closed_loop(plant, k).A)
-    return SynthesisResult(
-        k, cert.gamma, final_absc.alpha, tuple(records), SynthesisStatus.SUCCESS, cert
-    )
+    _, k, absc, cert = best
+    return SynthesisResult(k, cert.gamma, absc.alpha, tuple(records), SynthesisStatus.SUCCESS, cert)

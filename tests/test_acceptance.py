@@ -196,7 +196,7 @@ def test_gradients_match_finite_differences():
 
 
 def test_optimizer_sanity():
-    def rosenbrock(x):
+    def rosenbrock(x, bound):
         f = (1.0 - x[0]) ** 2 + 100.0 * (x[1] - x[0] ** 2) ** 2
         g = np.array(
             [
@@ -206,10 +206,10 @@ def test_optimizer_sanity():
         )
         return float(f), g
 
-    def absval(x):
+    def absval(x, bound):
         return float(abs(x[0])), np.array([math.copysign(1.0, x[0])])
 
-    def linf(x):
+    def linf(x, bound):
         i = int(np.argmax(np.abs(x)))
         g = np.zeros_like(x)
         g[i] = math.copysign(1.0, x[i])

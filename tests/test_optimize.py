@@ -24,18 +24,18 @@ from fixedhinf import (
 def quadratic(a):
     a = np.asarray(a, dtype=float)
 
-    def oracle(x):
+    def oracle(x, bound):
         r = x - a
         return float(r @ r), 2.0 * r
 
     return oracle
 
 
-def absval(x):
+def absval(x, bound):
     return float(abs(x[0])), np.array([math.copysign(1.0, x[0])])
 
 
-def rosenbrock(x):
+def rosenbrock(x, bound):
     f = (1.0 - x[0]) ** 2 + 100.0 * (x[1] - x[0] ** 2) ** 2
     g = np.array(
         [
@@ -46,14 +46,14 @@ def rosenbrock(x):
     return float(f), g
 
 
-def linf(x):
+def linf(x, bound):
     i = int(np.argmax(np.abs(x)))
     g = np.zeros_like(x)
     g[i] = math.copysign(1.0, x[i])
     return float(np.max(np.abs(x))), g
 
 
-def max_plus_quad(x):
+def max_plus_quad(x, bound):
     # max(x1, x2) + ||x||^2 / 2, minimized at (-1/2, -1/2)
     i = 0 if x[0] >= x[1] else 1
     g = x.copy()
@@ -92,7 +92,7 @@ def test_bfgs_rosenbrock():
 
 @pytest.mark.parametrize("phase", [bfgs_nonsmooth, bundle_phase, gradient_sampling])
 def test_phases_return_at_an_infeasible_start(phase):
-    def oracle(x):
+    def oracle(x, bound):
         return math.inf, None
 
     res = phase(oracle, np.zeros(2))
@@ -103,7 +103,7 @@ def test_phases_return_at_an_infeasible_start(phase):
 
 def test_bfgs_never_accepts_infeasible_iterates():
     # quadratic pulling toward a point outside the feasible unit ball
-    def oracle(x):
+    def oracle(x, bound):
         if np.linalg.norm(x) > 1.0:
             return math.inf, None
         r = x - np.array([2.0, 0.0])
@@ -112,7 +112,7 @@ def test_bfgs_never_accepts_infeasible_iterates():
     res = bfgs_nonsmooth(oracle, np.array([0.1, 0.1]), OptOptions(max_iters=200))
     assert math.isfinite(res.f_best)
     assert np.linalg.norm(res.x_best) <= 1.0 + 1e-12
-    assert res.f_best <= oracle(np.array([0.1, 0.1]))[0]
+    assert res.f_best <= oracle(np.array([0.1, 0.1]), math.inf)[0]
 
 
 def test_min_norm_hull_singleton():
@@ -177,7 +177,7 @@ def test_bundle_verifies_linf_minimizer():
 
 def test_bundle_improves_from_nonstationary_point():
     res = bundle_phase(quadratic([1.0, 2.0]), np.array([4.0, -1.0]), OptOptions())
-    assert res.f_best < quadratic([1.0, 2.0])(np.array([4.0, -1.0]))[0]
+    assert res.f_best < quadratic([1.0, 2.0])(np.array([4.0, -1.0]), math.inf)[0]
 
 
 def test_bundle_and_sampling_measures_agree_on_piecewise_linear(rng):
@@ -185,7 +185,7 @@ def test_bundle_and_sampling_measures_agree_on_piecewise_linear(rng):
     hull; on a random max-of-affine function they agree within a factor 10."""
     A = rng.standard_normal((6, 4))
 
-    def pl(x):
+    def pl(x, bound):
         vals = A @ x
         i = int(np.argmax(vals))
         return float(vals[i]), A[i].copy()
@@ -239,14 +239,14 @@ def test_hanso_single_smooth_start_matches_bfgs():
 
 
 def test_hanso_skips_infeasible_starts():
-    def two_well(x):
+    def two_well(x, bound):
         f = (x[0] ** 2 - 1.0) ** 2
         return float(f), np.array([4.0 * x[0] * (x[0] ** 2 - 1.0)])
 
-    def guarded(x):
+    def guarded(x, bound):
         if abs(x[0]) > 10.0:
             return math.inf, None
-        return two_well(x)
+        return two_well(x, bound)
 
     res = hanso(guarded, [np.array([50.0]), np.array([2.0])], OptOptions())
     assert res.f_best <= 1e-10
@@ -254,7 +254,7 @@ def test_hanso_skips_infeasible_starts():
 
 
 def test_hanso_two_well_finds_a_minimum_from_both_sides():
-    def two_well(x):
+    def two_well(x, bound):
         f = (x[0] ** 2 - 1.0) ** 2
         return float(f), np.array([4.0 * x[0] * (x[0] ** 2 - 1.0)])
 
@@ -264,7 +264,7 @@ def test_hanso_two_well_finds_a_minimum_from_both_sides():
 
 
 def test_hanso_all_starts_infeasible_returns_infinite_f():
-    def oracle(x):
+    def oracle(x, bound):
         return math.inf, None
 
     res = hanso(oracle, [np.zeros(1), np.ones(1)], OptOptions())
@@ -279,7 +279,7 @@ def test_hanso_rejects_an_empty_start_list():
 
 
 def test_hanso_past_the_deadline_still_tries_starts_until_one_is_feasible():
-    def guarded(x):
+    def guarded(x, bound):
         if x[0] < 0.0:
             return math.inf, None
         return float(x @ x), 2.0 * x
@@ -294,8 +294,8 @@ def test_hanso_past_the_deadline_still_tries_starts_until_one_is_feasible():
 def test_monotone_incumbents_and_feasibility():
     seen = []
 
-    def recording(x):
-        f, g = max_plus_quad(x)
+    def recording(x, bound):
+        f, g = max_plus_quad(x, bound)
         seen.append(f)
         return f, g
 
@@ -308,7 +308,7 @@ def test_monotone_incumbents_and_feasibility():
 def test_budget_is_respected():
     calls = {"n": 0}
 
-    def slow(x):
+    def slow(x, bound):
         calls["n"] += 1
         time.sleep(0.01)
         r = x - np.ones(3)
@@ -336,7 +336,7 @@ def test_budget_is_respected():
 def test_hanso_returns_the_first_point_below_the_target(target, rejected):
     calls = []
 
-    def recording(x):
+    def recording(x, bound):
         f = 0.99995 * float(x @ x)
         calls.append((x.copy(), f))
         return f, 2.0 * 0.99995 * x
@@ -359,10 +359,10 @@ def test_hanso_shares_one_deadline_over_all_starts():
     delay, budget = 0.02, 0.1
     calls = []
 
-    def slow(x):
+    def slow(x, bound):
         calls.append(x.copy())
         time.sleep(delay)
-        return linf(x)
+        return linf(x, bound)
 
     starts = [np.full(3, float(s)) for s in (1, 2, 3, 4)]
     res = hanso(slow, starts, OptOptions(cpu_budget_seconds=budget))
@@ -392,3 +392,67 @@ def test_sampling_reports_the_iteration_limit():
     res = gradient_sampling(max_plus_quad, np.array([1.0, 1.1]), OptOptions(max_iters=1, rng_seed=42))
     assert res.iterations == 1
     assert res.status == "iteration-limit"
+
+
+def _recording(fn, loose_seed=None):
+    """fn as an oracle that records every (x, bound) it is asked; with a
+    seed, above its bound it returns a value drawn from (bound, f] instead
+    of f, the loosest answer the oracle contract allows."""
+    rng = np.random.default_rng(loose_seed)
+    calls = []
+
+    def oracle(x, bound):
+        calls.append((x.copy(), bound))
+        f, g = fn(x, bound)
+        if loose_seed is not None and f > bound:
+            lo = max(bound, f - 1.0)
+            drawn = f - rng.uniform() * (f - lo)
+            # rounding may land on the bound itself, outside the interval
+            f = drawn if drawn > bound else f
+        return f, g
+
+    return oracle, calls
+
+
+@pytest.mark.parametrize(
+    "fn, run",
+    [
+        (rosenbrock, lambda orc: bfgs_nonsmooth(orc, np.array([-1.2, 1.0]), OptOptions())),
+        (max_plus_quad, lambda orc: bfgs_nonsmooth(orc, np.array([2.0, -1.0]), OptOptions())),
+        (
+            max_plus_quad,
+            lambda orc: bundle_phase(orc, np.array([2.0, -1.0]), OptOptions(rng_seed=3)),
+        ),
+        (
+            max_plus_quad,
+            lambda orc: gradient_sampling(orc, np.array([1.0, 1.1]), OptOptions(rng_seed=4)),
+        ),
+        (max_plus_quad, lambda orc: hanso(orc, [np.array([2.0, -1.0]), np.array([0.5, 3.0])])),
+        (max_plus_quad, lambda orc: hanso(orc, [np.array([2.0, -1.0])], target=-0.2)),
+    ],
+    ids=["bfgs-smooth", "bfgs-kink", "bundle", "sampling", "hanso", "hanso-target"],
+)
+def test_values_above_the_bound_change_no_decision(fn, run):
+    exact, exact_calls = _recording(fn)
+    loose, loose_calls = _recording(fn, loose_seed=8)
+    a, b = run(exact), run(loose)
+    assert len(exact_calls) == len(loose_calls) == a.n_evals == b.n_evals
+    assert all(np.array_equal(x, y) for (x, _), (y, _) in zip(exact_calls, loose_calls))
+    assert np.array_equal(a.x_best, b.x_best)
+    assert a.f_best == b.f_best and a.status == b.status
+    # the exact values below the target come from raising every bound to it
+    target = -0.2 if a.status.endswith("target") else -math.inf
+    assert all(bound >= target for _, bound in exact_calls)
+
+
+def test_hanso_hands_its_point_to_each_refinement_phase():
+    start = np.array([2.0, -1.0])
+    handed = bfgs_nonsmooth(max_plus_quad, start, OptOptions(rng_seed=1)).x_best
+    oracle, calls = _recording(max_plus_quad)
+    res = hanso(oracle, [start], OptOptions(rng_seed=1))
+    assert "bundle:" in res.status
+    # BFGS evaluated its best point once; the refinement phases start there
+    # from hanso's f and gradient instead of calling the oracle again
+    assert sum(np.array_equal(x, handed) for x, _ in calls) == 1
+    assert res.n_evals == len(calls)
+    assert np.array_equal(res.g_best, max_plus_quad(res.x_best, math.inf)[1])

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import fixedhinf.analysis as analysis
 import fixedhinf.synthesis as synthesis_module
 from conftest import INTERIOR_OPTIMUM, random_plant
 from fixedhinf import (
@@ -20,6 +22,7 @@ from fixedhinf import (
     SynthesisOptions,
     SynthesisStatus,
     certify_controller,
+    hinf_gradient,
     hinf_norm,
     lft_closed_loop,
     optimize_performance,
@@ -28,6 +31,7 @@ from fixedhinf import (
     spectral_abscissa,
     stabilize,
     synthesize,
+    unpack_controller,
 )
 
 QUICK = dict(cpumax_seconds=30.0)
@@ -143,7 +147,8 @@ def test_optimize_performance_no_authority_returns_start_norm():
     )
     k0 = Controller.static([[0.7]])
     base = hinf_norm(lft_closed_loop(plant, k0)).gamma
-    k, cert = optimize_performance(plant, k0, SynthesisOptions(order=0, **QUICK))
+    k, absc, cert = optimize_performance(plant, k0, SynthesisOptions(order=0, **QUICK))
+    assert absc.alpha == pytest.approx(-1.0)
     assert cert.gamma == pytest.approx(base, rel=1e-9)
 
 
@@ -153,7 +158,7 @@ def test_optimize_performance_scalar_closed_form():
         [[-1.0]], [[0.0]], [[0.0]], [[0.0]], [[0.0]],
         D11=[[2.0]], D12=[[1.0]], D21=[[1.0]],
     )
-    k, cert = optimize_performance(
+    k, _, cert = optimize_performance(
         plant, Controller.static([[0.0]]), SynthesisOptions(order=0, **QUICK)
     )
     assert k.DK[0, 0] == pytest.approx(-2.0, abs=1e-6)
@@ -224,8 +229,9 @@ def test_synthesize_single_run_consistent_with_stage_calls(interior_plant):
 
 
 @pytest.mark.parametrize("runs", [1, 3])
-def test_synthesize_builds_two_loops_per_run_and_one_at_the_end(interior_plant, monkeypatch, runs):
-    # per run: stage 1's abscissa and stage 2's certificate; then the winner's abscissa
+def test_synthesize_builds_two_loops_per_run(interior_plant, monkeypatch, runs):
+    # per run: stage 1's abscissa and stage 2's certificate, whose abscissa
+    # the winner keeps
     real = synthesis_module.lft_closed_loop
     calls = []
 
@@ -236,7 +242,7 @@ def test_synthesize_builds_two_loops_per_run_and_one_at_the_end(interior_plant, 
     monkeypatch.setattr(synthesis_module, "lft_closed_loop", counting)
     res = synthesize(interior_plant, SynthesisOptions(order=0, runs=runs, rng_seed=0, **QUICK))
     assert all(np.isfinite(r.stage2_norm) for r in res.per_run)
-    assert len(calls) == 2 * runs + 1
+    assert len(calls) == 2 * runs
 
 
 def test_synthesize_is_deterministic_per_seed(interior_plant):
@@ -328,3 +334,103 @@ def test_synthesize_budget_bounds_runtime(interior_plant):
         SynthesisOptions(order=0, runs=2, cpumax_seconds=0.3, rng_seed=0),
     )
     assert time.perf_counter() - t0 <= 5.0
+
+
+def _packed_static(plant, scale, rng):
+    return pack_controller(random_controller(0, plant.p2, plant.m2, scale, rng))
+
+
+def test_stage2_oracle_without_a_bound_matches_hinf_gradient(interior_plant, rng):
+    cases = [(interior_plant, pack_controller(Controller.static([[-2.0]])))]
+    for _ in range(6):
+        plant = random_plant(rng, 5, 2, 2, 2, 2, stable=True)
+        cases.append((plant, _packed_static(plant, 0.1, rng)))
+    for plant, theta in cases:
+        f, g = synthesis_module._stage2_oracle(plant, 0, 1e-7)(theta, math.inf)
+        rep = hinf_gradient(plant, unpack_controller(theta, 0, plant.p2, plant.m2), rel_tol=1e-7)
+        assert f == rep.value
+        assert np.array_equal(g, rep.grad)
+
+
+def test_stage2_oracle_below_the_norm_skips_the_level_set(rng, monkeypatch):
+    solves = []
+    real = analysis._hamiltonian
+    monkeypatch.setattr(analysis, "_hamiltonian", lambda *a: solves.append(1) or real(*a))
+    plant = random_plant(rng, 5, 2, 2, 2, 2, stable=True)
+    theta = _packed_static(plant, 0.1, rng)
+    norm = hinf_norm(lft_closed_loop(plant, unpack_controller(theta, 0, 2, 2))).gamma
+    solves.clear()
+    for bound in (-math.inf, 0.0, 0.5 * norm):
+        f, g = synthesis_module._stage2_oracle(plant, 0, 1e-7)(theta, bound)
+        assert bound < f <= norm
+        assert g.shape == theta.shape and np.all(np.isfinite(g))
+    # sigma_max at the poles already exceeds half the norm on this loop
+    assert solves == []
+
+
+def _record_stage2_calls(monkeypatch) -> list:
+    """(theta, bound, f) of every stage-2 oracle call made from now on."""
+    calls = []
+    real_oracle = synthesis_module._stage2_oracle
+
+    def recording_oracle(*args):
+        oracle = real_oracle(*args)
+
+        def recorded(theta, bound):
+            f, g = oracle(theta, bound)
+            calls.append((theta.copy(), bound, f))
+            return f, g
+
+        return recorded
+
+    monkeypatch.setattr(synthesis_module, "_stage2_oracle", recording_oracle)
+    return calls
+
+
+def test_stage2_solves_a_hamiltonian_at_under_a_third_of_its_evaluations(rng, monkeypatch):
+    plant = random_plant(rng, 5, 2, 2, 2, 2, stable=True)
+    solves = []
+    real = analysis._hamiltonian
+    monkeypatch.setattr(analysis, "_hamiltonian", lambda *a: solves.append(1) or real(*a))
+    calls = _record_stage2_calls(monkeypatch)
+    optimize_performance(
+        plant, Controller.static(np.zeros((2, 2))), SynthesisOptions(order=0, max_iters=40)
+    )
+    # the count includes the final certificate's solves
+    assert 0 < len(solves) < sum(math.isfinite(f) for _, _, f in calls) / 3
+
+
+def _two_resonance_plant():
+    """Two velocity-measured modes, each damped by its own input: the mode at
+    w = 3 peaks highest at the zero controller, the mode at w = 1 once the
+    second input has damped the other one."""
+    A = np.zeros((4, 4))
+    A[0, 1] = A[2, 3] = 1.0
+    A[1] = [-1.0, -0.1, 0.0, 0.0]
+    A[3] = [0.0, 0.0, -9.0, -0.03]
+    B = np.zeros((4, 2))
+    B[1, 0] = B[3, 1] = 1.0
+    C1 = np.zeros((4, 4))
+    C1[0, 1] = C1[1, 3] = 1.0
+    D12 = np.zeros((4, 2))
+    D12[2, 0], D12[3, 1] = 0.5, 0.1
+    zeros = np.zeros((2, 2))
+    return Plant(A, B, B, C1, C1[:2], np.zeros((4, 2)), D12, zeros, zeros)
+
+
+def test_every_accepted_point_carries_its_certified_norm(monkeypatch):
+    plant = _two_resonance_plant()
+    calls = _record_stage2_calls(monkeypatch)
+    optimize_performance(plant, Controller.static(np.zeros((2, 2))), SynthesisOptions(order=0))
+    # every point the optimizer accepts has f <= its bound; points above
+    # their bound may have got a lower bound, which is only compared with it
+    accepted = [(theta, f) for theta, bound, f in calls if f <= bound]
+    assert len(accepted) < len(calls)
+    peaks = set()
+    for theta, f in accepted:
+        k = unpack_controller(theta, 0, 2, 2)
+        ref = hinf_gradient(plant, k, rel_tol=1e-7)
+        assert f == pytest.approx(ref.value, rel=1e-12, abs=0.0)
+        peaks.add(round(hinf_norm(lft_closed_loop(plant, k)).omega_peak))
+    # the two resonances trade places along the path
+    assert peaks == {1, 3}
