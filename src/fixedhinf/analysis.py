@@ -19,12 +19,14 @@ probe, which finds any such peak.  One eigendecomposition of A serves the
 stability test and every frequency evaluation, the gradient's rival-peak
 scan included: the result carries the evaluator on.
 
-The norm runs in two stages on that one evaluator.  The lower-bound stage
-takes the eigendecomposition, the stability test and the polished best
-candidate frequency; the level-set stage takes the Hamiltonian probes and
-the confirmation scan.  `hinf_norm` runs both.  The optimizer's stage-2
-oracle stops after the first when its bound already exceeds the threshold
-the optimizer tests, where the certified norm could not change the outcome.
+One routine, `_hinf`, runs the norm in two stages on that one evaluator.
+The lower-bound stage takes the eigendecomposition, the stability test and
+the polished best candidate frequency; the level-set stage takes the
+Hamiltonian probes and the confirmation scan.  Given a bound, `_hinf`
+returns after the first stage when its value already exceeds the bound:
+the optimizer's stage-2 oracle passes the threshold the optimizer tests,
+where the certified norm could not change the outcome.  `hinf_norm`
+passes no bound, so both stages run.
 
 Once the probe finds no crossing, one grid scan guards against eigenvalues
 misclassified as off the axis.  It takes an SVD only at grid points that
@@ -87,7 +89,7 @@ class NormResult:
     certifying the requested tolerance; `gamma` is then the best verified
     lower bound rather than a bracketed value.  `_ev` is the frequency
     evaluator of the system (None when it has no states), for later scans
-    of the same system.
+    of the same system and the abscissa of its eigenvalues.
     """
 
     gamma: float
@@ -113,6 +115,12 @@ def spectral_abscissa(A: np.ndarray) -> AbscissaResult:
         w = np.linalg.eigvals(A)
     except np.linalg.LinAlgError as exc:
         raise EigenFailure("eigenvalue iteration failed on A") from exc
+    return _abscissa(w)
+
+
+def _abscissa(w: np.ndarray) -> AbscissaResult:
+    """The abscissa of a nonempty spectrum w: its largest real part, with the
+    eigenvalues within DEFAULT_TIE_TOL * (1 + |alpha|) of it active."""
     alpha = float(w.real.max())
     tol = DEFAULT_TIE_TOL * (1.0 + abs(alpha))
     active = tuple(int(i) for i in np.flatnonzero(w.real >= alpha - tol))
@@ -391,43 +399,21 @@ def _check_rel_tol(rel_tol: float) -> None:
         raise ValueError(f"rel_tol must be in (0, 1e-2], got {rel_tol}")
 
 
-@dataclass(frozen=True, eq=False)
-class _LowerBound:
-    """Outcome of the lower-bound stage of the norm.
+def _hinf(
+    sys: StateSpace, rel_tol: float, *, bound: float = math.inf, hints: tuple[float, ...] = ()
+) -> tuple[NormResult, bool]:
+    """H-infinity norm of sys, certified only where it may be at most `bound`.
 
-    sigma_max(D) is the value at infinity and `finite` the value at the best
-    candidate frequency `omega` (polished when it reaches sigma_max(D)); their
-    max `gamma` is a lower bound on the norm.  `done` holds the norm itself
-    when the level-set stage has nothing to add: a system without states, or
-    a zero response.
+    The lower-bound stage eigendecomposes A (raising UnstableSystem or
+    EigenFailure) and polishes the best of sigma_max at the pole-frequency
+    candidates and the hint frequencies.  A lower bound above `bound` is
+    returned with converged=False and 0 iterations; otherwise the level-set
+    stage certifies the norm on the same evaluator.  The flag returned with
+    the NormResult says whether the lower bound was at most `bound`.
     """
-
-    ev: _FreqEvaluator | None
-    sigma_d: float
-    omega: float
-    finite: float
-    done: NormResult | None = None
-
-    @property
-    def gamma(self) -> float:
-        return max(self.sigma_d, self.finite)
-
-    def result(self) -> NormResult:
-        """The bound as a NormResult, not converged unless it is the norm."""
-        if self.done is not None:
-            return self.done
-        at_infinity = self.sigma_d > self.finite
-        omega = 0.0 if at_infinity else self.omega
-        return NormResult(self.gamma, omega, at_infinity, False, 0, self.ev)
-
-
-def _norm_lower_bound(sys: StateSpace, hints: tuple[float, ...] = ()) -> _LowerBound:
-    """Lower-bound stage: one eigendecomposition of A (raising UnstableSystem
-    or EigenFailure), sigma_max at the pole-frequency candidates plus the
-    hint frequencies, and a polish of the best of them."""
     sigma_d = float(np.linalg.svd(sys.D, compute_uv=False)[0])
     if sys.n == 0:
-        return _LowerBound(None, sigma_d, 0.0, -math.inf, NormResult(sigma_d, 0.0, True, True, 0))
+        return NormResult(sigma_d, 0.0, True, True, 0), sigma_d <= bound
     ev = _FreqEvaluator(sys)
 
     cands = np.union1d(ev.cands, hints) if len(hints) else ev.cands
@@ -437,35 +423,26 @@ def _norm_lower_bound(sys: StateSpace, hints: tuple[float, ...] = ()) -> _LowerB
         cands = _scan_grid(ev, 0.0, 256)
         vals = ev.sigma_max_many(cands)
         if float(vals.max()) == 0.0:
-            return _LowerBound(ev, 0.0, 0.0, 0.0, NormResult(0.0, 0.0, False, True, 0, ev))
+            return NormResult(0.0, 0.0, False, True, 0, ev), 0.0 <= bound
     i = int(np.argmax(vals))
     best_omega, best_finite = float(cands[i]), float(vals[i])
     if best_finite >= sigma_d:
         # otherwise the probe at sigma_max(D) finds any finite peak above it
         best_omega, best_finite = _polish(ev, cands, vals, i)
-    return _LowerBound(ev, sigma_d, best_omega, best_finite)
-
-
-def _norm_level_set(sys: StateSpace, low: _LowerBound, rel_tol: float) -> NormResult:
-    """Level-set stage: Hamiltonian probes and the confirmation scan, from the
-    lower bound and on the evaluator of the lower-bound stage."""
-    if low.done is not None:
-        return low.done
-    ev, sigma_d = low.ev, low.sigma_d
-    best_omega, best_finite = low.omega, low.finite
-    lower = low.gamma
+    lower = max(sigma_d, best_finite)
+    certified = lower <= bound
     iterations = 0
     converged = False
     scanned = False
-    while iterations < _LEVEL_ITERS:
+    while certified and iterations < _LEVEL_ITERS:
         iterations += 1
         probe = lower * (1.0 + rel_tol)
         try:
             ew = np.linalg.eigvals(_hamiltonian(sys, probe))
         except np.linalg.LinAlgError:
-            return _grid_fallback(ev, sigma_d, iterations)
+            return _grid_fallback(ev, sigma_d, iterations), True
         if not np.all(np.isfinite(ew)):
-            return _grid_fallback(ev, sigma_d, iterations)
+            return _grid_fallback(ev, sigma_d, iterations), True
         scale = max(1.0, float(np.abs(ew).max()))
         on_axis = ew[np.abs(ew.real) <= _HAM_IMAG_TOL * scale]
         omegas = np.unique(np.abs(on_axis.imag))
@@ -498,7 +475,8 @@ def _norm_level_set(sys: StateSpace, low: _LowerBound, rel_tol: float) -> NormRe
 
     at_infinity = sigma_d > best_finite
     omega_peak = 0.0 if at_infinity else best_omega
-    return NormResult(max(sigma_d, best_finite), omega_peak, at_infinity, converged, iterations, ev)
+    result = NormResult(max(sigma_d, best_finite), omega_peak, at_infinity, converged, iterations, ev)
+    return result, certified
 
 
 def hinf_norm(sys: StateSpace, *, rel_tol: float = 1e-7) -> NormResult:
@@ -511,4 +489,4 @@ def hinf_norm(sys: StateSpace, *, rel_tol: float = 1e-7) -> NormResult:
     local peak of sigma_max, where its frequency derivative vanishes.
     """
     _check_rel_tol(rel_tol)
-    return _norm_level_set(sys, _norm_lower_bound(sys), rel_tol)
+    return _hinf(sys, rel_tol)[0]

@@ -3,7 +3,7 @@
 Subcommands: norm, abscissa, synth, bench.  Numeric output is printed with
 17 significant digits so values round-trip double precision.  Exit codes:
 0 success, 1 synthesis/analysis failure (e.g. no stabilizing controller,
-unstable system), 2 input errors.
+unstable system), 2 input errors, bad option values included.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .analysis import hinf_norm, spectral_abscissa
 from .bench import BUILTIN_CASES, BenchOptions, case_names, run_suite
-from .errors import FixedHinfError, NoStabilizingController, UnstableSystem
+from .errors import FixedHinfError, UnstableSystem
 from .fileio import load_controller, load_plant, load_system, save_controller
 from .statespace import Controller, Plant, StateSpace, lft_closed_loop
 from .synthesis import SynthesisOptions, SynthesisStatus, synthesize
@@ -154,17 +154,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth = sub.add_parser("synth", help="synthesize a fixed-order controller")
     p_synth.add_argument("--plant", required=True)
     p_synth.add_argument("--order", required=True, type=int)
-    p_synth.add_argument("--runs", type=int, default=10)
-    p_synth.add_argument("--cpumax", type=float, default=300.0)
-    p_synth.add_argument("--seed", type=int, default=0)
+    p_synth.add_argument("--runs", type=int, default=SynthesisOptions.runs)
+    p_synth.add_argument("--cpumax", type=float, default=SynthesisOptions.cpumax_seconds)
+    p_synth.add_argument("--seed", type=int, default=SynthesisOptions.rng_seed)
     p_synth.add_argument("--warm-start", dest="warm_start")
     p_synth.add_argument("--out", help="write the best controller to this JSON file")
-    p_synth.add_argument("--scale", type=float, default=1.0,
+    p_synth.add_argument("--scale", type=float, default=SynthesisOptions.init_scale,
                          help="random start scale")
-    p_synth.add_argument("--margin", type=float, default=0.0,
+    p_synth.add_argument("--margin", type=float, default=SynthesisOptions.stabilization_margin,
                          help="stabilization margin for stage 1")
     p_synth.add_argument("--norm-rel-tol", dest="norm_rel_tol", type=float,
-                         default=1e-7)
+                         default=SynthesisOptions.norm_rel_tol)
     p_synth.set_defaults(func=_cmd_synth)
 
     p_bench = sub.add_parser("bench", help="run benchmark cases against references")
@@ -175,13 +175,13 @@ def build_parser() -> argparse.ArgumentParser:
                                          f"(known: {', '.join(sorted(BUILTIN_CASES))})")
     p_bench.add_argument("--tier", choices=["quick", "large", "all"], default="quick")
     p_bench.add_argument("--report", help="write the JSON report to this file")
-    p_bench.add_argument("--runs", type=int, default=10)
-    p_bench.add_argument("--cpumax", type=float, default=300.0)
-    p_bench.add_argument("--seed", type=int, default=0)
+    p_bench.add_argument("--runs", type=int, default=BenchOptions.runs)
+    p_bench.add_argument("--cpumax", type=float, default=BenchOptions.cpumax_seconds)
+    p_bench.add_argument("--seed", type=int, default=BenchOptions.seed)
     p_bench.add_argument("--tolerance", type=float, default=None,
                          help="override the pass tolerance (default 0.05)")
     p_bench.add_argument("--norm-rel-tol", dest="norm_rel_tol", type=float,
-                         default=1e-7)
+                         default=BenchOptions.norm_rel_tol)
     p_bench.set_defaults(func=_cmd_bench)
     return parser
 
@@ -195,13 +195,8 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.func(args)
-    except NoStabilizingController as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FixedHinfError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (FixedHinfError, OSError, ValueError) as exc:
+        # a ValueError is an option check rejecting an out-of-range value
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

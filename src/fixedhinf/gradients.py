@@ -16,16 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as la
 
-from .analysis import (
-    DEFAULT_TIE_TOL,
-    NormResult,
-    _norm_level_set,
-    _norm_lower_bound,
-    _secondary_peak_gap,
-    hinf_norm,
-)
+from .analysis import NormResult, _abscissa, _hinf, _secondary_peak_gap, hinf_norm
 from .errors import EigenFailure
-from .statespace import Controller, Plant, _interconnect
+from .statespace import Controller, Plant, _interconnect, _pack_gain
 
 __all__ = [
     "Smoothness",
@@ -66,18 +59,9 @@ def _chain_to_controller(
 
     L and R are the factors from _interconnect, or matching row slices of L
     and column slices of R when left and right vanish outside them.  The
-    gradient over K = [[DK, CK], [BK, AK]] is Re((L^T left)(R right)^T),
-    packed column-major in (AK, BK, CK, DK) order."""
-    G = np.real(np.outer(L.T @ left, R @ right))
-    nu, ny = k.nu, k.ny
-    return np.concatenate(
-        [
-            G[nu:, ny:].ravel(order="F"),
-            G[nu:, :ny].ravel(order="F"),
-            G[:nu, ny:].ravel(order="F"),
-            G[:nu, :ny].ravel(order="F"),
-        ]
-    )
+    gradient over the controller's gain is Re((L^T left)(R right)^T),
+    packed as pack_controller packs the gain."""
+    return _pack_gain(np.real(np.outer(L.T @ left, R @ right)), k.nu, k.ny)
 
 
 def abscissa_gradient(plant: Plant, k: Controller) -> GradientReport:
@@ -93,9 +77,8 @@ def abscissa_gradient(plant: Plant, k: Controller) -> GradientReport:
         w, vl, vr = la.eig(cl.A, left=True, right=True)
     except la.LinAlgError as exc:
         raise EigenFailure("eigenvalue iteration failed on the closed loop") from exc
-    alpha = float(w.real.max())
-    window = DEFAULT_TIE_TOL * (1.0 + abs(alpha))
-    i_star = int(np.flatnonzero(w.real >= alpha - window)[0])
+    absc = _abscissa(w)
+    alpha, i_star = absc.alpha, absc.active_indices[0]
     lam = w[i_star]
     x = vr[:, i_star]
     y = vl[:, i_star]
@@ -190,15 +173,13 @@ def _hinf_bounded(
 ) -> tuple[NormResult, np.ndarray, bool]:
     """Closed-loop H-infinity norm at k under the optimizer's oracle contract.
 
-    Runs the norm's lower-bound stage with the hint frequencies added to its
-    candidates.  When that bound exceeds `bound` it is returned uncertified,
-    in (bound, norm]; otherwise the level-set stage certifies the norm on the
-    same eigendecomposition, exactly as hinf_gradient computes it when there
-    are no hints.  Returns the NormResult, the gradient of the branch that
-    attains its value, and whether the value is certified.
+    The norm's lower bound, with the hint frequencies added to its
+    candidates, is returned uncertified when it exceeds `bound`, in
+    (bound, norm]; otherwise the norm is certified exactly as hinf_gradient
+    computes it when there are no hints.  Returns the NormResult, the
+    gradient of the branch that attains its value, and whether the value is
+    certified.
     """
     cl, L, R = _interconnect(plant, k)
-    low = _norm_lower_bound(cl, hints)
-    certified = low.gamma <= bound
-    norm = _norm_level_set(cl, low, rel_tol) if certified else low.result()
+    norm, certified = _hinf(cl, rel_tol, bound=bound, hints=hints)
     return norm, _peak_gradient(k, cl, L, R, norm)[0], certified

@@ -262,16 +262,26 @@ def param_count(order: int, ny: int, nu: int) -> int:
     return order * order + order * ny + nu * order + nu * ny
 
 
-def pack_controller(k: Controller) -> np.ndarray:
-    """Flatten (AK, BK, CK, DK) into one vector, each block column-major."""
+def _gain(k: Controller) -> np.ndarray:
+    """The static gain K = [[DK, CK], [BK, AK]] from [y; xK] to [u; xK']."""
+    return np.concatenate([np.concatenate([k.DK, k.CK], 1), np.concatenate([k.BK, k.AK], 1)])
+
+
+def _pack_gain(G: np.ndarray, nu: int, ny: int) -> np.ndarray:
+    """The (AK, BK, CK, DK) blocks of a gain-shaped G, each column-major."""
     return np.concatenate(
         [
-            k.AK.ravel(order="F"),
-            k.BK.ravel(order="F"),
-            k.CK.ravel(order="F"),
-            k.DK.ravel(order="F"),
+            G[nu:, ny:].ravel(order="F"),
+            G[nu:, :ny].ravel(order="F"),
+            G[:nu, ny:].ravel(order="F"),
+            G[:nu, :ny].ravel(order="F"),
         ]
     )
+
+
+def pack_controller(k: Controller) -> np.ndarray:
+    """Flatten (AK, BK, CK, DK) into one vector, each block column-major."""
+    return _pack_gain(_gain(k), k.nu, k.ny)
 
 
 def unpack_controller(theta: np.ndarray, order: int, ny: int, nu: int) -> Controller:
@@ -327,7 +337,7 @@ def _interconnect(plant: Plant, k: Controller) -> tuple[StateSpace, np.ndarray, 
     Q[:p2, N:] = plant.D21
     D22 = np.zeros((p2 + nK, m2 + nK))
     D22[:p2, :m2] = plant.D22
-    K = np.concatenate([np.concatenate([k.DK, k.CK], 1), np.concatenate([k.BK, k.AK], 1)])
+    K = _gain(k)
     try:
         delta = np.linalg.inv(np.eye(p2 + nK) - D22 @ K)
     except np.linalg.LinAlgError as exc:

@@ -19,7 +19,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analysis import AbscissaResult, NormResult, _check_rel_tol, hinf_norm, spectral_abscissa
+from .analysis import (
+    AbscissaResult,
+    NormResult,
+    _abscissa,
+    _check_rel_tol,
+    hinf_norm,
+    spectral_abscissa,
+)
 from .errors import (
     DimensionMismatch,
     EigenFailure,
@@ -91,6 +98,7 @@ class SynthesisOptions:
             raise ValueError("stabilization_margin must be >= 0")
         if self.stage1_starts < 1:
             raise ValueError("stage1_starts must be >= 1")
+        _check_rel_tol(self.norm_rel_tol)
 
 
 class SynthesisStatus(enum.Enum):
@@ -166,7 +174,6 @@ def _stage2_oracle(plant: Plant, order: int, rel_tol: float):
     The peak frequency of the last certified evaluation joins the next
     lower bound's candidates, so that the bound usually finds the peak the
     optimizer is following."""
-    _check_rel_tol(rel_tol)
     hints = ()
 
     def evaluate(k: Controller, bound: float):
@@ -279,12 +286,13 @@ def optimize_performance(
 
 def certify_controller(plant: Plant, k: Controller) -> tuple[AbscissaResult, NormResult]:
     """Closed-loop stability and norm recomputed from a fresh interconnection
-    at the tight certification tolerance."""
-    cl = lft_closed_loop(plant, k)
-    absc = spectral_abscissa(cl.A)
-    if absc.alpha >= 0.0:
-        raise NotStabilizing(f"closed-loop abscissa is {absc.alpha:.6g}")
-    return absc, hinf_norm(cl, rel_tol=CERT_REL_TOL)
+    at the tight certification tolerance; one eigendecomposition of the
+    loop gives both.  Raises NotStabilizing for an unstable loop."""
+    try:
+        norm = hinf_norm(lft_closed_loop(plant, k), rel_tol=CERT_REL_TOL)
+    except UnstableSystem as exc:
+        raise NotStabilizing(f"closed loop: {exc}") from exc
+    return _abscissa(norm._ev.lam), norm
 
 
 def synthesize(plant: Plant, opts: SynthesisOptions | None = None) -> SynthesisResult:

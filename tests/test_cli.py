@@ -98,6 +98,20 @@ def test_usage_error_exits_two(capsys):
     assert main(["unknown-command"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["synth", "--plant", "{plant}", "--order", "0", "--runs", "0"],
+        ["synth", "--plant", "{plant}", "--order", "0", "--norm-rel-tol", "0.5"],
+        ["norm", "{plant}", "--rel-tol", "0.5"],
+    ],
+)
+def test_out_of_range_option_exits_two(toy_plant_file, capsys, argv):
+    assert main([a.format(plant=toy_plant_file) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_synth_reports_norm_and_runs(toy_plant_file, capsys):
     rc = main(
         ["synth", "--plant", str(toy_plant_file), "--order", "0",

@@ -140,6 +140,13 @@ def test_stabilize_succeeds_on_synthetic_plants_across_seeds(rng):
     assert ok >= 9
 
 
+@pytest.mark.parametrize("rel_tol", [0.0, 0.5])
+def test_synthesis_options_reject_an_out_of_range_norm_tolerance(rel_tol):
+    # checked at construction, not after stage 1 has run
+    with pytest.raises(ValueError, match="rel_tol"):
+        SynthesisOptions(norm_rel_tol=rel_tol)
+
+
 def test_optimize_performance_no_authority_returns_start_norm():
     # B2 = 0 and C2 only measured: controller cannot move the closed loop
     plant = Plant.from_blocks(
@@ -176,6 +183,30 @@ def test_optimize_performance_rejects_an_ill_posed_start():
     plant = Plant.from_blocks([[-1.0]], [[1.0]], [[1.0]], [[1.0]], [[1.0]], D22=[[1.0]])
     with pytest.raises(NotStabilizing):
         optimize_performance(plant, Controller.static([[1.0]]), SynthesisOptions(**QUICK))
+
+
+def test_certify_controller_rejects_a_destabilizing_controller():
+    with pytest.raises(NotStabilizing):
+        certify_controller(_scalar_unstable_plant(), Controller.static([[0.0]]))
+
+
+def test_certify_controller_takes_the_abscissa_from_the_norms_eigenvalues(
+    interior_plant, rng, monkeypatch
+):
+    cases = [(interior_plant, Controller.static([[-2.0]]))]
+    for _ in range(6):
+        plant = random_plant(rng, 5, 2, 2, 2, 2, stable=True)
+        cases.append((plant, random_controller(0, 2, 2, 0.1, rng)))
+    want = [spectral_abscissa(lft_closed_loop(plant, k).A).alpha for plant, k in cases]
+
+    def no_second_eigensolve(A):
+        raise AssertionError("certify_controller eigendecomposed the loop again")
+
+    monkeypatch.setattr(synthesis_module, "spectral_abscissa", no_second_eigensolve)
+    for (plant, k), alpha in zip(cases, want):
+        absc, cert = certify_controller(plant, k)
+        assert abs(absc.alpha - alpha) <= 1e-12 * abs(alpha)
+        assert absc.is_stable and cert.converged
 
 
 def test_synthesize_static_reaches_known_interior_optimum(interior_plant):
