@@ -188,6 +188,12 @@ class BenchOptions:
     norm_rel_tol: float = 1e-7
     tolerance: float | None = None  # overrides DEFAULT_TOLERANCE
 
+    def __post_init__(self):
+        # the synthesis fields, checked by SynthesisOptions before any case runs
+        SynthesisOptions(
+            runs=self.runs, cpumax_seconds=self.cpumax_seconds, norm_rel_tol=self.norm_rel_tol
+        )
+
 
 @dataclass(frozen=True)
 class OrderEntry:

@@ -18,7 +18,7 @@ import scipy.linalg as la
 
 from .analysis import NormResult, _abscissa, _hinf, _secondary_peak_gap, hinf_norm
 from .errors import EigenFailure
-from .statespace import Controller, Plant, _interconnect, _pack_gain
+from .statespace import Controller, Plant, _interconnect, _Interconnection, _pack_gain
 
 __all__ = [
     "Smoothness",
@@ -52,16 +52,17 @@ class GradientReport:
 
 
 def _chain_to_controller(
-    k: Controller, L: np.ndarray, R: np.ndarray, left: np.ndarray, right: np.ndarray
+    ports: tuple[int, int], L: np.ndarray, R: np.ndarray, left: np.ndarray, right: np.ndarray
 ) -> np.ndarray:
     """Gradient over the packed controller of a function whose gradient over
     the closed loop's [[A, B], [C, D]] is the rank-one left right^T.
 
-    L and R are the factors from _interconnect, or matching row slices of L
-    and column slices of R when left and right vanish outside them.  The
-    gradient over the controller's gain is Re((L^T left)(R right)^T),
-    packed as pack_controller packs the gain."""
-    return _pack_gain(np.real(np.outer(L.T @ left, R @ right)), k.nu, k.ny)
+    ports is the controller's (nu, ny).  L and R are the factors from
+    _interconnect, or matching row slices of L and column slices of R when
+    left and right vanish outside them.  The gradient over the controller's
+    gain is Re((L^T left)(R right)^T), packed as pack_controller packs the
+    gain."""
+    return _pack_gain(np.real(np.outer(L.T @ left, R @ right)), *ports)
 
 
 def abscissa_gradient(plant: Plant, k: Controller) -> GradientReport:
@@ -86,7 +87,7 @@ def abscissa_gradient(plant: Plant, k: Controller) -> GradientReport:
     defective = abs(s) < 1e-8 * la.norm(x) * la.norm(y)
     if s == 0:
         s = 1e-300
-    grad = _chain_to_controller(k, L[: cl.n], R[:, : cl.n], np.conj(y) / s, x)
+    grad = _chain_to_controller((k.nu, k.ny), L[: cl.n], R[:, : cl.n], np.conj(y) / s, x)
     if not np.all(np.isfinite(grad)):
         grad = np.zeros_like(grad)
         defective = True
@@ -108,10 +109,10 @@ def abscissa_gradient(plant: Plant, k: Controller) -> GradientReport:
 
 
 def _peak_gradient(
-    k: Controller, cl, L: np.ndarray, R: np.ndarray, norm: NormResult
+    ports: tuple[int, int], cl, L: np.ndarray, R: np.ndarray, norm: NormResult
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient over k of sigma_max at the norm's peak, and the singular
-    values there.
+    """Gradient over the packed controller, of ports (nu, ny), of sigma_max
+    at the norm's peak, and the singular values there.
 
     At infinity only the D feedthrough path contributes.  A finite peak is
     polished until d sigma/d omega vanishes, so the envelope theorem gives
@@ -119,7 +120,7 @@ def _peak_gradient(
     """
     if norm.attained_at_infinity:
         U, svals, Vh = np.linalg.svd(cl.D)
-        return _chain_to_controller(k, L[cl.n :], R[:, cl.n :], U[:, 0], Vh[0]), svals
+        return _chain_to_controller(ports, L[cl.n :], R[:, cl.n :], U[:, 0], Vh[0]), svals
     M = 1j * norm.omega_peak * np.eye(cl.n) - cl.A
     X = np.linalg.solve(M, cl.B)
     T = cl.C @ X + cl.D
@@ -128,7 +129,9 @@ def _peak_gradient(
     v = np.conj(Vh[0])
     b = X @ v
     r = np.linalg.solve(M.T, cl.C.T @ np.conj(u))
-    grad = _chain_to_controller(k, L, R, np.concatenate([r, np.conj(u)]), np.concatenate([b, v]))
+    grad = _chain_to_controller(
+        ports, L, R, np.concatenate([r, np.conj(u)]), np.concatenate([b, v])
+    )
     return grad, svals
 
 
@@ -151,7 +154,7 @@ def hinf_gradient(
     cl, L, R = _interconnect(plant, k)
     result = hinf_norm(cl, rel_tol=rel_tol)
     gamma = result.gamma
-    grad, svals = _peak_gradient(k, cl, L, R, result)
+    grad, svals = _peak_gradient((k.nu, k.ny), cl, L, R, result)
     # at infinity a distinct finite peak near the norm is the competing
     # branch, which the rival scan below looks for
     gaps = []
@@ -169,9 +172,15 @@ def hinf_gradient(
 
 
 def _hinf_bounded(
-    plant: Plant, k: Controller, *, rel_tol: float, bound: float, hints: tuple[float, ...] = ()
+    loop: _Interconnection,
+    theta: np.ndarray,
+    *,
+    rel_tol: float,
+    bound: float,
+    hints: tuple[float, ...] = (),
 ) -> tuple[NormResult, np.ndarray, bool]:
-    """Closed-loop H-infinity norm at k under the optimizer's oracle contract.
+    """Closed-loop H-infinity norm at the packed controller theta under the
+    optimizer's oracle contract.
 
     The norm's lower bound, with the hint frequencies added to its
     candidates, is returned uncertified when it exceeds `bound`, in
@@ -180,6 +189,7 @@ def _hinf_bounded(
     gradient of the branch that attains its value, and whether the value is
     certified.
     """
-    cl, L, R = _interconnect(plant, k)
+    cl, L, R = loop.close(loop.gain(theta))
     norm, certified = _hinf(cl, rel_tol, bound=bound, hints=hints)
-    return norm, _peak_gradient(k, cl, L, R, norm)[0], certified
+    ports = (loop.plant.m2, loop.plant.p2)
+    return norm, _peak_gradient(ports, cl, L, R, norm)[0], certified

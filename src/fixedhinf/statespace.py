@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as la
@@ -93,6 +94,14 @@ class StateSpace:
         object.__setattr__(self, "B", _as_matrix(self.B, n, m, "B"))
         object.__setattr__(self, "C", _as_matrix(self.C, p, n, "C"))
         object.__setattr__(self, "D", _as_matrix(D, p, m, "D"))
+
+    @classmethod
+    def _unchecked(cls, A, B, C, D) -> "StateSpace":
+        """A StateSpace of blocks the package built itself, used as they are."""
+        sys = object.__new__(cls)
+        for name, block in zip("ABCD", (A, B, C, D)):
+            object.__setattr__(sys, name, block)
+        return sys
 
     @property
     def n(self) -> int:
@@ -316,54 +325,85 @@ def lft_closed_loop(plant: Plant, k: Controller) -> StateSpace:
 
 
 def _interconnect(plant: Plant, k: Controller) -> tuple[StateSpace, np.ndarray, np.ndarray]:
-    """lft_closed_loop, with the factors L and R of its derivative: a change
-    dK of the gain moves the loop's [[A, B], [C, D]] by L dK R.  With the
-    augmented plant's S0 = [[A, B1], [C1, D11]], P = [[B2], [D12]],
-    Q = [C2, D21] and D22, the loop is S0 + P K R, R = (I - D22 K)^-1 Q and
-    L = P (I - K D22)^-1."""
+    """lft_closed_loop, with the factors L and R of its derivative (see
+    `_Interconnection`); the loop is a validated StateSpace."""
     if k.ny != plant.p2 or k.nu != plant.m2:
         raise DimensionMismatch(
             f"controller is {k.nu}x{k.ny} but plant ports need {plant.m2}x{plant.p2}"
         )
-    n, nK, m2, p2 = plant.n, k.order, plant.m2, plant.p2
-    N = n + nK
-    P = np.zeros((N + plant.p1, m2 + nK))
-    P[:n, :m2] = plant.B2
-    P[n:N, m2:] = np.eye(nK)
-    P[N:, :m2] = plant.D12
-    Q = np.zeros((p2 + nK, N + plant.m1))
-    Q[:p2, :n] = plant.C2
-    Q[p2:, n:N] = np.eye(nK)
-    Q[:p2, N:] = plant.D21
-    D22 = np.zeros((p2 + nK, m2 + nK))
-    D22[:p2, :m2] = plant.D22
-    K = _gain(k)
-    try:
-        delta = np.linalg.inv(np.eye(p2 + nK) - D22 @ K)
-    except np.linalg.LinAlgError as exc:
-        raise IllPosed("I - D22*DK is singular") from exc
-    # delta = [[(I - D22*DK)^-1, *], [0, I]]: its leading block sets the conditioning
-    if (
-        not np.all(np.isfinite(delta))
-        or np.linalg.svd(delta[:p2, :p2], compute_uv=False)[0] > _WELLPOSEDNESS_CAP
-    ):
-        raise IllPosed(
-            f"interconnection badly conditioned: ||(I - D22*DK)^-1|| exceeds "
-            f"{_WELLPOSEDNESS_CAP:g}"
-        )
-    R = delta @ Q
-    # (I - K D22)^-1 = I + K delta D22 by the push-through identity
-    L = P + P @ (K @ delta @ D22)
-    # S0 + P K R block by block, with no loop-sized temporary; S0 is zero off the plant
-    PK = P @ K
-    A = PK[:N] @ R[:, :N]
-    A[:n, :n] += plant.A
-    B = PK[:N] @ R[:, N:]
-    B[:n] += plant.B1
-    C = PK[N:] @ R[:, :N]
-    C[:, :n] += plant.C1
-    D = PK[N:] @ R[:, N:] + plant.D11
-    return StateSpace(A, B, C, D), L, R
+    cl, L, R = _Interconnection(plant, k.order).close(_gain(k))
+    return StateSpace(cl.A, cl.B, cl.C, cl.D), L, R
+
+
+class _Interconnection:
+    """The closed loop of one plant as a function of the gain of a controller
+    of one order, with the plant-side padding built once.
+
+    A change dK of the gain moves the loop's [[A, B], [C, D]] by L dK R.
+    With the augmented plant's S0 = [[A, B1], [C1, D11]], P = [[B2], [D12]],
+    Q = [C2, D21] and D22, the loop is S0 + P K R, R = (I - D22 K)^-1 Q and
+    L = P (I - K D22)^-1.  Nothing here validates K: `gain` takes a packed
+    vector of the right length, and `close` returns a StateSpace whose
+    blocks are not checked or copied.
+    """
+
+    def __init__(self, plant: Plant, order: int):
+        n, nK, m2, p2 = plant.n, order, plant.m2, plant.p2
+        N = n + nK
+        self.plant, self.N = plant, N
+        self.P = np.zeros((N + plant.p1, m2 + nK))
+        self.P[:n, :m2] = plant.B2
+        self.P[n:N, m2:] = np.eye(nK)
+        self.P[N:, :m2] = plant.D12
+        self.Q = np.zeros((p2 + nK, N + plant.m1))
+        self.Q[:p2, :n] = plant.C2
+        self.Q[p2:, n:N] = np.eye(nK)
+        self.Q[:p2, N:] = plant.D21
+        self.D22 = np.zeros((p2 + nK, m2 + nK))
+        self.D22[:p2, :m2] = plant.D22
+        self.eye = np.eye(p2 + nK)
+
+    @cached_property
+    def _unpack(self) -> np.ndarray:
+        """Entry i of the gain, in C order, is entry _unpack[i] of the packed vector."""
+        cells = np.arange(self.D22.size).reshape(self.D22.T.shape)
+        return np.argsort(_pack_gain(cells, self.plant.m2, self.plant.p2))
+
+    def gain(self, theta: np.ndarray) -> np.ndarray:
+        """K = [[DK, CK], [BK, AK]] from a packed controller vector."""
+        return theta[self._unpack].reshape(self.D22.T.shape)
+
+    def close(self, K: np.ndarray) -> tuple[StateSpace, np.ndarray, np.ndarray]:
+        """The loop closed by K and its factors L and R; IllPosed when
+        I - D22*DK is singular or its inverse has 2-norm above 1e12."""
+        plant, N, P, D22 = self.plant, self.N, self.P, self.D22
+        n, p2 = plant.n, plant.p2
+        try:
+            delta = np.linalg.inv(self.eye - D22 @ K)
+        except np.linalg.LinAlgError as exc:
+            raise IllPosed("I - D22*DK is singular") from exc
+        # delta = [[(I - D22*DK)^-1, *], [0, I]]: its leading block sets the conditioning
+        if (
+            not np.all(np.isfinite(delta))
+            or np.linalg.svd(delta[:p2, :p2], compute_uv=False)[0] > _WELLPOSEDNESS_CAP
+        ):
+            raise IllPosed(
+                f"interconnection badly conditioned: ||(I - D22*DK)^-1|| exceeds "
+                f"{_WELLPOSEDNESS_CAP:g}"
+            )
+        R = delta @ self.Q
+        # (I - K D22)^-1 = I + K delta D22 by the push-through identity
+        L = P + P @ (K @ delta @ D22)
+        # S0 + P K R block by block, with no loop-sized temporary; S0 is zero off the plant
+        PK = P @ K
+        A = PK[:N] @ R[:, :N]
+        A[:n, :n] += plant.A
+        B = PK[:N] @ R[:, N:]
+        B[:n] += plant.B1
+        C = PK[N:] @ R[:, :N]
+        C[:, :n] += plant.C1
+        D = PK[N:] @ R[:, N:] + plant.D11
+        return StateSpace._unchecked(A, B, C, D), L, R
 
 
 def transfer_eval(sys: StateSpace, s: complex) -> np.ndarray:

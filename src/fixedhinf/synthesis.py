@@ -13,9 +13,12 @@ from __future__ import annotations
 
 import enum
 import math
+import os
+import sys
 import time
 import warnings
 from dataclasses import dataclass, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -40,6 +43,7 @@ from .optimize import OptOptions, _phase_rng, hanso
 from .statespace import (
     Controller,
     Plant,
+    _Interconnection,
     lft_closed_loop,
     pack_controller,
     param_count,
@@ -66,9 +70,11 @@ CERT_REL_TOL = 1e-9
 class SynthesisOptions:
     """Synthesis protocol knobs.
 
-    runs independent randomized runs are performed, each with a wall-clock
-    deadline (not CPU time) of cpumax_seconds covering both stages; within
-    a stage, every start and phase shares the one deadline.
+    runs independent randomized runs are performed, each with its own
+    wall-clock deadline (not CPU time) of cpumax_seconds covering both
+    stages; within a stage, every start and phase shares the one deadline.
+    The budget is per run: runs that go side by side on several CPUs each
+    still get all of it.
     warm_start, when given, is added to the stage-1 start list of every run.
     stabilization_margin > 0 asks stage 1 for abscissa < -margin instead of
     merely < 0.
@@ -142,16 +148,16 @@ def random_controller(
     return unpack_controller(theta, order, ny, nu)
 
 
-def _oracle(plant: Plant, order: int, evaluate):
+def _oracle(evaluate):
     """The optimizer's oracle(theta, bound) over packed controllers, from
-    evaluate(k, bound) -> (f, grad); an ill-posed, unstable or eigen-failed
-    loop is f = +inf."""
-    ny, nu = plant.p2, plant.m2
+    evaluate(theta, bound) -> (f, grad); a non-finite theta, or an
+    ill-posed, unstable or eigen-failed loop, is f = +inf."""
 
     def oracle(theta: np.ndarray, bound: float):
-        k = unpack_controller(theta, order, ny, nu)
+        if not np.all(np.isfinite(theta)):
+            return math.inf, None
         try:
-            return evaluate(k, bound)
+            return evaluate(theta, bound)
         except (IllPosed, UnstableSystem, EigenFailure):
             return math.inf, None
 
@@ -161,11 +167,11 @@ def _oracle(plant: Plant, order: int, evaluate):
 def _stage1_oracle(plant: Plant, order: int):
     """The closed-loop abscissa, exact at every bound."""
 
-    def evaluate(k: Controller, bound: float):
-        rep = abscissa_gradient(plant, k)
+    def evaluate(theta: np.ndarray, bound: float):
+        rep = abscissa_gradient(plant, unpack_controller(theta, order, plant.p2, plant.m2))
         return rep.value, rep.grad
 
-    return _oracle(plant, order, evaluate)
+    return _oracle(evaluate)
 
 
 def _stage2_oracle(plant: Plant, order: int, rel_tol: float):
@@ -173,19 +179,21 @@ def _stage2_oracle(plant: Plant, order: int, rel_tol: float):
     can accept the point: a lower bound above `bound` is returned as it is.
     The peak frequency of the last certified evaluation joins the next
     lower bound's candidates, so that the bound usually finds the peak the
-    optimizer is following."""
+    optimizer is following.  The loop is closed straight from theta, on
+    padding built once for the oracle."""
+    loop = _Interconnection(plant, order)
     hints = ()
 
-    def evaluate(k: Controller, bound: float):
+    def evaluate(theta: np.ndarray, bound: float):
         nonlocal hints
         norm, grad, certified = _hinf_bounded(
-            plant, k, rel_tol=rel_tol, bound=bound, hints=hints
+            loop, theta, rel_tol=rel_tol, bound=bound, hints=hints
         )
         if certified:
             hints = (norm.omega_peak,)
         return norm.gamma, grad
 
-    return _oracle(plant, order, evaluate)
+    return _oracle(evaluate)
 
 
 def _hanso_options(opts: SynthesisOptions, run_seed: int | None) -> OptOptions:
@@ -202,6 +210,15 @@ def _default_start(plant: Plant, order: int) -> Controller:
     if order == 0:
         return k
     return Controller(-np.eye(order), k.BK, k.CK, k.DK)
+
+
+def _check_warm_start(plant: Plant, opts: SynthesisOptions) -> None:
+    ws = opts.warm_start
+    if ws is not None and (ws.order, ws.nu, ws.ny) != (opts.order, plant.m2, plant.p2):
+        raise DimensionMismatch(
+            f"warm start has order {ws.order} and ports {ws.nu}x{ws.ny}, expected "
+            f"order {opts.order} and ports {plant.m2}x{plant.p2}"
+        )
 
 
 def stabilize(
@@ -223,15 +240,10 @@ def stabilize(
     hopts = _hanso_options(opts, run_seed)
     rng = _phase_rng(hopts.rng_seed, 3)
 
+    _check_warm_start(plant, opts)
     starts = []
-    ws = opts.warm_start
-    if ws is not None:
-        if (ws.order, ws.nu, ws.ny) != (opts.order, plant.m2, plant.p2):
-            raise DimensionMismatch(
-                f"warm start has order {ws.order} and ports {ws.nu}x{ws.ny}, expected "
-                f"order {opts.order} and ports {plant.m2}x{plant.p2}"
-            )
-        starts.append(pack_controller(ws))
+    if opts.warm_start is not None:
+        starts.append(pack_controller(opts.warm_start))
     starts.append(pack_controller(_default_start(plant, opts.order)))
     for _ in range(opts.stage1_starts):
         starts.append(
@@ -295,15 +307,59 @@ def certify_controller(plant: Plant, k: Controller) -> tuple[AbscissaResult, Nor
     return _abscissa(norm._ev.lam), norm
 
 
+def _run(
+    plant: Plant, opts: SynthesisOptions, r: int
+) -> tuple[RunRecord, tuple[Controller, AbscissaResult, NormResult] | None]:
+    """Run r of `synthesize`: its record, and its controller with the
+    certificate from `certify_controller` (None when stage 1 failed)."""
+    seed_r = _run_seed(opts.rng_seed, r)
+    t_run = time.perf_counter()
+    try:
+        k1, absc = stabilize(plant, opts, run_seed=seed_r)
+    except NoStabilizingController as exc:
+        return RunRecord(seed_r, exc.best_abscissa, math.inf, time.perf_counter() - t_run), None
+    used = time.perf_counter() - t_run
+    remaining = max(opts.cpumax_seconds - used, 1e-3)
+    k2, absc2, cert = optimize_performance(
+        plant, k1, replace(opts, cpumax_seconds=remaining), run_seed=seed_r
+    )
+    elapsed = time.perf_counter() - t_run
+    return RunRecord(seed_r, absc.alpha, cert.gamma, elapsed, cert.converged), (k2, absc2, cert)
+
+
+def _runs(plant: Plant, opts: SynthesisOptions) -> list:
+    """Every run's `_run` result, in run order.  On Linux, several runs go
+    to a pool of forked processes, one per usable CPU, that ends with the
+    call; runs share no state, so the bits are those of the loop in this
+    process, which serves a single run, one usable CPU and a daemonic
+    caller (it may not have children)."""
+    if opts.runs > 1 and sys.platform.startswith("linux"):
+        # imported here: they add 12 modules and about 0.5 MB of resident
+        # memory to every process, also to one that never starts a pool
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        workers = min(opts.runs, len(os.sched_getaffinity(0)))
+        if workers > 1 and not multiprocessing.current_process().daemon:
+            context = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(workers, mp_context=context) as pool:
+                return list(pool.map(_run, repeat(plant), repeat(opts), range(opts.runs)))
+    return [_run(plant, opts, r) for r in range(opts.runs)]
+
+
 def synthesize(plant: Plant, opts: SynthesisOptions | None = None) -> SynthesisResult:
     """Randomized multi-run fixed-order synthesis; returns the best run.
 
     Each run derives its own seed from (rng_seed, run index), so run r is
-    reproducible independently of how many runs are requested.  A run's
-    stage 2 gets what stage 1 left of cpumax_seconds.  The best run has the
-    lowest certified norm among the runs whose certificate converged; an
-    unconverged one wins only when no run's converged.  Runs that fail to
-    stabilize are recorded with stage2_norm = +inf; the overall status is
+    reproducible independently of how many runs are requested.  The runs
+    are spread over one forked process per usable CPU (Linux only; a single
+    run, or a call from a daemonic process, runs in this process), with the
+    same result as one after another.  cpumax_seconds is each run's own
+    budget, counted from that run's start, and a run's stage 2 gets what
+    its stage 1 left.  The best run has the lowest certified norm among the
+    runs whose certificate converged, the earliest on a tie; an unconverged
+    one wins only when no run's converged.  Runs that fail to stabilize are
+    recorded with stage2_norm = +inf; the overall status is
     NO_STABILIZING_CONTROLLER only when every run fails.
     """
     opts = opts if opts is not None else SynthesisOptions()
@@ -312,27 +368,14 @@ def synthesize(plant: Plant, opts: SynthesisOptions | None = None) -> SynthesisR
             f"controller order {opts.order} exceeds plant order {plant.n}",
             stacklevel=2,
         )
+    _check_warm_start(plant, opts)
     records: list[RunRecord] = []
     best: tuple[tuple[bool, float], Controller, AbscissaResult, NormResult] | None = None
-    for r in range(opts.runs):
-        seed_r = _run_seed(opts.rng_seed, r)
-        t_run = time.perf_counter()
-        try:
-            k1, absc = stabilize(plant, opts, run_seed=seed_r)
-        except NoStabilizingController as exc:
-            records.append(
-                RunRecord(
-                    seed_r, exc.best_abscissa, math.inf, time.perf_counter() - t_run
-                )
-            )
+    for record, candidate in _runs(plant, opts):
+        records.append(record)
+        if candidate is None:
             continue
-        used = time.perf_counter() - t_run
-        remaining = max(opts.cpumax_seconds - used, 1e-3)
-        k2, absc2, cert = optimize_performance(
-            plant, k1, replace(opts, cpumax_seconds=remaining), run_seed=seed_r
-        )
-        elapsed = time.perf_counter() - t_run
-        records.append(RunRecord(seed_r, absc.alpha, cert.gamma, elapsed, cert.converged))
+        k2, absc2, cert = candidate
         # an unconverged norm is only a lower bound: it ranks below any converged one
         rank = (not cert.converged, cert.gamma)
         if best is None or rank < best[0]:

@@ -87,6 +87,19 @@ def test_case_validation_rejects_bad_definitions():
         BenchmarkCase("x", "x.json", (-1,))
 
 
+@pytest.mark.parametrize(
+    "bad, match",
+    [
+        (dict(runs=0), "runs"),
+        (dict(cpumax_seconds=0.0), "cpumax_seconds"),
+        (dict(norm_rel_tol=0.5), "rel_tol"),
+    ],
+)
+def test_bench_options_reject_out_of_range_values(tmp_path, bad, match):
+    with pytest.raises(ValueError, match=match):
+        BenchOptions(suite_dir=str(tmp_path), **bad)
+
+
 def test_missing_plant_file_reports_data_unavailable(tmp_path):
     case = BenchmarkCase("ghost", "ghost.json", (0,))
     report = run_benchmark(case, BenchOptions(suite_dir=str(tmp_path), **TOY_OPTS))

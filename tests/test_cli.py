@@ -104,10 +104,14 @@ def test_usage_error_exits_two(capsys):
         ["synth", "--plant", "{plant}", "--order", "0", "--runs", "0"],
         ["synth", "--plant", "{plant}", "--order", "0", "--norm-rel-tol", "0.5"],
         ["norm", "{plant}", "--rel-tol", "0.5"],
+        # checked before any case runs, also for a case whose data is absent
+        ["bench", "--suite", "{suite}", "--cases", "HE1", "--norm-rel-tol", "0.5"],
+        ["bench", "--suite", "{suite}", "--cases", "HE1", "--runs", "0"],
     ],
 )
 def test_out_of_range_option_exits_two(toy_plant_file, capsys, argv):
-    assert main([a.format(plant=toy_plant_file) for a in argv]) == 2
+    args = [a.format(plant=toy_plant_file, suite=toy_plant_file.parent) for a in argv]
+    assert main(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
 

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import math
+import multiprocessing
+import os
 import time
 from dataclasses import replace
 
@@ -35,6 +38,13 @@ from fixedhinf import (
 )
 
 QUICK = dict(cpumax_seconds=30.0)
+
+
+@pytest.fixture
+def one_cpu(monkeypatch):
+    """One usable CPU: synthesize runs every run in this process, where a
+    monkeypatch sees each call."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
 
 
 def _scalar_unstable_plant():
@@ -260,7 +270,7 @@ def test_synthesize_single_run_consistent_with_stage_calls(interior_plant):
 
 
 @pytest.mark.parametrize("runs", [1, 3])
-def test_synthesize_builds_two_loops_per_run(interior_plant, monkeypatch, runs):
+def test_synthesize_builds_two_loops_per_run(interior_plant, monkeypatch, one_cpu, runs):
     # per run: stage 1's abscissa and stage 2's certificate, whose abscissa
     # the winner keeps
     real = synthesis_module.lft_closed_loop
@@ -274,6 +284,55 @@ def test_synthesize_builds_two_loops_per_run(interior_plant, monkeypatch, runs):
     res = synthesize(interior_plant, SynthesisOptions(order=0, runs=runs, rng_seed=0, **QUICK))
     assert all(np.isfinite(r.stage2_norm) for r in res.per_run)
     assert len(calls) == 2 * runs
+
+
+def _run_fields(res):
+    runs = [(r.seed, r.stage1_abscissa, r.stage2_norm, r.converged) for r in res.per_run]
+    cert = res.certificate
+    return runs, pack_controller(res.controller).tolist(), cert.gamma, cert.omega_peak
+
+
+def test_synthesize_in_a_pool_equals_the_serial_loop(interior_plant, monkeypatch):
+    opts = SynthesisOptions(order=1, runs=3, rng_seed=4, max_iters=60, **QUICK)
+    pools = []
+
+    class CountedPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+    cpus = len(os.sched_getaffinity(0))
+    pooled = synthesize(interior_plant, opts)
+    assert multiprocessing.active_children() == []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    serial = synthesize(interior_plant, opts)
+    # only the first call, and only with a second CPU, starts a pool
+    assert len(pools) == (cpus > 1)
+    assert _run_fields(pooled) == _run_fields(serial)
+
+
+def _synthesize_fields(plant, opts):
+    return _run_fields(synthesize(plant, opts))
+
+
+def test_synthesize_in_a_daemonic_process_runs_serially(interior_plant, one_cpu):
+    opts = SynthesisOptions(order=0, runs=3, rng_seed=2, max_iters=60, **QUICK)
+    # a pool worker may not start processes of its own
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        in_worker = pool.apply(_synthesize_fields, (interior_plant, opts))
+    assert in_worker == _synthesize_fields(interior_plant, opts)
+
+
+def test_synthesize_rejects_a_wrong_warm_start_before_any_run(interior_plant, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool started for a warm start of the wrong order")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(synthesis_module, "_run", no_pool)
+    warm = Controller.zero(1, interior_plant.p2, interior_plant.m2)
+    with pytest.raises(DimensionMismatch, match="warm start"):
+        synthesize(interior_plant, SynthesisOptions(order=0, runs=3, warm_start=warm))
 
 
 def test_synthesize_is_deterministic_per_seed(interior_plant):
@@ -327,7 +386,9 @@ def test_synthesize_failure_status_when_unstabilizable():
     assert len(res.per_run) == 2
 
 
-def test_synthesize_ranks_unconverged_norms_below_converged_ones(interior_plant, monkeypatch):
+def test_synthesize_ranks_unconverged_norms_below_converged_ones(
+    interior_plant, monkeypatch, one_cpu
+):
     real = synthesis_module.hinf_norm
     certs = []
 
@@ -372,15 +433,31 @@ def _packed_static(plant, scale, rng):
 
 
 def test_stage2_oracle_without_a_bound_matches_hinf_gradient(interior_plant, rng):
-    cases = [(interior_plant, pack_controller(Controller.static([[-2.0]])))]
+    cases = [(interior_plant, Controller.static([[-2.0]]))]
     for _ in range(6):
         plant = random_plant(rng, 5, 2, 2, 2, 2, stable=True)
-        cases.append((plant, _packed_static(plant, 0.1, rng)))
-    for plant, theta in cases:
-        f, g = synthesis_module._stage2_oracle(plant, 0, 1e-7)(theta, math.inf)
-        rep = hinf_gradient(plant, unpack_controller(theta, 0, plant.p2, plant.m2), rel_tol=1e-7)
+        cases.append((plant, random_controller(0, 2, 2, 0.1, rng)))
+    # second-order controllers, D22 != 0: the oracle unpacks every block itself
+    plant = random_plant(rng, 5, 2, 2, 2, 2, stable=True, d22=True)
+    for _ in range(3):
+        k = random_controller(2, 2, 2, 0.1, rng)
+        cases.append((plant, Controller(k.AK - np.eye(2), k.BK, k.CK, k.DK)))
+    for plant, k in cases:
+        oracle = synthesis_module._stage2_oracle(plant, k.order, 1e-7)
+        f, g = oracle(pack_controller(k), math.inf)
+        rep = hinf_gradient(plant, k, rel_tol=1e-7)
         assert f == rep.value
         assert np.array_equal(g, rep.grad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_oracles_give_a_non_finite_controller_f_inf(interior_plant, bad):
+    theta = np.array([bad])
+    assert synthesis_module._stage1_oracle(interior_plant, 0)(theta, math.inf) == (math.inf, None)
+    assert synthesis_module._stage2_oracle(interior_plant, 0, 1e-7)(theta, math.inf) == (
+        math.inf,
+        None,
+    )
 
 
 def test_stage2_oracle_below_the_norm_skips_the_level_set(rng, monkeypatch):
