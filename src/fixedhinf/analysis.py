@@ -28,6 +28,16 @@ the optimizer's stage-2 oracle passes the threshold the optimizer tests,
 where the certified norm could not change the outcome.  `hinf_norm`
 passes no bound, so both stages run.
 
+`_hinf_many` runs the same stages over a stack of systems of one shape,
+whose blocks carry a leading member axis; the stage-2 oracle evaluates one
+point as a stack of one and a batch of sample points as a longer stack.
+The members share one call of the eigendecomposition and one lower-bound
+stage: their candidate frequencies go through one padded stack, and each
+Newton step of the polish takes every start still running as one stack.
+numpy's stacked eig, svd, solve and matmul give each member the bits of a
+single call, so every member gets the bits `_hinf` gives it alone, and a
+member that fails reports its own error.
+
 Once the probe finds no crossing, one grid scan guards against eigenvalues
 misclassified as off the axis.  It takes an SVD only at grid points that
 two cheap tests cannot place below its floor (the Frobenius norm, then
@@ -128,47 +138,67 @@ def _abscissa(w: np.ndarray) -> AbscissaResult:
 
 
 class _FreqEvaluator:
-    """Frequency response T(jw) = C (jw I - A)^-1 B + D of a stable system, n > 0.
+    """Frequency response T(jw) = C (jw I - A)^-1 B + D of a stable system,
+    n > 0, or of a stack of them.
 
-    Eigendecomposes A once (EigenFailure when that fails), keeps the
-    eigenvalues in `lam` and raises UnstableSystem unless they all lie in the
-    open left half-plane; `cands` holds their candidate peak frequencies.
-    With a well-conditioned eigenvector basis T is a sum of modal terms;
-    otherwise each frequency takes a factor-and-solve, and only then are A,
-    B and C kept.
+    The constructor takes one system: it eigendecomposes A (EigenFailure
+    when that fails) and raises UnstableSystem unless the eigenvalues all
+    lie in the open left half-plane.  `_stack` assembles a stack from
+    members that `_hinf_many` eigendecomposed and checked.  Either way the
+    arrays carry a leading member axis: `lam` holds each member's
+    eigenvalues and `cands` their candidate peak frequencies.  With a
+    well-conditioned eigenvector basis T is a sum of modal terms; a system
+    without one is a stack of one that takes a factor-and-solve at each
+    frequency, and only then are A, B and C kept.
     """
 
     def __init__(self, sys: StateSpace):
-        self.n, self.p, self.m, self.D = sys.n, sys.p, sys.m, sys.D
         try:
-            self.lam, V = np.linalg.eig(sys.A)
+            lam, V = np.linalg.eig(sys.A)
         except np.linalg.LinAlgError as exc:
             raise EigenFailure("eigenvalue iteration failed on A") from exc
-        alpha = float(self.lam.real.max())
-        if alpha >= 0.0:
-            raise UnstableSystem(f"spectral abscissa is {alpha:.6g} >= 0; H-infinity norm undefined")
-        self.cands = _candidate_frequencies(self.lam)
-        self._modal, self._abc = None, (sys.A, sys.B, sys.C)
-        # one LU of V gives both the condition estimate and V^-1 B; the 1e8
-        # cap applies to LAPACK's 1-norm estimate of cond(V)
-        lu, piv, info = la.lapack.zgetrf(V)
-        rcond = la.lapack.zgecon(lu, np.abs(V).sum(axis=0).max())[0] if info == 0 else 0.0
-        if rcond > 1e-8:
-            CV = sys.C @ V
-            VB = la.lapack.zgetrs(lu, piv, sys.B)[0]
-            # row k holds the residue CV[:, k] VB[k, :] of the pole lam[k]
-            self._modal = (CV.T[:, :, None] * VB[:, None, :]).reshape(sys.n, -1)
-            self._abc = None
+        unstable = _instability(lam)
+        if unstable is not None:
+            raise unstable
+        modal = _residues(V, sys.B, sys.C)
+        abc = (sys.A, sys.B, sys.C) if modal is None else None
+        self._set(lam[None], sys.D[None], None if modal is None else modal[None], abc)
+
+    def _set(self, lam, D, modal, abc, cands=None):
+        """The stacked arrays of either constructor (see the class docstring)."""
+        self.n, self.p, self.m = lam.shape[1], D.shape[1], D.shape[2]
+        self.lam, self.D, self._modal, self._abc = lam, D, modal, abc
+        self.cands = cands if cands is not None else [_candidate_frequencies(w) for w in lam]
+
+    @classmethod
+    def _stack(cls, lam: np.ndarray, D: np.ndarray, modal: np.ndarray, cands=None) -> "_FreqEvaluator":
+        """The stack of members in modal form with eigenvalues lam, feedthroughs
+        D and residues modal (see `_residues`), each with a leading member axis."""
+        ev = object.__new__(cls)
+        ev._set(lam, D, modal, None, cands)
+        return ev
+
+    def member(self, j: int) -> "_FreqEvaluator":
+        """Member j as a stack of one."""
+        if self._modal is None:
+            return self
+        s = slice(j, j + 1)
+        return self._stack(self.lam[s], self.D[s], self._modal[s], self.cands[s])
 
     def responses(self, omegas: np.ndarray) -> np.ndarray:
-        """T(jw) stacked over the frequencies, shape (len(omegas), p, m)."""
+        """T(jw) at the frequencies, shape omegas.shape + (p, m).  The
+        frequencies of a stack have one row per member; a stack of one
+        also takes a flat array."""
+        omegas = np.asarray(omegas, dtype=float)
         if self._modal is None:
-            return np.stack([self._solve(w, 1)[0] + self.D for w in omegas])
-        R = 1.0 / (1j * np.asarray(omegas, dtype=float)[:, None] - self.lam)
-        return (R @ self._modal).reshape(-1, self.p, self.m) + self.D
+            T = [self._solve(w, 1)[0] + self.D[0] for w in omegas.ravel()]
+            return np.stack(T).reshape(*omegas.shape, self.p, self.m)
+        R = 1.0 / (1j * omegas.reshape(len(self.lam), -1, 1) - self.lam[:, None, :])
+        T = (R @ self._modal).reshape(*R.shape[:2], self.p, self.m) + self.D[:, None]
+        return T.reshape(*omegas.shape, self.p, self.m)
 
     def sigma_max_many(self, omegas: np.ndarray) -> np.ndarray:
-        return np.linalg.svd(self.responses(omegas), compute_uv=False)[:, 0]
+        return np.linalg.svd(self.responses(omegas), compute_uv=False)[..., 0]
 
     def _solve(self, omega: float, powers: int) -> list[np.ndarray]:
         """C (jw I - A)^-k B for k = 1 .. powers, from one factorization."""
@@ -181,40 +211,80 @@ class _FreqEvaluator:
             out.append(C @ X)
         return out
 
-    def derivatives(self, omega: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """T, dT/dw and d2T/dw2 at one frequency."""
+    def derivatives(self, omegas, members=0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """T, dT/dw and d2T/dw2 at the frequencies, each of shape
+        omegas.shape + (p, m): frequency k on member members[k], or every
+        frequency on the one member `members` (by default the only member
+        of a stack of one)."""
+        omegas = np.asarray(omegas, dtype=float)
         if self._modal is None:
-            CX1, CX2, CX3 = self._solve(omega, 3)
-            return CX1 + self.D, -1j * CX2, -2.0 * CX3
-        r = 1.0 / (1j * omega - self.lam)
-        T0, T1, T2 = (np.stack([r, -1j * r * r, -2.0 * r**3]) @ self._modal).reshape(
-            3, self.p, self.m
-        )
-        return T0 + self.D, T1, T2
+            T = np.array([self._solve(w, 3) for w in omegas.ravel()])
+            T = T.reshape(*omegas.shape, 3, self.p, self.m)
+            return T[..., 0, :, :] + self.D[0], -1j * T[..., 1, :, :], -2.0 * T[..., 2, :, :]
+        r = 1.0 / (1j * omegas[..., None] - self.lam[members])
+        T = np.stack([r, -1j * r * r, -2.0 * r**3], axis=-2) @ self._modal[members]
+        T = T.reshape(*omegas.shape, 3, self.p, self.m)
+        return T[..., 0, :, :] + self.D[members], T[..., 1, :, :], T[..., 2, :, :]
 
 
-def _sigma_slope(T0: np.ndarray, T1: np.ndarray, T2: np.ndarray) -> tuple[float, float, float]:
-    """sigma_max(T) and the first two frequency derivatives of sigma_max(T)^2.
+def _instability(lam: np.ndarray) -> UnstableSystem | None:
+    """UnstableSystem for a system with eigenvalues lam, None when they all
+    lie in the open left half-plane."""
+    alpha = float(lam.real.max())
+    if alpha >= 0.0:
+        return UnstableSystem(f"spectral abscissa is {alpha:.6g} >= 0; H-infinity norm undefined")
+    return None
+
+
+def _residues(V: np.ndarray, B: np.ndarray, C: np.ndarray) -> np.ndarray | None:
+    """Modal residues of a system with eigenvector basis V: row k holds the
+    residue CV[:, k] (V^-1 B)[k, :] of the k-th pole, flattened; None when
+    LAPACK's 1-norm estimate of cond(V) exceeds 1e8.  One LU of V gives both
+    the estimate and V^-1 B."""
+    lu, piv, info = la.lapack.zgetrf(V)
+    rcond = la.lapack.zgecon(lu, np.abs(V).sum(axis=0).max())[0] if info == 0 else 0.0
+    if not rcond > 1e-8:
+        return None
+    CV = C @ V
+    VB = la.lapack.zgetrs(lu, piv, B)[0]
+    return (CV.T[:, :, None] * VB[:, None, :]).reshape(V.shape[0], -1)
+
+
+def _sigma_slope(T0: np.ndarray, T1: np.ndarray, T2: np.ndarray) -> tuple:
+    """sigma_max(T) and the first two frequency derivatives of sigma_max(T)^2,
+    of one matrix or of each matrix of a stack (leading axis).
 
     Perturbation theory for the top eigenvalue of T^H T, whose eigenvectors
     are the right singular vectors of T; T1 and T2 are dT/dw and d2T/dw2.
     """
     U, s, Vh = np.linalg.svd(T0)
-    V = Vh.conj().T
-    a = U.conj().T @ T1 @ V
-    s1 = s[0]
-    slope = 2.0 * s1 * a[0, 0].real
-    curv = 2.0 * s1 * (U[:, 0].conj() @ T2 @ V[:, 0]).real + 2.0 * np.sum(np.abs(a[:, 0]) ** 2)
+    V = Vh.conj().swapaxes(-1, -2)
+    a = U.conj().swapaxes(-1, -2) @ T1 @ V
+    # .T[0] indexes the last axis: a scalar for one matrix, an array for a stack
+    s1 = s.T[0]
+    slope = 2.0 * s1 * a.T[0, 0].real
+    top = (U[..., :, 0].conj()[..., None, :] @ T2 @ V[..., :, :1]).T[0, 0]
+    curv = 2.0 * s1 * top.real + 2.0 * np.sum(np.abs(a[..., :, 0]) ** 2, axis=-1)
     # coupling through v_k^H (T^H T)' v_1 to the other eigenvectors of T^H T
-    cross = s1 * a[0, 1:].conj()
-    cross[: s.size - 1] += s[1:] * a[1 : s.size, 0]
-    gaps = s1 * s1 - np.concatenate([s[1:], np.zeros(V.shape[1] - s.size)]) ** 2
-    curv += 2.0 * np.sum(np.abs(cross) ** 2 / np.maximum(gaps, 1e-300))
-    return float(s1), float(slope), float(curv)
+    k = s.shape[-1]
+    cross = s1[..., None] * a[..., 0, 1:].conj()
+    cross[..., : k - 1] += s[..., 1:] * a[..., 1:k, 0]
+    rest = np.zeros(cross.shape)
+    rest[..., : k - 1] = s[..., 1:]
+    gaps = (s1 * s1)[..., None] - rest**2
+    curv += 2.0 * np.sum(np.abs(cross) ** 2 / np.maximum(gaps, 1e-300), axis=-1)
+    return s1, slope, curv
 
 
 def _polish(ev: _FreqEvaluator, omegas: np.ndarray, vals: np.ndarray, i: int) -> tuple[float, float]:
-    """Local maximum (w, sigma) of sigma_max from point i of an ascending grid.
+    """`_polish_many` from one start on a stack of one."""
+    return _polish_many(ev, [(0, omegas, vals, i)])[0]
+
+
+def _polish_many(ev: _FreqEvaluator, starts) -> list[tuple[float, float]]:
+    """Local maxima (w, sigma) of sigma_max, one per start (j, omegas, vals,
+    i): member j of the stack ev from point i of its ascending grid omegas
+    with sigma values vals.
 
     Safeguarded Newton steps on d(sigma^2)/dw inside the bracket of the
     point's grid neighbours: the slope's sign moves the bracket end on the
@@ -223,33 +293,55 @@ def _polish(ev: _FreqEvaluator, omegas: np.ndarray, vals: np.ndarray, i: int) ->
     is open on the right; while sigma still rises there the polish stops
     rather than bisect toward an arbitrary end (a finite peak beyond it is
     left to the Hamiltonian probe).  sigma is even in w, so the slope
-    vanishes at w = 0 and the curvature decides there.  Returns the best
-    point evaluated, never worse than (omegas[i], vals[i]).
+    vanishes at w = 0 and the curvature decides there.  Each start returns
+    the best point evaluated, never worse than (omegas[i], vals[i]).  The
+    starts still running take each step as one stack.
     """
-    lo = float(omegas[i - 1]) if i > 0 else 0.0
-    open_right = i + 1 == omegas.size
-    hi = float(2.0 * omegas[i] if open_right else omegas[i + 1])
-    w = best_omega = float(omegas[i])
-    best = float(vals[i])
-    tol = 1e-13 * max(w, hi - lo)
+    runs = []
+    for j, omegas, vals, i in starts:
+        lo = float(omegas[i - 1]) if i > 0 else 0.0
+        open_right = i + 1 == omegas.size
+        hi = float(2.0 * omegas[i] if open_right else omegas[i + 1])
+        w = float(omegas[i])
+        # lo, hi, w, open right, tolerance, best omega, best sigma
+        runs.append([lo, hi, w, open_right, 1e-13 * max(w, hi - lo), w, float(vals[i])])
+    going = list(range(len(runs)))
     for _ in range(_POLISH_ITERS):
-        s, slope, curv = _sigma_slope(*ev.derivatives(w))
-        if s > best:
-            best_omega, best = w, s
-        if slope > 0.0:
-            lo = w
-        elif slope < 0.0:
-            hi = w
-            open_right = False
-        nxt = max(w - slope / curv, 0.0) if curv < 0.0 else math.nan
-        if not lo <= nxt <= hi:
-            if open_right and slope > 0.0:
-                break
-            nxt = 0.5 * (lo + hi)
-        if abs(nxt - w) <= tol:
+        if not going:
             break
-        w = nxt
-    return best_omega, best
+        if len(going) == 1:
+            # one start left: its member's arrays without the stack axis
+            k = going[0]
+            steps = [[float(x) for x in _sigma_slope(*ev.derivatives(runs[k][2], starts[k][0]))]]
+        else:
+            members = [starts[k][0] for k in going]
+            # a slice takes views where every member of the stack is going
+            if members == list(range(len(ev.lam))):
+                members = slice(None)
+            T = ev.derivatives([runs[k][2] for k in going], members)
+            steps = zip(*(x.tolist() for x in _sigma_slope(*T)))
+        still = []
+        for k, (s, slope, curv) in zip(going, steps):
+            run = runs[k]
+            lo, hi, w, open_right, tol = run[:5]
+            if s > run[6]:
+                run[5], run[6] = w, s
+            if slope > 0.0:
+                lo = w
+            elif slope < 0.0:
+                hi = w
+                open_right = False
+            nxt = max(w - slope / curv, 0.0) if curv < 0.0 else math.nan
+            if not lo <= nxt <= hi:
+                if open_right and slope > 0.0:
+                    continue
+                nxt = 0.5 * (lo + hi)
+            if abs(nxt - w) <= tol:
+                continue
+            run[:4] = lo, hi, nxt, open_right
+            still.append(k)
+        going = still
+    return [(run[5], run[6]) for run in runs]
 
 
 def _hamiltonian(sys: StateSpace, gamma: float) -> np.ndarray:
@@ -277,25 +369,35 @@ def _hamiltonian(sys: StateSpace, gamma: float) -> np.ndarray:
     return H
 
 
+def _unique(x: np.ndarray) -> np.ndarray:
+    """np.unique of a real array without NaNs, for a fraction of its fixed
+    cost: sorted the same way, each repeat after the first dropped."""
+    x = np.sort(x)
+    keep = np.empty(x.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(x[1:], x[:-1], out=keep[1:])
+    return x[keep]
+
+
 def _candidate_frequencies(eigenvalues: np.ndarray) -> np.ndarray:
     """Initial probe frequencies from the pole pattern (plus dc), ascending."""
-    mags = np.abs(eigenvalues)
-    imags = np.abs(eigenvalues.imag)
-    return np.unique(np.concatenate([[0.0], mags[mags > 0], imags[imags > 0]]))
+    w = np.ravel(eigenvalues)
+    return _unique(np.concatenate([[0.0], np.abs(w), np.abs(w.imag)]))
 
 
 def _scan_grid(ev: _FreqEvaluator, best_omega: float, points: int) -> np.ndarray:
-    """Log grid spanning the pole frequencies, densified near the current peak."""
+    """Log grid spanning the pole frequencies of a stack of one, densified
+    near the current peak."""
     mags = np.abs(ev.lam)
     mags = mags[mags > 0]
     lo = float(mags.min()) * 1e-4 if mags.size else 1e-4
     hi = float(mags.max()) * 1e4 if mags.size else 1e4
     lo = max(lo, 1e-12)
     hi = max(hi, 10.0 * lo)
-    grid = [np.zeros(1), np.geomspace(lo, hi, points), ev.cands]
+    grid = [np.zeros(1), np.geomspace(lo, hi, points), ev.cands[0]]
     if best_omega > 0:
         grid.append(best_omega * _NEAR_PEAK)
-    return np.unique(np.concatenate(grid))
+    return _unique(np.concatenate(grid))
 
 
 def _below(G: np.ndarray, c2: float) -> np.ndarray:
@@ -346,7 +448,7 @@ def _grid_fallback(ev: _FreqEvaluator, sigma_d: float, iterations: int) -> NormR
     """Dense-grid peak search; a grid certifies nothing, so not converged."""
     omegas = _scan_grid(ev, 0.0, 2048 if ev.n <= 60 else 512)
     vals = ev.sigma_max_many(omegas)
-    peaks = [_polish(ev, omegas, vals, int(i)) for i in np.argsort(vals)[::-1][:8]]
+    peaks = _polish_many(ev, [(0, omegas, vals, int(i)) for i in np.argsort(vals)[::-1][:8]])
     best_omega, best = max(peaks, key=lambda peak: peak[1])
     if sigma_d >= best:
         return NormResult(sigma_d, 0.0, True, False, iterations, ev)
@@ -390,7 +492,7 @@ def _secondary_peak_gap(norm: NormResult) -> float:
         return math.inf
     competitors.sort(key=lambda i: -vals[i])
     # grid values undersample sharp resonances; polish the strongest rivals
-    best = max(_polish(ev, grid, vals, i)[1] for i in competitors[:4])
+    best = max(peak[1] for peak in _polish_many(ev, [(0, grid, vals, i) for i in competitors[:4]]))
     return float(gamma - best)
 
 
@@ -415,20 +517,123 @@ def _hinf(
     if sys.n == 0:
         return NormResult(sigma_d, 0.0, True, True, 0), sigma_d <= bound
     ev = _FreqEvaluator(sys)
+    return _level_set(sys, ev, sigma_d, _lower_bounds(ev, [sigma_d], hints)[0], rel_tol, bound)
 
-    cands = np.union1d(ev.cands, hints) if len(hints) else ev.cands
-    vals = ev.sigma_max_many(cands)
-    if float(vals.max()) == 0.0 and sigma_d == 0.0:
-        # possibly a zero system; a coarse scan decides
-        cands = _scan_grid(ev, 0.0, 256)
-        vals = ev.sigma_max_many(cands)
-        if float(vals.max()) == 0.0:
-            return NormResult(0.0, 0.0, False, True, 0, ev), 0.0 <= bound
-    i = int(np.argmax(vals))
-    best_omega, best_finite = float(cands[i]), float(vals[i])
-    if best_finite >= sigma_d:
-        # otherwise the probe at sigma_max(D) finds any finite peak above it
-        best_omega, best_finite = _polish(ev, cands, vals, i)
+
+def _hinf_many(
+    sys: StateSpace, rel_tol: float, *, bound: float, hints: tuple[float, ...] = ()
+) -> list:
+    """`_hinf` over a stack of systems of order n > 0, with the bits it gives
+    each member alone: per member its (NormResult, flag), or the error it
+    raises.  A member that is not finite gets EigenFailure.
+
+    The members share one eigendecomposition call and one lower-bound
+    stage.  A member whose eigenvector basis is ill conditioned, and every
+    member when the stack's eigenvalue iteration fails, runs through
+    `_hinf` alone; the level-set stage runs member by member.
+    """
+    out: list = [None] * len(sys.A)
+    blocks = (sys.A, sys.B, sys.C, sys.D)
+    members = range(len(sys.A))
+    if not all(np.isfinite(block).all() for block in blocks):
+        finite = np.logical_and.reduce([np.isfinite(b).all(axis=(1, 2)) for b in blocks])
+        for j in np.flatnonzero(~finite):
+            out[j] = EigenFailure("the system is not finite")
+        members = np.flatnonzero(finite)
+        sys = sys._members(members)
+    try:
+        lam, V = np.linalg.eig(sys.A)
+    except np.linalg.LinAlgError:
+        lam = V = None
+    alone, modal, lams, residues = [], [], [], []
+    for k, j in enumerate(members):
+        if lam is None:
+            alone.append(k)
+            continue
+        w, vectors = lam[k], V[k]
+        if np.iscomplexobj(w) and not w.imag.any():
+            # eig returns a stack as complex arrays when any member's
+            # eigenvalues are complex; a member with real ones takes the
+            # real views eig returns for it alone, since C @ V rounds
+            # differently on complex arrays
+            w, vectors = w.real, vectors.real
+        out[j] = _instability(w)
+        if out[j] is not None:
+            continue
+        res = _residues(vectors, sys.B[k], sys.C[k])
+        if res is None:
+            alone.append(k)
+        else:
+            modal.append(k)
+            lams.append(w)
+            residues.append(res)
+    for k in alone:
+        try:
+            out[members[k]] = _hinf(sys._members(k), rel_tol, bound=bound, hints=hints)
+        except (EigenFailure, UnstableSystem) as exc:
+            # kept without its traceback, which holds this frame and so out:
+            # that cycle would keep the stack alive until a garbage collection
+            out[members[k]] = exc.with_traceback(None)
+    if modal:
+        full = len(modal) == len(sys.A)
+        D = sys.D if full else sys.D[modal]
+        ev = _FreqEvaluator._stack(np.array(lams), D, np.array(residues))
+        sigma_d = np.linalg.svd(D, compute_uv=False)[:, 0].tolist()
+        peaks = _lower_bounds(ev, sigma_d, hints)
+        for i, k in enumerate(modal):
+            member = sys._members(k)
+            out[members[k]] = _level_set(member, ev.member(i), sigma_d[i], peaks[i], rel_tol, bound)
+    return out
+
+
+def _lower_bounds(ev: _FreqEvaluator, sigma_d, hints: tuple[float, ...]) -> list:
+    """The lower-bound stage on every member of the stack ev, whose
+    sigma_max(D) are sigma_d: the best of sigma_max at the member's
+    candidate frequencies and the hints, polished unless it lies below
+    sigma_max(D) (the probe at sigma_max(D) then finds any finite peak above
+    it).  Per member (omega, sigma), or None for a zero system.  The
+    members' candidates go through one stack, each row padded to the
+    longest with copies of its last frequency."""
+    cands = [_unique(np.concatenate([c, hints])) if len(hints) else c for c in ev.cands]
+    grid = np.empty((len(cands), max(c.size for c in cands)))
+    for row, c in zip(grid, cands):
+        row[: c.size] = c
+        row[c.size :] = c[-1]
+    peaks: list = []
+    starts = []
+    for j, (c, v) in enumerate(zip(cands, ev.sigma_max_many(grid))):
+        v = v[: c.size]
+        if float(v.max()) == 0.0 and sigma_d[j] == 0.0:
+            # possibly a zero system; a coarse scan decides
+            member = ev.member(j)
+            c = _scan_grid(member, 0.0, 256)
+            v = member.sigma_max_many(c)
+            if float(v.max()) == 0.0:
+                peaks.append(None)
+                continue
+        i = int(np.argmax(v))
+        peaks.append((float(c[i]), float(v[i])))
+        if peaks[j][1] >= sigma_d[j]:
+            starts.append((j, c, v, i))
+    for start, peak in zip(starts, _polish_many(ev, starts)):
+        peaks[start[0]] = peak
+    return peaks
+
+
+def _level_set(
+    sys: StateSpace,
+    ev: _FreqEvaluator,
+    sigma_d: float,
+    peak: tuple[float, float] | None,
+    rel_tol: float,
+    bound: float,
+) -> tuple[NormResult, bool]:
+    """`_hinf`'s result for one system from its lower-bound stage's peak
+    (None for a zero system), with the level-set stage when the lower bound
+    is at most `bound`."""
+    if peak is None:
+        return NormResult(0.0, 0.0, False, True, 0, ev), 0.0 <= bound
+    best_omega, best_finite = peak
     lower = max(sigma_d, best_finite)
     certified = lower <= bound
     iterations = 0
@@ -445,7 +650,7 @@ def _hinf(
             return _grid_fallback(ev, sigma_d, iterations), True
         scale = max(1.0, float(np.abs(ew).max()))
         on_axis = ew[np.abs(ew.real) <= _HAM_IMAG_TOL * scale]
-        omegas = np.unique(np.abs(on_axis.imag))
+        omegas = _unique(np.abs(on_axis.imag))
         if omegas.size >= 2:
             # merge crossings that are numerically identical
             keep = np.concatenate([[True], np.diff(omegas) > 1e-9 * (1.0 + omegas[1:])])

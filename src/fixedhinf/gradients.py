@@ -16,9 +16,16 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as la
 
-from .analysis import NormResult, _abscissa, _hinf, _secondary_peak_gap, hinf_norm
+from .analysis import NormResult, _abscissa, _hinf_many, _secondary_peak_gap, hinf_norm
 from .errors import EigenFailure
-from .statespace import Controller, Plant, _interconnect, _Interconnection, _pack_gain
+from .statespace import (
+    Controller,
+    Plant,
+    StateSpace,
+    _interconnect,
+    _Interconnection,
+    _pack_gain,
+)
 
 __all__ = [
     "Smoothness",
@@ -55,14 +62,17 @@ def _chain_to_controller(
     ports: tuple[int, int], L: np.ndarray, R: np.ndarray, left: np.ndarray, right: np.ndarray
 ) -> np.ndarray:
     """Gradient over the packed controller of a function whose gradient over
-    the closed loop's [[A, B], [C, D]] is the rank-one left right^T.
+    the closed loop's [[A, B], [C, D]] is the rank-one left right^T, or one
+    such gradient per member of a stack (leading member axis throughout).
 
     ports is the controller's (nu, ny).  L and R are the factors from
-    _interconnect, or matching row slices of L and column slices of R when
-    left and right vanish outside them.  The gradient over the controller's
-    gain is Re((L^T left)(R right)^T), packed as pack_controller packs the
-    gain."""
-    return _pack_gain(np.real(np.outer(L.T @ left, R @ right)), *ports)
+    `_Interconnection.close`, or matching row slices of L and column slices
+    of R when left and right vanish outside them.  The gradient over
+    the controller's gain is Re((L^T left)(R right)^T), packed as
+    pack_controller packs the gain."""
+    Lt_left = L.swapaxes(-1, -2) @ left[..., None]
+    R_right = R @ right[..., None]
+    return _pack_gain(np.real(Lt_left * R_right.swapaxes(-1, -2)), *ports)
 
 
 def abscissa_gradient(plant: Plant, k: Controller) -> GradientReport:
@@ -109,30 +119,45 @@ def abscissa_gradient(plant: Plant, k: Controller) -> GradientReport:
 
 
 def _peak_gradient(
-    ports: tuple[int, int], cl, L: np.ndarray, R: np.ndarray, norm: NormResult
+    ports: tuple[int, int], cl: StateSpace, L: np.ndarray, R: np.ndarray, norms: list[NormResult]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient over the packed controller, of ports (nu, ny), of sigma_max
-    at the norm's peak, and the singular values there.
+    """Gradients over the packed controller, of ports (nu, ny), of sigma_max
+    at each norm's peak, and the singular values there, for a stack of loops
+    cl with their stacked factors L and R and one NormResult per member.
 
     At infinity only the D feedthrough path contributes.  A finite peak is
     polished until d sigma/d omega vanishes, so the envelope theorem gives
-    the gradient from the singular vectors there.
+    the gradient from the singular vectors there.  The members at infinity
+    and those at a finite peak each go through one stack.
     """
-    if norm.attained_at_infinity:
+    at_inf = [norm.attained_at_infinity for norm in norms]
+    if any(at_inf) and not all(at_inf):
+        grads = np.empty((len(norms), L.shape[-1] * R.shape[-2]))
+        svals = np.empty((len(norms), min(cl.p, cl.m)))
+        mask = np.array(at_inf)
+        for group in (mask, ~mask):
+            part = [norm for norm, inside in zip(norms, group) if inside]
+            grads[group], svals[group] = _peak_gradient(
+                ports, cl._members(group), L[group], R[group], part
+            )
+        return grads, svals
+    n = cl.n
+    if at_inf[0]:
         U, svals, Vh = np.linalg.svd(cl.D)
-        return _chain_to_controller(ports, L[cl.n :], R[:, cl.n :], U[:, 0], Vh[0]), svals
-    M = 1j * norm.omega_peak * np.eye(cl.n) - cl.A
+        grads = _chain_to_controller(ports, L[:, n:], R[:, :, n:], U[..., :, 0], Vh[..., 0, :])
+        return grads, svals
+    omegas = np.array([norm.omega_peak for norm in norms])
+    M = 1j * omegas[:, None, None] * np.eye(n) - cl.A
     X = np.linalg.solve(M, cl.B)
     T = cl.C @ X + cl.D
     U, svals, Vh = np.linalg.svd(T)
-    u = U[:, 0]
-    v = np.conj(Vh[0])
-    b = X @ v
-    r = np.linalg.solve(M.T, cl.C.T @ np.conj(u))
-    grad = _chain_to_controller(
-        ports, L, R, np.concatenate([r, np.conj(u)]), np.concatenate([b, v])
-    )
-    return grad, svals
+    u = U[..., :, 0]
+    v = np.conj(Vh[..., 0, :])
+    b = (X @ v[..., None])[..., 0]
+    r = np.linalg.solve(M.swapaxes(-1, -2), cl.C.swapaxes(-1, -2) @ np.conj(u)[..., None])[..., 0]
+    left = np.concatenate([r, np.conj(u)], axis=-1)
+    grads = _chain_to_controller(ports, L, R, left, np.concatenate([b, v], axis=-1))
+    return grads, svals
 
 
 def hinf_gradient(
@@ -154,7 +179,10 @@ def hinf_gradient(
     cl, L, R = _interconnect(plant, k)
     result = hinf_norm(cl, rel_tol=rel_tol)
     gamma = result.gamma
-    grad, svals = _peak_gradient((k.nu, k.ny), cl, L, R, result)
+    grads, svals = _peak_gradient(
+        (k.nu, k.ny), cl._members(None), L[None], R[None], [result]
+    )
+    grad, svals = grads[0], svals[0]
     # at infinity a distinct finite peak near the norm is the competing
     # branch, which the rival scan below looks for
     gaps = []
@@ -173,23 +201,38 @@ def hinf_gradient(
 
 def _hinf_bounded(
     loop: _Interconnection,
-    theta: np.ndarray,
+    thetas: np.ndarray,
     *,
     rel_tol: float,
     bound: float,
     hints: tuple[float, ...] = (),
-) -> tuple[NormResult, np.ndarray, bool]:
-    """Closed-loop H-infinity norm at the packed controller theta under the
-    optimizer's oracle contract.
+) -> list[tuple[NormResult, np.ndarray, bool] | None]:
+    """Closed-loop H-infinity norms at a stack of packed controllers (one per
+    row of thetas) under the optimizer's oracle contract, with the bits each
+    member gets alone.
 
-    The norm's lower bound, with the hint frequencies added to its
+    Each norm's lower bound, with the hint frequencies added to its
     candidates, is returned uncertified when it exceeds `bound`, in
     (bound, norm]; otherwise the norm is certified exactly as hinf_gradient
-    computes it when there are no hints.  Returns the NormResult, the
-    gradient of the branch that attains its value, and whether the value is
-    certified.
+    computes it when there are no hints.  Returns per member the NormResult,
+    the gradient of the branch that attains its value, and whether the
+    value is certified; None when the loop is ill posed or not finite, or
+    unstable, or its eigenvalue iteration fails.
     """
-    cl, L, R = loop.close(loop.gain(theta))
-    norm, certified = _hinf(cl, rel_tol, bound=bound, hints=hints)
+    out: list = [None] * len(thetas)
+    cl, L, R, errors = loop.close(loop.gain(thetas))
+    posed = [j for j, error in enumerate(errors) if error is None]
+    if not posed:
+        return out
+    found = _hinf_many(cl, rel_tol, bound=bound, hints=hints)
+    ok = [k for k, res in enumerate(found) if not isinstance(res, Exception)]
+    if not ok:
+        return out
+    if len(ok) < len(found):
+        cl, L, R = cl._members(ok), L[ok], R[ok]
     ports = (loop.plant.m2, loop.plant.p2)
-    return norm, _peak_gradient(ports, cl, L, R, norm)[0], certified
+    grads = _peak_gradient(ports, cl, L, R, [found[k][0] for k in ok])[0]
+    for k, grad in zip(ok, grads):
+        norm, certified = found[k]
+        out[posed[k]] = (norm, grad, certified)
+    return out

@@ -19,15 +19,32 @@ and otherwise it may return any value in (bound, f(x)], with the gradient of
 the branch that attains the returned value.  Each call site passes the
 threshold it tests: the weak-Wolfe sufficient-decrease level at a line-search
 trial, the Armijo level at a gradient-sampling trial, the incumbent f at a
-bundle ball sample, -inf at gradient-sampling sample points (only their
-gradients are read) and +inf at a phase's start.  The run's target raises
-every bound to at least the target, so a value below the target is always
-exact.  A cheap lower bound that already exceeds the threshold thus decides
-the same comparison as f(x) itself: which value in (bound, f(x)] comes back
-changes no accept/reject decision and no count of evaluations.  Only the
-gradients that the bundle and sampling phases collect at their samples
-can differ, with the branch the returned value belongs to.  An oracle that
-always returns f(x) meets the contract.
+bundle ball sample, -inf at gradient-sampling sample points and +inf at a
+phase's start.  The run's target raises every bound to at least the target,
+so a value below the target is always exact.  A cheap lower bound that
+already exceeds the threshold thus decides the same comparison as f(x)
+itself: which value in (bound, f(x)] comes back changes no accept/reject
+decision and no count of evaluations.  Only the gradients that the bundle
+and sampling phases collect at their samples can differ, with the branch
+the returned value belongs to.  At sample points only the gradient is
+read, and gradient sampling needs the gradient of f itself there: that is
+why -inf is not a sound bound for them, since it lets the oracle answer
+with the gradient of a lower branch; +inf is.  An oracle that always
+returns f(x) meets the contract.
+
+An oracle may also carry a batch form, oracle.batch(xs, bound), which
+returns one (f, grad) per row of xs; gradient sampling hands it the sample
+points of an iteration, drawn first in the order single draws would take.
+It must return what calls one at a time would, except for state that the
+oracle carries from call to call: every row sees that state as it was at
+the batch's start.  The tracker replays the results in order, counting
+each one, recording the first hit and dropping the results after a stop,
+so counts, hits and statuses are those of single calls.  The stage-2
+oracle's state is the peak frequency of its last certified evaluation.
+Under bound -inf no sample point is certified, so a batch gives exactly
+the bits of single calls; under +inf every row would be certified with the
+hints of the batch's start, and the hints after the batch would come from
+its last row.  An oracle without a batch form is called point by point.
 
 Infeasible points are signalled by f = +inf with grad = None, and f = +inf
 is the only feasibility signal.  The line searches retreat rather than
@@ -80,7 +97,8 @@ class OptOptions:
 
     cpu_budget_seconds is a wall-clock deadline, not CPU time, despite its
     name, for one phase call or one whole hanso call; loops check it before
-    oracle calls, so overshoot is at most one call.
+    oracle calls, so overshoot is at most one call or one batch of sample
+    points.
     """
 
     max_iters: int = 1000
@@ -128,8 +146,30 @@ class _Tracker:
     def call(self, x: np.ndarray, bound: float) -> tuple[float, np.ndarray | None]:
         """The oracle at x; f is exact where it is at most bound or below
         the target (see the module docstring)."""
-        self.n_evals += 1
         f, g = self.oracle(x, max(bound, self.target))
+        return self._count(x, f, g)
+
+    def call_many(self, xs: np.ndarray, bound: float) -> list[tuple[float, np.ndarray | None]]:
+        """The oracle at the rows of xs, in order, up to the first stop: the
+        stop rule is checked before each row, as around single calls.  With
+        the oracle's batch form every row is evaluated in one call first and
+        the results are replayed, so the counts, the hit and the stop are
+        those of single calls; a deadline then overshoots by one batch."""
+        bound = max(bound, self.target)
+        if self.stop:
+            return []
+        batch = getattr(self.oracle, "batch", None)
+        results = iter(batch(xs, bound)) if batch is not None else None
+        out = []
+        for x in xs:
+            if self.stop:
+                break
+            f, g = next(results) if results is not None else self.oracle(x, bound)
+            out.append(self._count(x, f, g))
+        return out
+
+    def _count(self, x: np.ndarray, f, g) -> tuple[float, np.ndarray | None]:
+        self.n_evals += 1
         f = float(f)
         if g is not None:
             g = np.asarray(g, dtype=float).ravel()
@@ -461,13 +501,9 @@ def gradient_sampling(
                 status = track.stop
                 break
             it += 1
-            grads = [g]
-            for _ in range(m):
-                if track.stop:
-                    break
-                fs, gs = track.call(x + radius * _ball_sample(rng, dim), -math.inf)
-                if math.isfinite(fs):
-                    grads.append(gs)
+            xs = x + radius * np.array([_ball_sample(rng, dim) for _ in range(m)])
+            samples = track.call_many(xs, -math.inf)
+            grads = [g] + [gs for fs, gs in samples if math.isfinite(fs)]
             d, _ = min_norm_convex_hull(grads)
             measure = float(np.linalg.norm(d))
             if measure <= opts.grad_norm_tol:

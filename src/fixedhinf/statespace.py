@@ -70,7 +70,12 @@ def _as_matrix(value, rows: int, cols: int, name: str) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class StateSpace:
-    """A plain state-space system (A, B, C, D) with transfer C (sI-A)^-1 B + D."""
+    """A plain state-space system (A, B, C, D) with transfer C (sI-A)^-1 B + D.
+
+    Inside the package a StateSpace may also hold a stack of systems of one
+    shape: every block then carries a leading member axis, and n, m and p
+    are those of a member.
+    """
 
     A: np.ndarray
     B: np.ndarray
@@ -103,17 +108,22 @@ class StateSpace:
             object.__setattr__(sys, name, block)
         return sys
 
+    def _members(self, index) -> "StateSpace":
+        """Members of a stack: one system for an integer index, a stack for
+        an index array, and a stack of one of a single system for None."""
+        return StateSpace._unchecked(self.A[index], self.B[index], self.C[index], self.D[index])
+
     @property
     def n(self) -> int:
-        return self.A.shape[0]
+        return self.A.shape[-1]
 
     @property
     def m(self) -> int:
-        return self.D.shape[1]
+        return self.D.shape[-1]
 
     @property
     def p(self) -> int:
-        return self.D.shape[0]
+        return self.D.shape[-2]
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,15 +287,11 @@ def _gain(k: Controller) -> np.ndarray:
 
 
 def _pack_gain(G: np.ndarray, nu: int, ny: int) -> np.ndarray:
-    """The (AK, BK, CK, DK) blocks of a gain-shaped G, each column-major."""
-    return np.concatenate(
-        [
-            G[nu:, ny:].ravel(order="F"),
-            G[nu:, :ny].ravel(order="F"),
-            G[:nu, ny:].ravel(order="F"),
-            G[:nu, :ny].ravel(order="F"),
-        ]
-    )
+    """The (AK, BK, CK, DK) blocks of a gain-shaped G, each column-major; a
+    stack of gains (leading member axis) packs member by member."""
+    blocks = (G[..., nu:, ny:], G[..., nu:, :ny], G[..., :nu, ny:], G[..., :nu, :ny])
+    lead = G.shape[:-2]
+    return np.concatenate([b.swapaxes(-1, -2).reshape(*lead, -1) for b in blocks], axis=-1)
 
 
 def pack_controller(k: Controller) -> np.ndarray:
@@ -331,8 +337,10 @@ def _interconnect(plant: Plant, k: Controller) -> tuple[StateSpace, np.ndarray, 
         raise DimensionMismatch(
             f"controller is {k.nu}x{k.ny} but plant ports need {plant.m2}x{plant.p2}"
         )
-    cl, L, R = _Interconnection(plant, k.order).close(_gain(k))
-    return StateSpace(cl.A, cl.B, cl.C, cl.D), L, R
+    cl, L, R, errors = _Interconnection(plant, k.order).close(_gain(k)[None])
+    if errors[0] is not None:
+        raise errors[0]
+    return StateSpace(cl.A[0], cl.B[0], cl.C[0], cl.D[0]), L[0], R[0]
 
 
 class _Interconnection:
@@ -342,9 +350,9 @@ class _Interconnection:
     A change dK of the gain moves the loop's [[A, B], [C, D]] by L dK R.
     With the augmented plant's S0 = [[A, B1], [C1, D11]], P = [[B2], [D12]],
     Q = [C2, D21] and D22, the loop is S0 + P K R, R = (I - D22 K)^-1 Q and
-    L = P (I - K D22)^-1.  Nothing here validates K: `gain` takes a packed
-    vector of the right length, and `close` returns a StateSpace whose
-    blocks are not checked or copied.
+    L = P (I - K D22)^-1.  Nothing here validates K: `gain` takes packed
+    vectors of the right length, and `close` takes a stack of gains and
+    returns a stack of loops whose blocks are not checked or copied.
     """
 
     def __init__(self, plant: Plant, order: int):
@@ -370,40 +378,58 @@ class _Interconnection:
         return np.argsort(_pack_gain(cells, self.plant.m2, self.plant.p2))
 
     def gain(self, theta: np.ndarray) -> np.ndarray:
-        """K = [[DK, CK], [BK, AK]] from a packed controller vector."""
-        return theta[self._unpack].reshape(self.D22.T.shape)
+        """K = [[DK, CK], [BK, AK]] from a packed controller vector, or a
+        stack of gains from a stack of vectors (one per row)."""
+        return theta[..., self._unpack].reshape(*theta.shape[:-1], *self.D22.T.shape)
 
-    def close(self, K: np.ndarray) -> tuple[StateSpace, np.ndarray, np.ndarray]:
-        """The loop closed by K and its factors L and R; IllPosed when
-        I - D22*DK is singular or its inverse has 2-norm above 1e12."""
+    def close(self, K: np.ndarray) -> tuple[StateSpace, np.ndarray, np.ndarray, list]:
+        """The loops closed by a stack of gains K (leading member axis).
+
+        Returns the stack of loops and their factors L and R, stacked alike,
+        for the members whose loop is well posed, and per member its
+        IllPosed error or None: I - D22*DK is singular, or its inverse has
+        2-norm above 1e12.  Each member gets the bits that a stack of one
+        gives it.
+        """
         plant, N, P, D22 = self.plant, self.N, self.P, self.D22
         n, p2 = plant.n, plant.p2
+        errors = [None] * len(K)
+        lhs = self.eye - D22 @ K
         try:
-            delta = np.linalg.inv(self.eye - D22 @ K)
-        except np.linalg.LinAlgError as exc:
-            raise IllPosed("I - D22*DK is singular") from exc
+            delta = np.linalg.inv(lhs)
+        except np.linalg.LinAlgError:
+            # one singular member fails the stack: invert member by member
+            delta = np.full_like(lhs, np.nan)
+            for j, M in enumerate(lhs):
+                try:
+                    delta[j] = np.linalg.inv(M)
+                except np.linalg.LinAlgError:
+                    errors[j] = IllPosed("I - D22*DK is singular")
         # delta = [[(I - D22*DK)^-1, *], [0, I]]: its leading block sets the conditioning
-        if (
-            not np.all(np.isfinite(delta))
-            or np.linalg.svd(delta[:p2, :p2], compute_uv=False)[0] > _WELLPOSEDNESS_CAP
-        ):
-            raise IllPosed(
-                f"interconnection badly conditioned: ||(I - D22*DK)^-1|| exceeds "
-                f"{_WELLPOSEDNESS_CAP:g}"
-            )
+        posed = np.isfinite(delta).all(axis=(1, 2))
+        lead = delta[:, :p2, :p2] if posed.all() else delta[posed, :p2, :p2]
+        posed[posed] = np.linalg.svd(lead, compute_uv=False)[:, 0] <= _WELLPOSEDNESS_CAP
+        if not posed.all():
+            for j in np.flatnonzero(~posed):
+                if errors[j] is None:
+                    errors[j] = IllPosed(
+                        f"interconnection badly conditioned: ||(I - D22*DK)^-1|| exceeds "
+                        f"{_WELLPOSEDNESS_CAP:g}"
+                    )
+            K, delta = K[posed], delta[posed]
         R = delta @ self.Q
         # (I - K D22)^-1 = I + K delta D22 by the push-through identity
         L = P + P @ (K @ delta @ D22)
         # S0 + P K R block by block, with no loop-sized temporary; S0 is zero off the plant
         PK = P @ K
-        A = PK[:N] @ R[:, :N]
-        A[:n, :n] += plant.A
-        B = PK[:N] @ R[:, N:]
-        B[:n] += plant.B1
-        C = PK[N:] @ R[:, :N]
-        C[:, :n] += plant.C1
-        D = PK[N:] @ R[:, N:] + plant.D11
-        return StateSpace._unchecked(A, B, C, D), L, R
+        A = PK[:, :N] @ R[:, :, :N]
+        A[:, :n, :n] += plant.A
+        B = PK[:, :N] @ R[:, :, N:]
+        B[:, :n] += plant.B1
+        C = PK[:, N:] @ R[:, :, :N]
+        C[:, :, :n] += plant.C1
+        D = PK[:, N:] @ R[:, :, N:] + plant.D11
+        return StateSpace._unchecked(A, B, C, D), L, R, errors
 
 
 def transfer_eval(sys: StateSpace, s: complex) -> np.ndarray:

@@ -148,30 +148,20 @@ def random_controller(
     return unpack_controller(theta, order, ny, nu)
 
 
-def _oracle(evaluate):
-    """The optimizer's oracle(theta, bound) over packed controllers, from
-    evaluate(theta, bound) -> (f, grad); a non-finite theta, or an
-    ill-posed, unstable or eigen-failed loop, is f = +inf."""
+def _stage1_oracle(plant: Plant, order: int):
+    """The closed-loop abscissa, exact at every bound; a non-finite theta,
+    or an ill-posed or eigen-failed loop, is f = +inf."""
 
     def oracle(theta: np.ndarray, bound: float):
         if not np.all(np.isfinite(theta)):
             return math.inf, None
         try:
-            return evaluate(theta, bound)
-        except (IllPosed, UnstableSystem, EigenFailure):
+            rep = abscissa_gradient(plant, unpack_controller(theta, order, plant.p2, plant.m2))
+        except (IllPosed, EigenFailure):
             return math.inf, None
-
-    return oracle
-
-
-def _stage1_oracle(plant: Plant, order: int):
-    """The closed-loop abscissa, exact at every bound."""
-
-    def evaluate(theta: np.ndarray, bound: float):
-        rep = abscissa_gradient(plant, unpack_controller(theta, order, plant.p2, plant.m2))
         return rep.value, rep.grad
 
-    return _oracle(evaluate)
+    return oracle
 
 
 def _stage2_oracle(plant: Plant, order: int, rel_tol: float):
@@ -180,20 +170,49 @@ def _stage2_oracle(plant: Plant, order: int, rel_tol: float):
     The peak frequency of the last certified evaluation joins the next
     lower bound's candidates, so that the bound usually finds the peak the
     optimizer is following.  The loop is closed straight from theta, on
-    padding built once for the oracle."""
+    padding built once for the oracle.
+
+    The oracle's batch form, oracle.batch(thetas, bound), evaluates the
+    rows of thetas as one call each would, except that every row sees the
+    hints of the batch's start.  The rows go through the stacked
+    computation in chunks that allocate no more than one confirmation scan
+    of the loop does (see _batch_size); one call is a batch of one.
+    """
     loop = _Interconnection(plant, order)
+    size = _batch_size(loop.N)
     hints = ()
 
-    def evaluate(theta: np.ndarray, bound: float):
+    def batch(thetas: np.ndarray, bound: float) -> list:
         nonlocal hints
-        norm, grad, certified = _hinf_bounded(
-            loop, theta, rel_tol=rel_tol, bound=bound, hints=hints
-        )
-        if certified:
-            hints = (norm.omega_peak,)
-        return norm.gamma, grad
+        out = [(math.inf, None)] * len(thetas)
+        finite = np.isfinite(thetas).all(axis=1).tolist()
+        rows = [j for j, ok in enumerate(finite) if ok]
+        start = hints
+        for lo in range(0, len(rows), size):
+            chunk = rows[lo : lo + size]
+            found = _hinf_bounded(loop, thetas[chunk], rel_tol=rel_tol, bound=bound, hints=start)
+            for j, res in zip(chunk, found):
+                if res is not None:
+                    norm, grad, certified = res
+                    out[j] = (norm.gamma, grad)
+                    if certified:
+                        hints = (norm.omega_peak,)
+        return out
 
-    return _oracle(evaluate)
+    def oracle(theta: np.ndarray, bound: float):
+        return batch(theta[None], bound)[0]
+
+    oracle.batch = batch
+    return oracle
+
+
+def _batch_size(N: int) -> int:
+    """Members per stack at loop order N.  A confirmation scan holds the
+    resolvent at about 512 + 2N + 16 frequencies, (512 + 2N + 16) N complex
+    values; a member holds about 2 N^2 (its eigenvector basis and its
+    resolvent at the candidate frequencies).  25 members at N = 11, 3 at
+    N = 100."""
+    return max(1, (512 + 2 * N + 16) // (2 * N))
 
 
 def _hanso_options(opts: SynthesisOptions, run_seed: int | None) -> OptOptions:
@@ -304,7 +323,7 @@ def certify_controller(plant: Plant, k: Controller) -> tuple[AbscissaResult, Nor
         norm = hinf_norm(lft_closed_loop(plant, k), rel_tol=CERT_REL_TOL)
     except UnstableSystem as exc:
         raise NotStabilizing(f"closed loop: {exc}") from exc
-    return _abscissa(norm._ev.lam), norm
+    return _abscissa(norm._ev.lam[0]), norm
 
 
 def _run(

@@ -8,6 +8,7 @@ import time
 import numpy as np
 import pytest
 
+import fixedhinf.optimize as optimize
 import oracles
 from fixedhinf import (
     OptOptions,
@@ -456,3 +457,61 @@ def test_hanso_hands_its_point_to_each_refinement_phase():
     assert sum(np.array_equal(x, handed) for x, _ in calls) == 1
     assert res.n_evals == len(calls)
     assert np.array_equal(res.g_best, max_plus_quad(res.x_best, math.inf)[1])
+
+
+def _batched(fn):
+    """fn as an oracle with a batch form; both forms record each point
+    they evaluate, and the batch form the size of each batch."""
+    points, batches = [], []
+
+    def oracle(x, bound):
+        points.append(x.copy())
+        return fn(x, bound)
+
+    def batch(xs, bound):
+        batches.append(len(xs))
+        points.extend(x.copy() for x in xs)
+        return [fn(x, bound) for x in xs]
+
+    oracle.batch = batch
+    return oracle, points, batches
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda orc: gradient_sampling(orc, np.array([1.0, 1.1]), OptOptions(rng_seed=4)),
+        # three iterations a phase leave the bundle unverified, so sampling runs
+        lambda orc: hanso(
+            orc, [np.array([2.0, -1.0]), np.array([0.5, 3.0])], OptOptions(max_iters=3, rng_seed=5)
+        ),
+    ],
+    ids=["sampling", "hanso"],
+)
+def test_the_batch_form_changes_no_run(run):
+    """Sample points go to the oracle's batch form in one call per
+    iteration, and the run is the one that single calls give."""
+    plain, plain_calls = _recording(max_plus_quad)
+    batched, points, batches = _batched(max_plus_quad)
+    a, b = run(plain), run(batched)
+    assert batches and all(size == 4 for size in batches)
+    assert len(points) == len(plain_calls) == a.n_evals == b.n_evals
+    assert all(np.array_equal(x, y) for (x, _), y in zip(plain_calls, points))
+    assert np.array_equal(a.x_best, b.x_best)
+    assert a.f_best == b.f_best and a.status == b.status
+
+
+@pytest.mark.parametrize("with_batch", [False, True])
+def test_a_target_hit_inside_a_batch_counts_up_to_the_hit(with_batch):
+    oracle, points, _ = _batched(quadratic([0.0]))
+    if not with_batch:
+        del oracle.batch
+    track = optimize._Tracker(oracle, 60.0, target=0.5)
+    xs = np.array([[2.0], [1.5], [0.5], [0.1], [3.0]])
+    got = track.call_many(xs, -math.inf)
+    # the third point is the first below the target; nothing after it counts
+    assert [f for f, _ in got] == [4.0, 2.25, 0.25]
+    assert track.n_evals == 3 and track.stop == "target"
+    assert np.array_equal(track.hit[0], [0.5]) and track.hit[1] == 0.25
+    # the batch form evaluates every row; single calls stop at the hit
+    assert len(points) == (5 if with_batch else 3)

@@ -542,3 +542,97 @@ def test_every_accepted_point_carries_its_certified_norm(monkeypatch):
         peaks.add(round(hinf_norm(lft_closed_loop(plant, k)).omega_peak))
     # the two resonances trade places along the path
     assert peaks == {1, 3}
+
+
+def _jordan_plant():
+    """A third-order Jordan block under static feedback through D22 = 1: the
+    zero gain leaves the block, whose eigenvector basis is singular to
+    working precision, DK = 1 makes the loop ill posed and DK = 0.9
+    unstable."""
+    A = np.array([[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0], [0.0, 0.0, -1.0]])
+    return Plant.from_blocks(
+        A, [[1.0], [0.5], [0.2]], [[0.0], [0.0], [1.0]], [[1.0, 0.0, 0.0]], [[1.0, 0.0, 0.0]],
+        D22=[[1.0]],
+    )
+
+
+def _same_bits(got, want):
+    (f, g), (f0, g0) = got, want
+    assert f == f0
+    assert (g is None) == (g0 is None)
+    if g is not None:
+        assert g.dtype == g0.dtype and g.tobytes() == g0.tobytes()
+
+
+def test_stage2_batch_members_equal_single_calls():
+    plant = _jordan_plant()
+    # stable, unstable, ill posed, not finite, ill-conditioned eigenvectors
+    thetas = np.array([[0.3], [0.9], [1.0], [math.nan], [0.0], [-3.0]])
+    block = lft_closed_loop(plant, Controller.static([[0.0]]))
+    assert analysis._residues(np.linalg.eig(block.A)[1], block.B, block.C) is None
+    # (1 + k)^2 / (s + 1 - k) + k: the peak is at infinity for k = -2 and -3
+    # and at dc for k = 0.5 and 0.3, so the gradients take two stacks
+    first_order = Plant.from_blocks([[-1.0]], [[1.0]], [[1.0]], [[1.0]], [[1.0]], D12=[[1.0]], D21=[[1.0]])
+    cases = [
+        (plant, thetas, -0.5, [False, True, True, True, False, False]),
+        (first_order, np.array([[0.5], [-2.0], [0.3], [-3.0]]), 0.2, [False] * 4),
+    ]
+    for plant, thetas, hinted, infeasible in cases:
+        serial = synthesis_module._stage2_oracle(plant, 0, 1e-7)
+        batched = synthesis_module._stage2_oracle(plant, 0, 1e-7)
+        # a certified call sets the peak hint of both
+        for oracle in (serial, batched):
+            oracle(np.array([hinted]), math.inf)
+        got = batched.batch(thetas, -math.inf)
+        for theta, member in zip(thetas, got):
+            _same_bits(member, serial(theta, -math.inf))
+        assert [math.isinf(f) for f, _ in got] == infeasible
+    peaks = [hinf_norm(lft_closed_loop(first_order, Controller.static([[k]]))) for k in (0.5, -2.0)]
+    assert [norm.attained_at_infinity for norm in peaks] == [False, True]
+
+
+def test_stage2_batch_of_dynamic_controllers_equals_single_calls(rng):
+    plant = random_plant(rng, 5, 2, 2, 2, 2, stable=True, d22=True)
+    # more members than one stack takes, so the batch goes in two chunks
+    size = synthesis_module._batch_size(plant.n + 2)
+    base = pack_controller(random_controller(2, 2, 2, 0.3, rng))
+    base[:4] -= np.eye(2).ravel()
+    thetas = base + 0.05 * rng.standard_normal((size + 5, base.size))
+    serial = synthesis_module._stage2_oracle(plant, 2, 1e-7)
+    batched = synthesis_module._stage2_oracle(plant, 2, 1e-7)
+    for oracle in (serial, batched):
+        oracle(base, math.inf)
+    for theta, member in zip(thetas, batched.batch(thetas, -math.inf)):
+        _same_bits(member, serial(theta, -math.inf))
+
+
+def test_batch_size_keeps_a_stack_within_one_confirmation_scan():
+    assert synthesis_module._batch_size(11) == 25
+    assert synthesis_module._batch_size(100) == 3
+    assert synthesis_module._batch_size(1000) == 1
+
+
+def test_optimize_performance_is_the_same_without_the_batch_form(monkeypatch):
+    plant = _two_resonance_plant()
+    # three iterations a phase leave the bundle unverified, so sampling runs
+    opts = SynthesisOptions(order=0, max_iters=3)
+    k0 = Controller.static(np.zeros((2, 2)))
+    real = synthesis_module._stage2_oracle
+    sizes = []
+
+    def counted(*args):
+        oracle = real(*args)
+        batch = oracle.batch
+        oracle.batch = lambda thetas, bound: sizes.append(len(thetas)) or batch(thetas, bound)
+        return oracle
+
+    monkeypatch.setattr(synthesis_module, "_stage2_oracle", counted)
+    k, absc, cert = optimize_performance(plant, k0, opts)
+    assert sizes and all(size == 8 for size in sizes)
+    # the same oracle called point by point
+    monkeypatch.setattr(
+        synthesis_module, "_stage2_oracle", lambda *args: real(*args).__call__
+    )
+    k1, absc1, cert1 = optimize_performance(plant, k0, opts)
+    assert pack_controller(k).tobytes() == pack_controller(k1).tobytes()
+    assert cert.gamma == cert1.gamma and absc.alpha == absc1.alpha
