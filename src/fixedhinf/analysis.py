@@ -36,7 +36,11 @@ stage: their candidate frequencies go through one padded stack, and each
 Newton step of the polish takes every start still running as one stack.
 numpy's stacked eig, svd, solve and matmul give each member the bits of a
 single call, so every member gets the bits `_hinf` gives it alone, and a
-member that fails reports its own error.
+member that fails reports its own error.  A line-search trial needs only
+its verdict: where the lower bound before polishing already exceeds the
+bound, the polish could not change it, and the trial returns it as it is.
+A stack of trials runs its members in order and stops at the first one
+certified.
 
 Once the probe finds no crossing, one grid scan guards against eigenvalues
 misclassified as off the axis.  It takes an SVD only at grid points that
@@ -502,7 +506,12 @@ def _check_rel_tol(rel_tol: float) -> None:
 
 
 def _hinf(
-    sys: StateSpace, rel_tol: float, *, bound: float = math.inf, hints: tuple[float, ...] = ()
+    sys: StateSpace,
+    rel_tol: float,
+    *,
+    bound: float = math.inf,
+    hints: tuple[float, ...] = (),
+    trial: bool = False,
 ) -> tuple[NormResult, bool]:
     """H-infinity norm of sys, certified only where it may be at most `bound`.
 
@@ -511,27 +520,41 @@ def _hinf(
     candidates and the hint frequencies.  A lower bound above `bound` is
     returned with converged=False and 0 iterations; otherwise the level-set
     stage certifies the norm on the same evaluator.  The flag returned with
-    the NormResult says whether the lower bound was at most `bound`.
+    the NormResult says whether the lower bound was at most `bound`.  A
+    trial skips the polish where the unpolished lower bound already exceeds
+    `bound`.
     """
     sigma_d = float(np.linalg.svd(sys.D, compute_uv=False)[0])
     if sys.n == 0:
         return NormResult(sigma_d, 0.0, True, True, 0), sigma_d <= bound
     ev = _FreqEvaluator(sys)
-    return _level_set(sys, ev, sigma_d, _lower_bounds(ev, [sigma_d], hints)[0], rel_tol, bound)
+    peaks, starts = _lower_bounds(ev, [sigma_d], hints)
+    peak = _polished(ev, sigma_d, peaks[0], starts[0], bound if trial else math.inf)
+    return _level_set(sys, ev, sigma_d, peak, rel_tol, bound)
 
 
 def _hinf_many(
-    sys: StateSpace, rel_tol: float, *, bound: float, hints: tuple[float, ...] = ()
+    sys: StateSpace,
+    rel_tol: float,
+    *,
+    bound,
+    hints: tuple[float, ...] = (),
+    trial: bool = False,
 ) -> list:
     """`_hinf` over a stack of systems of order n > 0, with the bits it gives
     each member alone: per member its (NormResult, flag), or the error it
-    raises.  A member that is not finite gets EigenFailure.
+    raises.  A member that is not finite gets EigenFailure.  bound is one
+    float, or a list of one per member.
 
     The members share one eigendecomposition call and one lower-bound
     stage.  A member whose eigenvector basis is ill conditioned, and every
     member when the stack's eigenvalue iteration fails, runs through
-    `_hinf` alone; the level-set stage runs member by member.
+    `_hinf` alone; the level-set stage runs member by member.  With trial
+    (a chain of line-search trials) every member is evaluated as `_hinf`
+    with trial=True evaluates it, in order, each polished only when the
+    order reaches it, and the list ends after the first certified member.
     """
+    bounds = _per_member(bound, len(sys.A))
     out: list = [None] * len(sys.A)
     blocks = (sys.A, sys.B, sys.C, sys.D)
     members = range(len(sys.A))
@@ -545,7 +568,7 @@ def _hinf_many(
         lam, V = np.linalg.eig(sys.A)
     except np.linalg.LinAlgError:
         lam = V = None
-    alone, modal, lams, residues = [], [], [], []
+    alone, modal, lams, residues = [], {}, [], []
     for k, j in enumerate(members):
         if lam is None:
             alone.append(k)
@@ -564,43 +587,62 @@ def _hinf_many(
         if res is None:
             alone.append(k)
         else:
-            modal.append(k)
+            modal[k] = len(lams)
             lams.append(w)
             residues.append(res)
-    for k in alone:
-        try:
-            out[members[k]] = _hinf(sys._members(k), rel_tol, bound=bound, hints=hints)
-        except (EigenFailure, UnstableSystem) as exc:
-            # kept without its traceback, which holds this frame and so out:
-            # that cycle would keep the stack alive until a garbage collection
-            out[members[k]] = exc.with_traceback(None)
     if modal:
         full = len(modal) == len(sys.A)
-        D = sys.D if full else sys.D[modal]
+        D = sys.D if full else sys.D[list(modal)]
         ev = _FreqEvaluator._stack(np.array(lams), D, np.array(residues))
         sigma_d = np.linalg.svd(D, compute_uv=False)[:, 0].tolist()
-        peaks = _lower_bounds(ev, sigma_d, hints)
-        for i, k in enumerate(modal):
-            member = sys._members(k)
-            out[members[k]] = _level_set(member, ev.member(i), sigma_d[i], peaks[i], rel_tol, bound)
+        peaks, starts = _lower_bounds(ev, sigma_d, hints)
+        if not trial:
+            # every member's polished peak, as one stack
+            polish = [start for start in starts if start is not None]
+            for start, peak in zip(polish, _polish_many(ev, polish)):
+                peaks[start[0]] = peak
+            starts = [None] * len(starts)
+    for k, j in enumerate(members):
+        if k in modal:
+            i = modal[k]
+            peak = _polished(ev, sigma_d[i], peaks[i], starts[i], bounds[j])
+            out[j] = _level_set(sys._members(k), ev.member(i), sigma_d[i], peak, rel_tol, bounds[j])
+        elif k in alone:
+            try:
+                out[j] = _hinf(sys._members(k), rel_tol, bound=bounds[j], hints=hints, trial=trial)
+            except (EigenFailure, UnstableSystem) as exc:
+                # kept without its traceback, which holds this frame and so out:
+                # that cycle would keep the stack alive until a garbage collection
+                out[j] = exc.with_traceback(None)
+                continue
+        else:
+            continue
+        if trial and out[j][1]:
+            return out[: j + 1]
     return out
 
 
-def _lower_bounds(ev: _FreqEvaluator, sigma_d, hints: tuple[float, ...]) -> list:
+def _per_member(bound, n: int) -> list:
+    """A bound for each of n members: a list as it is, one float n times."""
+    return bound if isinstance(bound, list) else [bound] * n
+
+
+def _lower_bounds(ev: _FreqEvaluator, sigma_d, hints: tuple[float, ...]) -> tuple[list, list]:
     """The lower-bound stage on every member of the stack ev, whose
-    sigma_max(D) are sigma_d: the best of sigma_max at the member's
-    candidate frequencies and the hints, polished unless it lies below
-    sigma_max(D) (the probe at sigma_max(D) then finds any finite peak above
-    it).  Per member (omega, sigma), or None for a zero system.  The
-    members' candidates go through one stack, each row padded to the
-    longest with copies of its last frequency."""
+    sigma_max(D) are sigma_d, before polishing: per member the best
+    (omega, sigma) of sigma_max at its candidate frequencies and the hints,
+    or None for a zero system, and the start (j, omegas, vals, i) from which
+    `_polish_many` polishes it, or None where the best lies below
+    sigma_max(D) (the probe at sigma_max(D) then finds any finite peak
+    above it).  The members' candidates go through one stack, each row
+    padded to the longest with copies of its last frequency."""
     cands = [_unique(np.concatenate([c, hints])) if len(hints) else c for c in ev.cands]
     grid = np.empty((len(cands), max(c.size for c in cands)))
     for row, c in zip(grid, cands):
         row[: c.size] = c
         row[c.size :] = c[-1]
     peaks: list = []
-    starts = []
+    starts: list = []
     for j, (c, v) in enumerate(zip(cands, ev.sigma_max_many(grid))):
         v = v[: c.size]
         if float(v.max()) == 0.0 and sigma_d[j] == 0.0:
@@ -610,14 +652,21 @@ def _lower_bounds(ev: _FreqEvaluator, sigma_d, hints: tuple[float, ...]) -> list
             v = member.sigma_max_many(c)
             if float(v.max()) == 0.0:
                 peaks.append(None)
+                starts.append(None)
                 continue
         i = int(np.argmax(v))
         peaks.append((float(c[i]), float(v[i])))
-        if peaks[j][1] >= sigma_d[j]:
-            starts.append((j, c, v, i))
-    for start, peak in zip(starts, _polish_many(ev, starts)):
-        peaks[start[0]] = peak
-    return peaks
+        starts.append((j, c, v, i) if peaks[j][1] >= sigma_d[j] else None)
+    return peaks, starts
+
+
+def _polished(ev: _FreqEvaluator, sigma_d: float, peak, start, bound: float):
+    """peak polished from start, unless there is no start or the lower
+    bound max(sigma_d, peak) already exceeds bound: polishing can only
+    raise it, so the level-set stage would not run either way."""
+    if start is None or max(sigma_d, peak[1]) > bound:
+        return peak
+    return _polish_many(ev, [start])[0]
 
 
 def _level_set(

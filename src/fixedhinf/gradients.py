@@ -16,7 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as la
 
-from .analysis import NormResult, _abscissa, _hinf_many, _secondary_peak_gap, hinf_norm
+from .analysis import (
+    NormResult,
+    _abscissa,
+    _hinf_many,
+    _per_member,
+    _secondary_peak_gap,
+    hinf_norm,
+)
 from .errors import EigenFailure
 from .statespace import (
     Controller,
@@ -204,35 +211,47 @@ def _hinf_bounded(
     thetas: np.ndarray,
     *,
     rel_tol: float,
-    bound: float,
+    bound,
     hints: tuple[float, ...] = (),
-) -> list[tuple[NormResult, np.ndarray, bool] | None]:
+    trial: bool = False,
+) -> list[tuple[NormResult, np.ndarray | None, bool] | None]:
     """Closed-loop H-infinity norms at a stack of packed controllers (one per
     row of thetas) under the optimizer's oracle contract, with the bits each
-    member gets alone.
+    member gets alone; bound is one float, or a list of one per row.
 
     Each norm's lower bound, with the hint frequencies added to its
-    candidates, is returned uncertified when it exceeds `bound`, in
+    candidates, is returned uncertified when it exceeds its bound, in
     (bound, norm]; otherwise the norm is certified exactly as hinf_gradient
     computes it when there are no hints.  Returns per member the NormResult,
     the gradient of the branch that attains its value, and whether the
     value is certified; None when the loop is ill posed or not finite, or
-    unstable, or its eigenvalue iteration fails.
+    unstable, or its eigenvalue iteration fails.  A trial (see `_hinf_many`)
+    takes no gradient where the value exceeds its bound, and its list ends
+    after the first certified member.
     """
+    bounds = _per_member(bound, len(thetas))
     out: list = [None] * len(thetas)
     cl, L, R, errors = loop.close(loop.gain(thetas))
     posed = [j for j, error in enumerate(errors) if error is None]
     if not posed:
         return out
-    found = _hinf_many(cl, rel_tol, bound=bound, hints=hints)
-    ok = [k for k, res in enumerate(found) if not isinstance(res, Exception)]
-    if not ok:
-        return out
-    if len(ok) < len(found):
-        cl, L, R = cl._members(ok), L[ok], R[ok]
-    ports = (loop.plant.m2, loop.plant.p2)
-    grads = _peak_gradient(ports, cl, L, R, [found[k][0] for k in ok])[0]
-    for k, grad in zip(ok, grads):
-        norm, certified = found[k]
-        out[posed[k]] = (norm, grad, certified)
+    bounds = [bounds[j] for j in posed]
+    found = _hinf_many(cl, rel_tol, bound=bounds, hints=hints, trial=trial)
+    if len(found) < len(posed):
+        out = out[: posed[len(found) - 1] + 1]
+    ok = [
+        k
+        for k, res in enumerate(found)
+        if not isinstance(res, Exception) and not (trial and res[0].gamma > bounds[k])
+    ]
+    grads = [None] * len(found)
+    if ok:
+        if len(ok) < len(posed):
+            cl, L, R = cl._members(ok), L[ok], R[ok]
+        ports = (loop.plant.m2, loop.plant.p2)
+        for k, grad in zip(ok, _peak_gradient(ports, cl, L, R, [found[k][0] for k in ok])[0]):
+            grads[k] = grad
+    for k, res in enumerate(found):
+        if not isinstance(res, Exception):
+            out[posed[k]] = (res[0], grads[k], res[1])
     return out

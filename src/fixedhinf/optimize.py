@@ -32,19 +32,34 @@ why -inf is not a sound bound for them, since it lets the oracle answer
 with the gradient of a lower branch; +inf is.  An oracle that always
 returns f(x) meets the contract.
 
-An oracle may also carry a batch form, oracle.batch(xs, bound), which
-returns one (f, grad) per row of xs; gradient sampling hands it the sample
-points of an iteration, drawn first in the order single draws would take.
-It must return what calls one at a time would, except for state that the
-oracle carries from call to call: every row sees that state as it was at
-the batch's start.  The tracker replays the results in order, counting
-each one, recording the first hit and dropping the results after a stop,
-so counts, hits and statuses are those of single calls.  The stage-2
-oracle's state is the peak frequency of its last certified evaluation.
-Under bound -inf no sample point is certified, so a batch gives exactly
-the bits of single calls; under +inf every row would be certified with the
-hints of the batch's start, and the hints after the batch would come from
-its last row.  An oracle without a batch form is called point by point.
+An oracle may also carry a batch form, oracle.batch(xs, bounds, trial),
+which evaluates the rows of xs in order, row i under bounds[i], and returns
+one (f, grad) per row evaluated.  It may stop after any row, and it stops
+after a row whose evaluation changes state that the oracle carries from
+call to call, so that each row it returns sees the state one call at a time
+would; the stage-2 oracle's state is the peak frequency of its last
+certified evaluation.  Such an oracle also takes trial on its plain call,
+oracle(x, bound, trial), and may carry trial_chunk, the most rows of
+line-search trials worth sending at once (1 when absent).  An oracle
+without a batch form is called one row at a time, as above.
+
+trial=True marks line-search trials, whose gradient is read only where f
+<= bound: there the oracle may return grad None for a row with f > bound,
+and the stage-2 oracle then returns its lower bound before polishing it
+and takes no gradient.  Gradient sampling hands the batch form the sample
+points of an iteration, drawn first in the order single draws would take,
+with trial=False and bound -inf, under which no point is certified, so
+every point gets the bits of a single call.  The line searches hand it the
+trials that they would make while every trial is rejected: the weak-Wolfe
+bisections t <- (alpha + t) / 2 toward the last accepted step and the
+Armijo halvings t = 1, 1/2, ..., 2^-29.  These go in chunks of 1, 2, 4, ...
+rows up to trial_chunk; a chunk of one row is a plain call.  The tracker
+replays each chunk's results in order, counting each one, checking the
+stop rule before each row as around single calls and recording the first
+hit; after the first row with f <= its bound, where the search changes
+course, it drops the rest, and rows the oracle did not return go again in
+the next chunk.  Counts, accepted points, hits and statuses are thus those
+of single calls, and a deadline overshoots by at most one chunk.
 
 Infeasible points are signalled by f = +inf with grad = None, and f = +inf
 is the only feasibility signal.  The line searches retreat rather than
@@ -56,6 +71,7 @@ with status "infeasible" when every start is infeasible.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -97,8 +113,8 @@ class OptOptions:
 
     cpu_budget_seconds is a wall-clock deadline, not CPU time, despite its
     name, for one phase call or one whole hanso call; loops check it before
-    oracle calls, so overshoot is at most one call or one batch of sample
-    points.
+    oracle calls, so overshoot is at most one call, one batch of sample
+    points or one chunk of line-search trials.
     """
 
     max_iters: int = 1000
@@ -137,6 +153,7 @@ class _Tracker:
 
     def __init__(self, oracle, budget_seconds: float, target: float = -math.inf):
         self.oracle = oracle
+        self.batch = getattr(oracle, "batch", None)
         self.t0 = time.perf_counter()
         self.deadline = self.t0 + budget_seconds
         self.target = target
@@ -150,23 +167,59 @@ class _Tracker:
         return self._count(x, f, g)
 
     def call_many(self, xs: np.ndarray, bound: float) -> list[tuple[float, np.ndarray | None]]:
-        """The oracle at the rows of xs, in order, up to the first stop: the
-        stop rule is checked before each row, as around single calls.  With
-        the oracle's batch form every row is evaluated in one call first and
-        the results are replayed, so the counts, the hit and the stop are
-        those of single calls; a deadline then overshoots by one batch."""
-        bound = max(bound, self.target)
+        """The oracle at the sample points xs, in order, up to the first
+        stop, with the stop rule checked before each point as around single
+        calls: one batch when the oracle has a batch form."""
         if self.stop:
             return []
-        batch = getattr(self.oracle, "batch", None)
-        results = iter(batch(xs, bound)) if batch is not None else None
-        out = []
-        for x in xs:
-            if self.stop:
-                break
-            f, g = next(results) if results is not None else self.oracle(x, bound)
-            out.append(self._count(x, f, g))
-        return out
+        rows = ((x, bound) for x in xs)
+        return [(f, g) for _, _, f, g in self._replay(rows, False, len(xs), len(xs))]
+
+    def trials(self, rows):
+        """The oracle at a line search's trials: rows yields (x, level) in
+        the order the search takes them while every trial is rejected.
+        Yields (x, level, f, g) per trial, up to the stop rule, which is
+        checked before each trial after the first; the search takes what it
+        needs.  Rows go in chunks of 1, 2, 4, ... up to the oracle's
+        trial_chunk (see the module docstring)."""
+        return self._replay(rows, True, 1, getattr(self.oracle, "trial_chunk", 1))
+
+    def _replay(self, rows, trial: bool, size: int, cap: int):
+        """(x, level, f, g) at the (x, level) of rows, each evaluated under
+        max(level, target) in chunks of size rows, doubling up to cap; see
+        the module docstring for the replay."""
+        if self.batch is None:
+            size = cap = 1
+        # a trial says so on the plain call of an oracle with the batch form
+        trial = trial and self.batch is not None
+        rows = iter(rows)
+        pending: list = []
+        first = True
+        while True:
+            if not first and self.stop:
+                return
+            pending += itertools.islice(rows, size - len(pending))
+            if not pending:
+                return
+            bounds = [max(level, self.target) for _, level in pending]
+            if len(pending) == 1:
+                x = pending[0][0]
+                f, g = self.oracle(x, bounds[0], trial=True) if trial else self.oracle(x, bounds[0])
+                results = [(f, g)]
+            else:
+                results = self.batch(np.array([x for x, _ in pending]), bounds, trial=trial)
+            first = False
+            done = 0
+            for (x, level), bound, (f, g) in zip(pending, bounds, results):
+                if done and self.stop:
+                    return
+                done += 1
+                f, g = self._count(x, f, g)
+                yield x, level, f, g
+                if f <= bound:
+                    break
+            del pending[:done]
+            size = min(2 * size, cap)
 
     def _count(self, x: np.ndarray, f, g) -> tuple[float, np.ndarray | None]:
         self.n_evals += 1
@@ -224,6 +277,26 @@ def _start(oracle, x0, opts: OptOptions | None, track: _Tracker | None, first):
     return opts, track, x, f, g
 
 
+def _bisections(x, f0, d, slope0, alpha, t, steps):
+    """The weak-Wolfe trials (x + t d, level) from step t on while every one
+    is rejected: t <- (alpha + t) / 2 until the bracket [alpha, t]
+    collapses, at most `steps` of them."""
+    for _ in range(steps):
+        yield x + t * d, f0 + _WOLFE_C1 * t * slope0
+        if t - alpha <= 1e-16 * max(1.0, alpha):
+            return
+        t = 0.5 * (alpha + t)
+
+
+def _halvings(x, f, d, measure):
+    """The Armijo trials (x - t d, level) of gradient sampling, t = 1, 1/2,
+    ..., 2^-29."""
+    t = 1.0
+    for _ in range(30):
+        yield x - t * d, f - _WOLFE_C1 * t * measure * measure
+        t *= 0.5
+
+
 def _weak_wolfe(
     track: _Tracker,
     x: np.ndarray,
@@ -239,20 +312,28 @@ def _weak_wolfe(
     conditions hold, "decrease" when only sufficient decrease was secured
     before bracketing collapsed, "fail" otherwise.  Infinite f at a trial
     point shrinks the bracket toward the feasible endpoint, so the search
-    never steps onward from an infeasible point.
+    never steps onward from an infeasible point.  The trials a run of
+    rejections would make go to the tracker as one chain, which a trial
+    with sufficient decrease ends.
     """
     alpha = 0.0
     xa, fa, ga = x, f0, g0
     beta = math.inf
     t = 1.0
-    for _ in range(_LINE_SEARCH_STEPS):
-        xt = x + t * d
-        level = f0 + _WOLFE_C1 * t * slope0
-        ft, gt = track.call(xt, level)
+    chain = None
+    for step in range(_LINE_SEARCH_STEPS):
+        if chain is None:
+            chain = track.trials(_bisections(x, f0, d, slope0, alpha, t, _LINE_SEARCH_STEPS - step))
+        trial = next(chain, None)
+        if trial is None:
+            # the stop rule ended the chain
+            break
+        xt, level, ft, gt = trial
         if not math.isfinite(ft) or ft > level:
             beta = t
         elif gt @ d < _WOLFE_C2 * slope0:
             alpha, xa, fa, ga = t, xt, ft, gt
+            chain = None
         else:
             return t, xt, ft, gt, "wolfe"
         if track.stop:
@@ -509,19 +590,14 @@ def gradient_sampling(
             if measure <= opts.grad_norm_tol:
                 break
             # Armijo backtracking along -d
-            t = 1.0
             accepted = False
             f_prev = f
-            for _ in range(30):
-                if track.stop:
-                    break
-                level = f - _WOLFE_C1 * t * measure * measure
-                ft, gt = track.call(x - t * d, level)
+            trials = [] if track.stop else track.trials(_halvings(x, f, d, measure))
+            for xt, level, ft, gt in trials:
                 if math.isfinite(ft) and ft <= level:
-                    x, f, g = x - t * d, ft, gt
+                    x, f, g = xt, ft, gt
                     accepted = True
                     break
-                t *= 0.5
             if accepted:
                 improvement = f_prev - f
                 if f < f_best:

@@ -14,11 +14,12 @@ from __future__ import annotations
 import enum
 import math
 import os
+import pickle
+import signal
 import sys
 import time
 import warnings
 from dataclasses import dataclass, replace
-from itertools import repeat
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from .analysis import (
     NormResult,
     _abscissa,
     _check_rel_tol,
+    _per_member,
     hinf_norm,
     spectral_abscissa,
 )
@@ -172,37 +174,50 @@ def _stage2_oracle(plant: Plant, order: int, rel_tol: float):
     optimizer is following.  The loop is closed straight from theta, on
     padding built once for the oracle.
 
-    The oracle's batch form, oracle.batch(thetas, bound), evaluates the
-    rows of thetas as one call each would, except that every row sees the
-    hints of the batch's start.  The rows go through the stacked
-    computation in chunks that allocate no more than one confirmation scan
-    of the loop does (see _batch_size); one call is a batch of one.
+    The oracle's batch form, oracle.batch(thetas, bound, trial), evaluates
+    the rows of thetas in order, under one bound or a list of one per row,
+    as one call each would, and stops after the first certified row, which
+    moves the hint.  The rows go through the stacked computation in chunks
+    that allocate no more than one confirmation scan of the loop does (see
+    _batch_size); one call is a batch of one.  A trial (see the optimize
+    module) returns a lower bound above its bound before polishing it, with
+    no gradient; oracle.trial_chunk is the most trials worth stacking (see
+    _trial_chunk).
     """
     loop = _Interconnection(plant, order)
     size = _batch_size(loop.N)
     hints = ()
 
-    def batch(thetas: np.ndarray, bound: float) -> list:
+    def batch(thetas: np.ndarray, bound, trial: bool = False) -> list:
         nonlocal hints
-        out = [(math.inf, None)] * len(thetas)
+        bounds = _per_member(bound, len(thetas))
         finite = np.isfinite(thetas).all(axis=1).tolist()
-        rows = [j for j, ok in enumerate(finite) if ok]
-        start = hints
-        for lo in range(0, len(rows), size):
-            chunk = rows[lo : lo + size]
-            found = _hinf_bounded(loop, thetas[chunk], rel_tol=rel_tol, bound=bound, hints=start)
-            for j, res in zip(chunk, found):
-                if res is not None:
-                    norm, grad, certified = res
-                    out[j] = (norm.gamma, grad)
-                    if certified:
-                        hints = (norm.omega_peak,)
+        out = []
+        for lo in range(0, len(thetas), size):
+            chunk = range(lo, min(lo + size, len(thetas)))
+            rows = [j for j in chunk if finite[j]]
+            found = iter(
+                _hinf_bounded(loop, thetas[rows], rel_tol=rel_tol, bound=[bounds[j] for j in rows],
+                              hints=hints, trial=trial)
+                if rows else ()
+            )
+            for j in chunk:
+                res = next(found) if finite[j] else None
+                if res is None:
+                    out.append((math.inf, None))
+                    continue
+                norm, grad, certified = res
+                out.append((norm.gamma, grad))
+                if certified:
+                    hints = (norm.omega_peak,)
+                    return out
         return out
 
-    def oracle(theta: np.ndarray, bound: float):
-        return batch(theta[None], bound)[0]
+    def oracle(theta: np.ndarray, bound: float, trial: bool = False):
+        return batch(theta[None], bound, trial)[0]
 
     oracle.batch = batch
+    oracle.trial_chunk = _trial_chunk(loop.N)
     return oracle
 
 
@@ -213,6 +228,20 @@ def _batch_size(N: int) -> int:
     resolvent at the candidate frequencies).  25 members at N = 11, 3 at
     N = 100."""
     return max(1, (512 + 2 * N + 16) // (2 * N))
+
+
+# Line-search trials are stacked only at loop orders up to _TRIAL_STACK_ORDER,
+# where a member's eig costs less than the fixed cost of a call, and then at
+# most _TRIAL_CHUNK at a time
+_TRIAL_STACK_ORDER = 40
+_TRIAL_CHUNK = 8
+
+
+def _trial_chunk(N: int) -> int:
+    """The most line-search trials worth evaluating as one stack at loop
+    order N: a rejected trial's eigendecomposition is wasted once a trial
+    before it is accepted, so trials are stacked only where eig is cheap."""
+    return _TRIAL_CHUNK if N <= _TRIAL_STACK_ORDER else 1
 
 
 def _hanso_options(opts: SynthesisOptions, run_seed: int | None) -> OptOptions:
@@ -347,23 +376,78 @@ def _run(
 
 
 def _runs(plant: Plant, opts: SynthesisOptions) -> list:
-    """Every run's `_run` result, in run order.  On Linux, several runs go
-    to a pool of forked processes, one per usable CPU, that ends with the
-    call; runs share no state, so the bits are those of the loop in this
-    process, which serves a single run, one usable CPU and a daemonic
-    caller (it may not have children)."""
-    if opts.runs > 1 and sys.platform.startswith("linux"):
-        # imported here: they add 12 modules and about 0.5 MB of resident
-        # memory to every process, also to one that never starts a pool
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
+    """Every run's `_run` result, in run order.  On Linux, with P > 1 usable
+    CPUs and several runs, this process runs the runs r = 0 mod P and P - 1
+    forked children the others, one residue each; runs share no state, so
+    the bits are those of the loop in this process, which serves a single
+    run, one usable CPU and a daemonic caller (it may not have children)."""
+    workers = 1
+    if sys.platform.startswith("linux"):
         workers = min(opts.runs, len(os.sched_getaffinity(0)))
-        if workers > 1 and not multiprocessing.current_process().daemon:
-            context = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(workers, mp_context=context) as pool:
-                return list(pool.map(_run, repeat(plant), repeat(opts), range(opts.runs)))
-    return [_run(plant, opts, r) for r in range(opts.runs)]
+    if workers > 1:
+        # imported here, so that a process that never forks does not load it
+        import multiprocessing
+
+        if multiprocessing.current_process().daemon:
+            workers = 1
+    if workers == 1:
+        return [_run(plant, opts, r) for r in range(opts.runs)]
+    children = []
+    try:
+        for c in range(1, workers):
+            children.append(_fork_runs(plant, opts, range(c, opts.runs, workers)))
+        mine = [_run(plant, opts, r) for r in range(0, opts.runs, workers)]
+    except BaseException:
+        for pid, fd in children:
+            os.kill(pid, signal.SIGKILL)
+            os.close(fd)
+            os.waitpid(pid, 0)
+        raise
+    results = [None] * opts.runs
+    results[::workers] = mine
+    errors = []
+    for c, (pid, fd) in enumerate(children, start=1):
+        with os.fdopen(fd, "rb") as pipe:
+            data = pipe.read()
+        status = os.waitpid(pid, 0)[1]
+        try:
+            ok, payload = pickle.loads(data)
+        except (EOFError, pickle.UnpicklingError):
+            ok, payload = False, RuntimeError(f"a synthesis child ended with status {status}")
+        if ok:
+            results[c::workers] = payload
+        else:
+            errors.append(payload)
+    if errors:
+        raise errors[0]
+    return results
+
+
+def _fork_runs(plant: Plant, opts: SynthesisOptions, runs: range) -> tuple[int, int]:
+    """A forked child that runs `runs` and writes their `_run` results, or
+    the exception that stopped them, pickled to a pipe; returns its pid and
+    the pipe's read end."""
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write)
+        return pid, read
+    # the child: it never returns into the caller's frames
+    try:
+        os.close(read)
+        try:
+            payload = (True, [_run(plant, opts, r) for r in runs])
+        except BaseException as exc:
+            payload = (False, exc)
+        try:
+            data = pickle.dumps(payload)
+        except Exception as exc:
+            error = RuntimeError(f"a synthesis child could not send {payload[1]!r} back: {exc!r}")
+            data = pickle.dumps((False, error))
+        with os.fdopen(write, "wb") as pipe:
+            pipe.write(data)
+    finally:
+        os._exit(0)
 
 
 def synthesize(plant: Plant, opts: SynthesisOptions | None = None) -> SynthesisResult:
@@ -371,11 +455,12 @@ def synthesize(plant: Plant, opts: SynthesisOptions | None = None) -> SynthesisR
 
     Each run derives its own seed from (rng_seed, run index), so run r is
     reproducible independently of how many runs are requested.  The runs
-    are spread over one forked process per usable CPU (Linux only; a single
-    run, or a call from a daemonic process, runs in this process), with the
-    same result as one after another.  cpumax_seconds is each run's own
-    budget, counted from that run's start, and a run's stage 2 gets what
-    its stage 1 left.  The best run has the lowest certified norm among the
+    are spread over this process and one forked child per further usable
+    CPU (Linux only; a single run, or a call from a daemonic process, runs
+    in this process), with the same result as one after another.
+    cpumax_seconds is each run's own budget, counted from that run's
+    start, and a run's stage 2 gets what its stage 1 left.  The best run
+    has the lowest certified norm among the
     runs whose certificate converged, the earliest on a tie; an unconverged
     one wins only when no run's converged.  Runs that fail to stabilize are
     recorded with stage2_norm = +inf; the overall status is

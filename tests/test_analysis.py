@@ -392,3 +392,39 @@ def test_a_stack_gives_each_member_its_bits_alone(rng):
             for sys, (norm, flag) in zip(members, got):
                 want, want_flag = analysis._hinf(sys, 1e-7, bound=bound)
                 assert flag == want_flag and _norm_bits(norm) == _norm_bits(want)
+
+
+def test_a_stack_of_trials_stops_at_its_first_certified_member(rng, monkeypatch):
+    """A trial member whose lower bound before polishing exceeds its bound
+    is not polished, and returns that bound; the others get `_hinf`'s bits,
+    and the stack ends at its first certified member."""
+    n = 6
+    members = [stable_system(rng, n, 2, 2, margin=0.3) for _ in range(5)]
+    # the third member is ill conditioned and runs alone
+    jordan = -np.eye(n) + np.diag(np.ones(n - 1), 1)
+    members[2] = StateSpace(jordan, members[2].B, members[2].C, members[2].D)
+    assert analysis._residues(np.linalg.eig(members[2].A)[1], members[2].B, members[2].C) is None
+    gammas = [hinf_norm(sys).gamma for sys in members]
+    # rejected well below the norm, rejected, rejected alone, accepted, accepted
+    bounds = [0.2 * gammas[0], 0.5 * gammas[1], 0.2 * gammas[2], 2.0 * gammas[3], 2.0 * gammas[4]]
+    blocks = zip(*((s.A, s.B, s.C, s.D) for s in members))
+    stack = StateSpace._unchecked(*(np.stack(group) for group in blocks))
+    polished = []
+    polish = analysis._polish_many
+
+    def counted(ev, starts):
+        polished.append(len(starts))
+        return polish(ev, starts)
+
+    monkeypatch.setattr(analysis, "_polish_many", counted)
+    got = analysis._hinf_many(stack, 1e-7, bound=bounds, hints=(0.7,), trial=True)
+    assert len(got) == 4
+    for sys, bound, gamma, (norm, flag) in zip(members, bounds, gammas, got):
+        want, want_flag = analysis._hinf(sys, 1e-7, bound=bound, hints=(0.7,), trial=True)
+        assert flag == want_flag == (bound > gamma)
+        assert _norm_bits(norm) == _norm_bits(want)
+        assert bound < norm.gamma <= gamma or flag
+    polished.clear()
+    for sys, bound in zip(members[:3], bounds):
+        analysis._hinf(sys, 1e-7, bound=bound, hints=(0.7,), trial=True)
+    assert polished == []

@@ -459,51 +459,81 @@ def test_hanso_hands_its_point_to_each_refinement_phase():
     assert np.array_equal(res.g_best, max_plus_quad(res.x_best, math.inf)[1])
 
 
-def _batched(fn):
-    """fn as an oracle with a batch form; both forms record each point
-    they evaluate, and the batch form the size of each batch."""
+def _batched(fn, chunk=8, stop_at_bound=True):
+    """fn as an oracle with a batch form that takes line-search trials in
+    chunks of up to `chunk` rows.  Both forms record each point they
+    evaluate, and the batch form (size, trial) of each batch.  The batch
+    form stops after the first row with f <= its bound, as the contract
+    allows, unless stop_at_bound is False; a trial returns no gradient
+    above its bound."""
     points, batches = [], []
 
-    def oracle(x, bound):
+    def oracle(x, bound, trial=False):
         points.append(x.copy())
-        return fn(x, bound)
+        f, g = fn(x, bound)
+        return f, (None if trial and f > bound else g)
 
-    def batch(xs, bound):
-        batches.append(len(xs))
-        points.extend(x.copy() for x in xs)
-        return [fn(x, bound) for x in xs]
+    def batch(xs, bounds, trial=False):
+        batches.append((len(xs), trial))
+        out = []
+        for x, bound in zip(xs, bounds):
+            out.append(oracle(x, bound, trial))
+            if stop_at_bound and out[-1][0] <= bound:
+                break
+        return out
 
     oracle.batch = batch
+    oracle.trial_chunk = chunk
     return oracle, points, batches
 
 
 @pytest.mark.parametrize(
-    "run",
+    "fn, run",
     [
-        lambda orc: gradient_sampling(orc, np.array([1.0, 1.1]), OptOptions(rng_seed=4)),
-        # three iterations a phase leave the bundle unverified, so sampling runs
-        lambda orc: hanso(
-            orc, [np.array([2.0, -1.0]), np.array([0.5, 3.0])], OptOptions(max_iters=3, rng_seed=5)
+        (max_plus_quad, lambda orc: bfgs_nonsmooth(orc, np.array([2.0, -1.0]), OptOptions())),
+        (rosenbrock, lambda orc: bfgs_nonsmooth(orc, np.array([-1.2, 1.0]), OptOptions())),
+        (
+            max_plus_quad,
+            lambda orc: bundle_phase(orc, np.array([2.0, -1.0]), OptOptions(rng_seed=3)),
         ),
+        (
+            max_plus_quad,
+            lambda orc: gradient_sampling(orc, np.array([1.0, 1.1]), OptOptions(rng_seed=4)),
+        ),
+        # three iterations a phase leave the bundle unverified, so sampling runs
+        (
+            max_plus_quad,
+            lambda orc: hanso(
+                orc,
+                [np.array([2.0, -1.0]), np.array([0.5, 3.0])],
+                OptOptions(max_iters=3, rng_seed=5),
+            ),
+        ),
+        (max_plus_quad, lambda orc: hanso(orc, [np.array([2.0, -1.0])], target=-0.2)),
     ],
-    ids=["sampling", "hanso"],
+    ids=["bfgs-kink", "bfgs-rosenbrock", "bundle", "sampling", "hanso", "hanso-target"],
 )
-def test_the_batch_form_changes_no_run(run):
+def test_the_batch_form_changes_no_run(fn, run):
     """Sample points go to the oracle's batch form in one call per
-    iteration, and the run is the one that single calls give."""
-    plain, plain_calls = _recording(max_plus_quad)
-    batched, points, batches = _batched(max_plus_quad)
-    a, b = run(plain), run(batched)
-    assert batches and all(size == 4 for size in batches)
-    assert len(points) == len(plain_calls) == a.n_evals == b.n_evals
-    assert all(np.array_equal(x, y) for (x, _), y in zip(plain_calls, points))
-    assert np.array_equal(a.x_best, b.x_best)
-    assert a.f_best == b.f_best and a.status == b.status
+    iteration, line-search trials in chunks of up to 1, 2 or 8, and the
+    run is the one that single calls give: the same points evaluated in
+    the same order."""
+    plain, plain_calls = _recording(fn)
+    a = run(plain)
+    for chunk in (1, 2, 8):
+        batched, points, batches = _batched(fn, chunk)
+        b = run(batched)
+        assert len(points) == len(plain_calls) == a.n_evals == b.n_evals
+        assert all(np.array_equal(x, y) for (x, _), y in zip(plain_calls, points))
+        assert np.array_equal(a.x_best, b.x_best)
+        assert a.f_best == b.f_best and a.status == b.status
+        assert all(size == 4 for size, trial in batches if not trial)
+        assert all(2 <= size <= chunk for size, trial in batches if trial)
 
 
 @pytest.mark.parametrize("with_batch", [False, True])
 def test_a_target_hit_inside_a_batch_counts_up_to_the_hit(with_batch):
-    oracle, points, _ = _batched(quadratic([0.0]))
+    oracle, points, _ = _batched(quadratic([0.0]), stop_at_bound=False)
     if not with_batch:
         del oracle.batch
     track = optimize._Tracker(oracle, 60.0, target=0.5)
@@ -515,3 +545,188 @@ def test_a_target_hit_inside_a_batch_counts_up_to_the_hit(with_batch):
     assert np.array_equal(track.hit[0], [0.5]) and track.hit[1] == 0.25
     # the batch form evaluates every row; single calls stop at the hit
     assert len(points) == (5 if with_batch else 3)
+
+
+def _table(values):
+    """An oracle whose f at x = (i,) is values[i]."""
+
+    def fn(x, bound):
+        return values[int(x[0])], np.array([1.0])
+
+    return fn
+
+
+def _search(track, values, level=1.0):
+    """The trials (x, level) at x = 0, 1, 2, ... as a line search takes
+    them: up to the first at or below its level."""
+    got = []
+    for x, lv, f, g in track.trials((np.array([float(i)]), level) for i in range(len(values))):
+        got.append((f, g))
+        if f <= lv:
+            break
+    return got
+
+
+@pytest.mark.parametrize("stop_at_bound", [False, True])
+def test_a_trial_chain_replays_up_to_the_first_accepted_trial(stop_at_bound):
+    # chunks of 1, 2 and 4 trials; the sixth is the first at or below its level
+    values = [5.0, 4.0, 3.0, 2.0, 1.5, 0.5, 0.25, 0.1, 0.05]
+    oracle, points, batches = _batched(_table(values), 4, stop_at_bound)
+    track = optimize._Tracker(oracle, 60.0)
+    got = _search(track, values)
+    assert [f for f, _ in got] == values[:6]
+    assert all(g is None for _, g in got[:5]) and got[5][1] is not None
+    assert track.n_evals == 6
+    assert batches == [(2, True), (4, True)]
+    # the oracle may evaluate the rest of the chunk, which counts for nothing
+    assert len(points) == (6 if stop_at_bound else 7)
+
+
+@pytest.mark.parametrize("stop_at_bound", [False, True])
+def test_a_rejected_trial_equal_to_the_target_continues_the_chain(stop_at_bound):
+    # f == target is no hit, but it is at its bound, max(level, target):
+    # the search rejects it and the chain goes on, from a trial evaluated
+    # anew even where the oracle went past the trial at its bound
+    values = [5.0, 2.0, 0.5]
+    oracle, points, batches = _batched(_table(values), 8, stop_at_bound)
+    track = optimize._Tracker(oracle, 60.0, target=2.0)
+    got = _search(track, values)
+    assert [f for f, _ in got] == values
+    assert track.n_evals == 3 and track.hit is not None and track.hit[1] == 0.5
+    assert batches == [(2, True)]
+    assert len(points) == (3 if stop_at_bound else 4)
+
+
+def test_a_target_hit_inside_a_chunk_ends_the_chain():
+    values = [5.0, 4.0, 3.0, 0.5, 0.25, 2.0, 2.0]
+    oracle, points, batches = _batched(_table(values), 8, stop_at_bound=False)
+    track = optimize._Tracker(oracle, 60.0, target=1.0)
+    got = _search(track, values, 0.0)
+    # the fourth trial is below the target: the hit, and the last one counted
+    assert [f for f, _ in got] == values[:4]
+    assert track.stop == "target" and track.hit[1] == 0.5 and track.n_evals == 4
+    assert batches == [(2, True), (4, True)]
+
+
+def test_a_deadline_inside_a_chunk_stops_the_chain_there():
+    values = [5.0, 4.0, 3.0, 2.0, 1.5, 1.2]
+    fn = _table(values)
+
+    def slow(x, bound):
+        # the first trial of the second chunk passes the deadline
+        if int(x[0]) == 3:
+            time.sleep(0.2)
+        return fn(x, bound)
+
+    oracle, points, batches = _batched(slow, 4)
+    track = optimize._Tracker(oracle, 0.1)
+    got = _search(track, values)
+    # the chunk of x = 3 .. 6 is evaluated whole, and only its first trial,
+    # made before the deadline was checked, counts
+    assert [f for f, _ in got] == values[:4]
+    assert track.n_evals == 4 and track.stop == "budget"
+    assert batches == [(2, True), (3, True)]
+    assert len(points) == 6
+
+
+def _reference_weak_wolfe(track, x, f0, g0, d, slope0):
+    """The weak-Wolfe search one call at a time, as it was written before
+    trials went to the oracle as chains: the reference for `_weak_wolfe`."""
+    alpha = 0.0
+    xa, fa, ga = x, f0, g0
+    beta = math.inf
+    t = 1.0
+    for _ in range(optimize._LINE_SEARCH_STEPS):
+        xt = x + t * d
+        level = f0 + optimize._WOLFE_C1 * t * slope0
+        ft, gt = track.call(xt, level)
+        if not math.isfinite(ft) or ft > level:
+            beta = t
+        elif gt @ d < optimize._WOLFE_C2 * slope0:
+            alpha, xa, fa, ga = t, xt, ft, gt
+        else:
+            return t, xt, ft, gt, "wolfe"
+        if track.stop:
+            break
+        if math.isfinite(beta):
+            if beta - alpha <= 1e-16 * max(1.0, alpha):
+                break
+            t = 0.5 * (alpha + beta)
+        else:
+            t = 2.0 * t
+    if alpha > 0.0:
+        return alpha, xa, fa, ga, "decrease"
+    return 0.0, x, f0, g0, "fail"
+
+
+def _walled(fn, wall):
+    """fn with f = +inf where x[0] > wall."""
+
+    def oracle(x, bound):
+        return (math.inf, None) if x[0] > wall else fn(x, bound)
+
+    return oracle
+
+
+@pytest.mark.parametrize(
+    "fn, x, scale",
+    [
+        (max_plus_quad, [2.0, -1.0], 1.0),
+        (max_plus_quad, [2.0, -1.0], 40.0),
+        (rosenbrock, [-1.2, 1.0], 1.0),
+        (linf, [0.3, -0.2, 0.1], 1.0),
+        (_walled(quadratic([3.0, 0.0]), 1.5), [1.0, 1.0], 1.0),
+        # far too short a step: the curvature test fails and the step doubles
+        (quadratic([100.0, -50.0]), [0.0, 0.0], 1e-3),
+        # a direction that is not one of descent at the kink
+        (absval, [0.0], -1.0),
+    ],
+    ids=["kink", "kink-long", "rosenbrock", "linf", "wall", "short", "no-descent"],
+)
+def test_weak_wolfe_with_trial_chains_equals_the_serial_search(fn, x, scale):
+    x = np.array(x)
+    f0, g0 = fn(x, math.inf)
+    d = -scale * g0
+    slope0 = float(g0 @ d)
+    plain, plain_calls = _recording(fn)
+    want = _reference_weak_wolfe(optimize._Tracker(plain, 60.0), x, f0, g0, d, slope0)
+    for chunk in (1, 2, 8):
+        batched, points, _ = _batched(fn, chunk)
+        got = optimize._weak_wolfe(optimize._Tracker(batched, 60.0), x, f0, g0, d, slope0)
+        assert len(points) == len(plain_calls)
+        assert all(np.array_equal(p, q) for (p, _), q in zip(plain_calls, points))
+        assert got[0] == want[0] and got[2] == want[2] and got[4] == want[4]
+        assert np.array_equal(got[1], want[1]) and np.array_equal(got[3], want[3])
+
+
+def test_armijo_trials_halve_the_step_thirty_times():
+    x, d = np.array([1.0, -2.0]), np.array([0.3, 0.7])
+    f, measure = 1.7, 0.9
+    got = list(optimize._halvings(x, f, d, measure))
+    assert len(got) == 30
+    t = 1.0
+    for xt, level in got:
+        assert np.array_equal(xt, x - t * d)
+        assert level == f - optimize._WOLFE_C1 * t * measure * measure
+        t *= 0.5
+
+
+@pytest.mark.parametrize(
+    "alpha, t, steps", [(0.0, 1.0, 50), (0.25, 2.0, 7), (1.0, 1.0 + 2.0**-40, 50)]
+)
+def test_weak_wolfe_chains_are_the_serial_bisections(alpha, t, steps):
+    """Each rejection sets beta = t and bisects toward alpha until the
+    bracket collapses, as the serial search does; the last case collapses
+    after 14 trials, when the bisection rounds onto alpha."""
+    x, d = np.array([0.5, -1.0]), np.array([1.0, 2.0])
+    f0, slope0 = 2.0, -3.0
+    got = list(optimize._bisections(x, f0, d, slope0, alpha, t, steps))
+    want = []
+    for _ in range(steps):
+        want.append((x + t * d, f0 + optimize._WOLFE_C1 * t * slope0))
+        beta = t
+        if beta - alpha <= 1e-16 * max(1.0, alpha):
+            break
+        t = 0.5 * (alpha + beta)
+    assert len(got) == len(want) == (14 if alpha == 1.0 else steps)
+    assert all(np.array_equal(a, b) and la == lb for (a, la), (b, lb) in zip(got, want))

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
 import multiprocessing
 import os
@@ -13,11 +12,13 @@ import numpy as np
 import pytest
 
 import fixedhinf.analysis as analysis
+import fixedhinf.gradients as gradients_module
 import fixedhinf.synthesis as synthesis_module
 from conftest import INTERIOR_OPTIMUM, random_plant
 from fixedhinf import (
     Controller,
     DimensionMismatch,
+    EigenFailure,
     IllPosed,
     NoStabilizingController,
     NotStabilizing,
@@ -292,24 +293,73 @@ def _run_fields(res):
     return runs, pack_controller(res.controller).tolist(), cert.gamma, cert.omega_peak
 
 
-def test_synthesize_in_a_pool_equals_the_serial_loop(interior_plant, monkeypatch):
+@pytest.fixture
+def forks(monkeypatch) -> list:
+    """The pids of the children that os.fork starts from now on."""
+    children = []
+    fork = os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            children.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return children
+
+
+def _assert_reaped(children):
+    for pid in children:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+    assert multiprocessing.active_children() == []
+
+
+def test_synthesize_in_a_pool_equals_the_serial_loop(interior_plant, monkeypatch, forks):
     opts = SynthesisOptions(order=1, runs=3, rng_seed=4, max_iters=60, **QUICK)
-    pools = []
-
-    class CountedPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            pools.append(1)
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
     cpus = len(os.sched_getaffinity(0))
     pooled = synthesize(interior_plant, opts)
-    assert multiprocessing.active_children() == []
+    _assert_reaped(forks)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     serial = synthesize(interior_plant, opts)
-    # only the first call, and only with a second CPU, starts a pool
-    assert len(pools) == (cpus > 1)
+    # only the first call, and only with a second CPU, starts children: one
+    # per usable CPU but this process's
+    assert len(forks) == min(opts.runs, cpus) - 1
     assert _run_fields(pooled) == _run_fields(serial)
+
+
+def test_a_run_that_raises_in_a_child_raises_in_the_caller(interior_plant, monkeypatch, forks):
+    real = synthesis_module._run
+
+    def fails_at_run_one(plant, opts, r):
+        if r == 1:
+            raise EigenFailure("run 1 failed")
+        return real(plant, opts, r)
+
+    monkeypatch.setattr(synthesis_module, "_run", fails_at_run_one)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    with pytest.raises(EigenFailure, match="run 1 failed"):
+        synthesize(interior_plant, SynthesisOptions(order=0, runs=2, max_iters=20, **QUICK))
+    assert len(forks) == 1
+    _assert_reaped(forks)
+
+
+def test_a_run_that_raises_in_the_caller_ends_the_children(interior_plant, monkeypatch, forks):
+    def run(plant, opts, r):
+        if r == 0:
+            raise EigenFailure("run 0 failed")
+        time.sleep(60.0)
+
+    monkeypatch.setattr(synthesis_module, "_run", run)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    t0 = time.perf_counter()
+    with pytest.raises(EigenFailure, match="run 0 failed"):
+        synthesize(interior_plant, SynthesisOptions(order=0, runs=3, **QUICK))
+    # the children, still asleep, were killed rather than waited for
+    assert time.perf_counter() - t0 < 30.0
+    assert len(forks) == 2
+    _assert_reaped(forks)
 
 
 def _synthesize_fields(plant, opts):
@@ -328,7 +378,7 @@ def test_synthesize_rejects_a_wrong_warm_start_before_any_run(interior_plant, mo
     def no_pool(*args, **kwargs):
         raise AssertionError("a pool started for a warm start of the wrong order")
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(os, "fork", no_pool)
     monkeypatch.setattr(synthesis_module, "_run", no_pool)
     warm = Controller.zero(1, interior_plant.p2, interior_plant.m2)
     with pytest.raises(DimensionMismatch, match="warm start"):
@@ -623,12 +673,19 @@ def test_optimize_performance_is_the_same_without_the_batch_form(monkeypatch):
     def counted(*args):
         oracle = real(*args)
         batch = oracle.batch
-        oracle.batch = lambda thetas, bound: sizes.append(len(thetas)) or batch(thetas, bound)
+
+        def counting(thetas, bound, trial=False):
+            sizes.append((len(thetas), trial))
+            return batch(thetas, bound, trial)
+
+        oracle.batch = counting
         return oracle
 
     monkeypatch.setattr(synthesis_module, "_stage2_oracle", counted)
     k, absc, cert = optimize_performance(plant, k0, opts)
-    assert sizes and all(size == 8 for size in sizes)
+    # sample points in batches of 2 dim, trials in chunks of up to 8
+    assert any(not trial for _, trial in sizes) and any(trial for _, trial in sizes)
+    assert all(size == 8 if not trial else 2 <= size <= 8 for size, trial in sizes)
     # the same oracle called point by point
     monkeypatch.setattr(
         synthesis_module, "_stage2_oracle", lambda *args: real(*args).__call__
@@ -636,3 +693,100 @@ def test_optimize_performance_is_the_same_without_the_batch_form(monkeypatch):
     k1, absc1, cert1 = optimize_performance(plant, k0, opts)
     assert pack_controller(k).tobytes() == pack_controller(k1).tobytes()
     assert cert.gamma == cert1.gamma and absc.alpha == absc1.alpha
+
+
+def _stage2_call_counts(monkeypatch) -> dict:
+    """Counts of the polish starts and peak gradients made from now on."""
+    counts = {"polish": 0, "gradient": 0}
+    polish, peak_gradient = analysis._polish_many, gradients_module._peak_gradient
+
+    def counted_polish(ev, starts):
+        counts["polish"] += len(starts)
+        return polish(ev, starts)
+
+    def counted_gradient(ports, cl, L, R, norms):
+        counts["gradient"] += len(norms)
+        return peak_gradient(ports, cl, L, R, norms)
+
+    monkeypatch.setattr(analysis, "_polish_many", counted_polish)
+    monkeypatch.setattr(gradients_module, "_peak_gradient", counted_gradient)
+    return counts
+
+
+def _hinted_pair(plant, order, theta):
+    """Two stage-2 oracles whose peak hint a certified call at theta set."""
+    pair = [synthesis_module._stage2_oracle(plant, order, 1e-7) for _ in range(2)]
+    for oracle in pair:
+        oracle(theta, math.inf)
+    return pair
+
+
+def test_stage2_trial_rows_pay_only_for_their_verdict(monkeypatch):
+    plant = _jordan_plant()
+    # unstable, ill posed, not finite, ill-conditioned eigenvectors, stable,
+    # then the accepted row, and one after it that would be certified
+    thetas = np.array([[0.9], [1.0], [math.nan], [0.0], [0.3], [-3.0], [0.3]])
+    exact = [synthesis_module._stage2_oracle(plant, 0, 1e-7)(t, math.inf)[0] for t in thetas]
+    # the rejected rows' bounds lie far below their norms, and so below
+    # sigma_max at their pole frequencies; the accepted row's lies above
+    bounds = [0.0, 0.0, 0.0, 1e-3, 1e-3, 2.0 * exact[5], math.inf]
+    serial, chained = _hinted_pair(plant, 0, np.array([-0.5]))
+    counts = _stage2_call_counts(monkeypatch)
+    got = chained.batch(thetas, bounds, trial=True)
+    chain_counts = dict(counts)
+    counts.update(polish=0, gradient=0)
+    want = serial(thetas[5], bounds[5], trial=True)
+    # the chain stops at the accepted row, which gets a single call's bits,
+    # polish and gradient; no other row is polished or gets a gradient
+    assert len(got) == 6
+    _same_bits(got[5], want)
+    assert chain_counts == counts and counts["gradient"] == 1 and counts["polish"] >= 1
+    for (f, g), bound, f_exact in zip(got[:5], bounds, exact):
+        assert g is None
+        assert f == math.inf or bound < f <= f_exact
+    assert [math.isinf(f) for f, _ in got[:5]] == [True, True, True, False, False]
+    # the next call sees the accepted row's peak as its hint, not the peak
+    # of the row after it (at dc)
+    hints = []
+    real = synthesis_module._hinf_bounded
+    monkeypatch.setattr(
+        synthesis_module, "_hinf_bounded", lambda *a, **kw: hints.append(kw["hints"]) or real(*a, **kw)
+    )
+    probe = np.array([-2.0])
+    _same_bits(chained(probe, -math.inf), serial(probe, -math.inf))
+    assert hints[0] == hints[1] != (0.0,)
+
+
+def test_stage2_trial_chains_equal_single_calls(rng):
+    """Random trial chains along a line, at the weak-Wolfe levels: every
+    row returned has the single call's verdict, and the bits where it is
+    accepted; the chain ends at the first certified row, and the hint
+    after it is the one single calls leave."""
+    chains = 0
+    for case in range(12):
+        order = case % 3
+        plant = random_plant(rng, 4, 2, 2, 2, 2, stable=True, d22=case % 2 == 1)
+        k = random_controller(order, 2, 2, 0.2, rng)
+        if order:
+            k = Controller(k.AK - np.eye(order), k.BK, k.CK, k.DK)
+        x = pack_controller(k)
+        d = rng.standard_normal(x.size)
+        f0 = synthesis_module._stage2_oracle(plant, order, 1e-7)(x, math.inf)[0]
+        if math.isinf(f0):
+            continue
+        chains += 1
+        ts = 2.0 ** -np.arange(8.0) * 4.0
+        thetas = x + ts[:, None] * d
+        bounds = (f0 - 1e-4 * ts * f0).tolist()
+        serial, chained = _hinted_pair(plant, order, x)
+        got = chained.batch(thetas, bounds, trial=True)
+        for j, (theta, bound, (f, g)) in enumerate(zip(thetas, bounds, got)):
+            want = serial(theta, bound, trial=True)
+            if want[0] <= bound:
+                _same_bits((f, g), want)
+            else:
+                assert g is None and want[1] is None
+                assert f == want[0] or bound < f <= serial(theta, math.inf)[0]
+        probe = x + 0.01 * d
+        _same_bits(chained(probe, -math.inf), serial(probe, -math.inf))
+    assert chains >= 6
