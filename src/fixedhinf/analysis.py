@@ -19,28 +19,23 @@ probe, which finds any such peak.  One eigendecomposition of A serves the
 stability test and every frequency evaluation, the gradient's rival-peak
 scan included: the result carries the evaluator on.
 
-One routine, `_hinf`, runs the norm in two stages on that one evaluator.
-The lower-bound stage takes the eigendecomposition, the stability test and
-the polished best candidate frequency; the level-set stage takes the
-Hamiltonian probes and the confirmation scan.  Given a bound, `_hinf`
-returns after the first stage when its value already exceeds the bound:
-the optimizer's stage-2 oracle passes the threshold the optimizer tests,
-where the certified norm could not change the outcome.  `hinf_norm`
-passes no bound, so both stages run.
-
-`_hinf_many` runs the same stages over a stack of systems of one shape,
-whose blocks carry a leading member axis; the stage-2 oracle evaluates one
-point as a stack of one and a batch of sample points as a longer stack.
-The members share one call of the eigendecomposition and one lower-bound
-stage: their candidate frequencies go through one padded stack, and each
-Newton step of the polish takes every start still running as one stack.
-numpy's stacked eig, svd, solve and matmul give each member the bits of a
-single call, so every member gets the bits `_hinf` gives it alone, and a
-member that fails reports its own error.  A line-search trial needs only
-its verdict: where the lower bound before polishing already exceeds the
-bound, the polish could not change it, and the trial returns it as it is.
-A stack of trials runs its members in order and stops at the first one
-certified.
+One routine, `_hinf`, runs the norm over a stack of systems of one shape,
+whose blocks carry a leading member axis: `hinf_norm` passes a stack of one,
+and the optimizer's stage-2 oracle one point as a stack of one or a batch of
+sample points as a longer stack.  The lower-bound stage takes one
+eigendecomposition call, the stability test and the polished best candidate
+frequency of every member: the candidates go through one padded stack, and
+each Newton step takes every start still running as one stack.  The
+level-set stage takes the Hamiltonian probes and the confirmation scan,
+member by member, on the same evaluator.  numpy's stacked eig, svd, solve
+and matmul give each member the bits of a single call, so a member gets the
+same bits in any stack, a stack of one included.  Given a bound, a member
+returns after the first stage when its value already exceeds the bound: the
+optimizer's stage-2 oracle passes the threshold the optimizer tests, where
+the certified norm could not change the outcome; `hinf_norm` passes none.
+A line-search trial needs only its verdict: where the lower bound before
+polishing already exceeds the bound, the polish could not change it, and
+the trial returns it as it is.
 
 Once the probe finds no crossing, one grid scan guards against eigenvalues
 misclassified as off the axis.  It takes an SVD only at grid points that
@@ -142,52 +137,28 @@ def _abscissa(w: np.ndarray) -> AbscissaResult:
 
 
 class _FreqEvaluator:
-    """Frequency response T(jw) = C (jw I - A)^-1 B + D of a stable system,
-    n > 0, or of a stack of them.
+    """Frequency response T(jw) = C (jw I - A)^-1 B + D of a stack of
+    stable systems of order n > 0, from their eigendecompositions.
 
-    The constructor takes one system: it eigendecomposes A (EigenFailure
-    when that fails) and raises UnstableSystem unless the eigenvalues all
-    lie in the open left half-plane.  `_stack` assembles a stack from
-    members that `_hinf_many` eigendecomposed and checked.  Either way the
-    arrays carry a leading member axis: `lam` holds each member's
-    eigenvalues and `cands` their candidate peak frequencies.  With a
-    well-conditioned eigenvector basis T is a sum of modal terms; a system
-    without one is a stack of one that takes a factor-and-solve at each
-    frequency, and only then are A, B and C kept.
+    The arrays carry a leading member axis: `lam` holds each member's
+    eigenvalues, D its feedthrough and `cands` its candidate peak
+    frequencies.  With well-conditioned eigenvector bases T is a sum of
+    modal terms, `modal` holding each member's residues (see `_residues`).
+    A system without one is a stack of one with modal None and abc its
+    (A, B, C), which takes a factor-and-solve at each frequency.
     """
 
-    def __init__(self, sys: StateSpace):
-        try:
-            lam, V = np.linalg.eig(sys.A)
-        except np.linalg.LinAlgError as exc:
-            raise EigenFailure("eigenvalue iteration failed on A") from exc
-        unstable = _instability(lam)
-        if unstable is not None:
-            raise unstable
-        modal = _residues(V, sys.B, sys.C)
-        abc = (sys.A, sys.B, sys.C) if modal is None else None
-        self._set(lam[None], sys.D[None], None if modal is None else modal[None], abc)
-
-    def _set(self, lam, D, modal, abc, cands=None):
-        """The stacked arrays of either constructor (see the class docstring)."""
+    def __init__(self, lam, D, modal, abc=None, cands=None):
         self.n, self.p, self.m = lam.shape[1], D.shape[1], D.shape[2]
         self.lam, self.D, self._modal, self._abc = lam, D, modal, abc
         self.cands = cands if cands is not None else [_candidate_frequencies(w) for w in lam]
-
-    @classmethod
-    def _stack(cls, lam: np.ndarray, D: np.ndarray, modal: np.ndarray, cands=None) -> "_FreqEvaluator":
-        """The stack of members in modal form with eigenvalues lam, feedthroughs
-        D and residues modal (see `_residues`), each with a leading member axis."""
-        ev = object.__new__(cls)
-        ev._set(lam, D, modal, None, cands)
-        return ev
 
     def member(self, j: int) -> "_FreqEvaluator":
         """Member j as a stack of one."""
         if self._modal is None:
             return self
         s = slice(j, j + 1)
-        return self._stack(self.lam[s], self.D[s], self._modal[s], self.cands[s])
+        return _FreqEvaluator(self.lam[s], self.D[s], self._modal[s], cands=self.cands[s])
 
     def responses(self, omegas: np.ndarray) -> np.ndarray:
         """T(jw) at the frequencies, shape omegas.shape + (p, m).  The
@@ -509,50 +480,28 @@ def _hinf(
     sys: StateSpace,
     rel_tol: float,
     *,
-    bound: float = math.inf,
-    hints: tuple[float, ...] = (),
-    trial: bool = False,
-) -> tuple[NormResult, bool]:
-    """H-infinity norm of sys, certified only where it may be at most `bound`.
-
-    The lower-bound stage eigendecomposes A (raising UnstableSystem or
-    EigenFailure) and polishes the best of sigma_max at the pole-frequency
-    candidates and the hint frequencies.  A lower bound above `bound` is
-    returned with converged=False and 0 iterations; otherwise the level-set
-    stage certifies the norm on the same evaluator.  The flag returned with
-    the NormResult says whether the lower bound was at most `bound`.  A
-    trial skips the polish where the unpolished lower bound already exceeds
-    `bound`.
-    """
-    sigma_d = float(np.linalg.svd(sys.D, compute_uv=False)[0])
-    if sys.n == 0:
-        return NormResult(sigma_d, 0.0, True, True, 0), sigma_d <= bound
-    ev = _FreqEvaluator(sys)
-    peaks, starts = _lower_bounds(ev, [sigma_d], hints)
-    peak = _polished(ev, sigma_d, peaks[0], starts[0], bound if trial else math.inf)
-    return _level_set(sys, ev, sigma_d, peak, rel_tol, bound)
-
-
-def _hinf_many(
-    sys: StateSpace,
-    rel_tol: float,
-    *,
     bound,
     hints: tuple[float, ...] = (),
     trial: bool = False,
 ) -> list:
-    """`_hinf` over a stack of systems of order n > 0, with the bits it gives
-    each member alone: per member its (NormResult, flag), or the error it
-    raises.  A member that is not finite gets EigenFailure.  bound is one
-    float, or a list of one per member.
+    """H-infinity norms of a stack of systems of order n > 0, each certified
+    only where it may be at most its bound; bound is one float, or a list of
+    one per member.  Returns per member its (NormResult, flag), the flag
+    saying whether the lower bound was at most the bound, or its error:
+    UnstableSystem, or EigenFailure for a member that is not finite or
+    whose eigenvalue iteration fails.
 
     The members share one eigendecomposition call and one lower-bound
-    stage.  A member whose eigenvector basis is ill conditioned, and every
-    member when the stack's eigenvalue iteration fails, runs through
-    `_hinf` alone; the level-set stage runs member by member.  With trial
-    (a chain of line-search trials) every member is evaluated as `_hinf`
-    with trial=True evaluates it, in order, each polished only when the
-    order reaches it, and the list ends after the first certified member.
+    stage, which polishes the best of sigma_max at the pole-frequency
+    candidates and the hint frequencies; where that call fails, each member
+    takes its own.  A member whose eigenvector basis is ill conditioned
+    takes a factor-and-solve evaluator and a lower-bound stage of its own.
+    A lower bound above the bound is returned with converged=False and 0
+    iterations; otherwise the level-set stage certifies the norm, member by
+    member, on the same evaluator.  With trial (a chain of line-search
+    trials) the members run in order, each polished only when the order
+    reaches it and only where the lower bound before polishing is at most
+    its bound, and the list ends after the first certified member.
     """
     bounds = _per_member(bound, len(sys.A))
     out: list = [None] * len(sys.A)
@@ -568,34 +517,44 @@ def _hinf_many(
         lam, V = np.linalg.eig(sys.A)
     except np.linalg.LinAlgError:
         lam = V = None
-    alone, modal, lams, residues = [], {}, [], []
+    solve_path, modal, lams, residues = {}, {}, [], []
     for k, j in enumerate(members):
         if lam is None:
-            alone.append(k)
-            continue
-        w, vectors = lam[k], V[k]
-        if np.iscomplexobj(w) and not w.imag.any():
-            # eig returns a stack as complex arrays when any member's
-            # eigenvalues are complex; a member with real ones takes the
-            # real views eig returns for it alone, since C @ V rounds
-            # differently on complex arrays
-            w, vectors = w.real, vectors.real
+            try:
+                w, vectors = np.linalg.eig(sys.A[k])
+            except np.linalg.LinAlgError:
+                out[j] = EigenFailure("eigenvalue iteration failed on A")
+                continue
+        else:
+            w, vectors = lam[k], V[k]
+            if np.iscomplexobj(w) and not w.imag.any():
+                # eig returns a stack as complex arrays when any member's
+                # eigenvalues are complex; a member with real ones takes the
+                # real views eig returns for it alone, since C @ V rounds
+                # differently on complex arrays
+                w, vectors = w.real, vectors.real
         out[j] = _instability(w)
         if out[j] is not None:
             continue
         res = _residues(vectors, sys.B[k], sys.C[k])
         if res is None:
-            alone.append(k)
+            abc = (sys.A[k], sys.B[k], sys.C[k])
+            solve_path[k] = _FreqEvaluator(w[None], sys.D[k : k + 1], None, abc)
         else:
             modal[k] = len(lams)
             lams.append(w)
             residues.append(res)
+    # the eigenvector bases, 1.4 MB at n = 300, are not needed past here
+    lam = V = vectors = None
+    sigma_d = np.linalg.svd(sys.D, compute_uv=False)[:, 0].tolist()
     if modal:
         full = len(modal) == len(sys.A)
-        D = sys.D if full else sys.D[list(modal)]
-        ev = _FreqEvaluator._stack(np.array(lams), D, np.array(residues))
-        sigma_d = np.linalg.svd(D, compute_uv=False)[:, 0].tolist()
-        peaks, starts = _lower_bounds(ev, sigma_d, hints)
+        # each member's residues keep the column-major layout `_residues`
+        # gives them: a product at one frequency rounds differently on a
+        # row-major copy
+        stacked = np.array([r.T for r in residues]).swapaxes(1, 2)
+        ev = _FreqEvaluator(np.array(lams), sys.D if full else sys.D[list(modal)], stacked)
+        peaks, starts = _lower_bounds(ev, [sigma_d[k] for k in modal], hints)
         if not trial:
             # every member's polished peak, as one stack
             polish = [start for start in starts if start is not None]
@@ -604,19 +563,15 @@ def _hinf_many(
             starts = [None] * len(starts)
     for k, j in enumerate(members):
         if k in modal:
-            i = modal[k]
-            peak = _polished(ev, sigma_d[i], peaks[i], starts[i], bounds[j])
-            out[j] = _level_set(sys._members(k), ev.member(i), sigma_d[i], peak, rel_tol, bounds[j])
-        elif k in alone:
-            try:
-                out[j] = _hinf(sys._members(k), rel_tol, bound=bounds[j], hints=hints, trial=trial)
-            except (EigenFailure, UnstableSystem) as exc:
-                # kept without its traceback, which holds this frame and so out:
-                # that cycle would keep the stack alive until a garbage collection
-                out[j] = exc.with_traceback(None)
-                continue
+            stack, i = ev, modal[k]
+            peak, start = peaks[i], starts[i]
+        elif k in solve_path:
+            stack, i = solve_path[k], 0
+            (peak,), (start,) = _lower_bounds(stack, [sigma_d[k]], hints)
         else:
             continue
+        peak = _polished(stack, sigma_d[k], peak, start, bounds[j] if trial else math.inf)
+        out[j] = _level_set(sys._members(k), stack.member(i), sigma_d[k], peak, rel_tol, bounds[j])
         if trial and out[j][1]:
             return out[: j + 1]
     return out
@@ -737,10 +692,16 @@ def hinf_norm(sys: StateSpace, *, rel_tol: float = 1e-7) -> NormResult:
     """H-infinity norm of a stable system to relative tolerance rel_tol.
 
     Raises UnstableSystem when the spectral abscissa of A is not strictly
-    negative.  When the level iteration cannot certify the tolerance within
-    60 Hamiltonian probes, the best verified lower bound is returned with
+    negative, and EigenFailure when the eigenvalue iteration on A fails.
+    When the level iteration cannot certify the tolerance within 60
+    Hamiltonian probes, the best verified lower bound is returned with
     converged=False instead of raising.  A finite omega_peak is a polished
     local peak of sigma_max, where its frequency derivative vanishes.
     """
     _check_rel_tol(rel_tol)
-    return _hinf(sys, rel_tol)[0]
+    if sys.n == 0:
+        return NormResult(float(np.linalg.svd(sys.D, compute_uv=False)[0]), 0.0, True, True, 0)
+    (found,) = _hinf(sys._members(None), rel_tol, bound=math.inf)
+    if isinstance(found, Exception):
+        raise found
+    return found[0]

@@ -3,7 +3,8 @@
 Subcommands: norm, abscissa, synth, bench.  Numeric output is printed with
 17 significant digits so values round-trip double precision.  Exit codes:
 0 success, 1 synthesis/analysis failure (e.g. no stabilizing controller,
-unstable system), 2 input errors, bad option values included.
+unstable system, failed eigenvalue iteration), 2 input errors, bad option
+values included.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from pathlib import Path
 
 from .analysis import hinf_norm, spectral_abscissa
 from .bench import BUILTIN_CASES, BenchOptions, case_names, run_suite
-from .errors import FixedHinfError, UnstableSystem
+from .errors import EigenFailure, FixedHinfError, UnstableSystem
 from .fileio import load_controller, load_plant, load_system, save_controller
 from .statespace import Controller, Plant, StateSpace, lft_closed_loop
 from .synthesis import SynthesisOptions, SynthesisStatus, synthesize
@@ -56,7 +57,7 @@ def _cmd_norm(args) -> int:
     cl = _closed_loop_from_args(args)
     try:
         result = hinf_norm(cl, rel_tol=args.rel_tol)
-    except UnstableSystem as exc:
+    except (UnstableSystem, EigenFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     line = f"{_fmt(result.gamma)} {_fmt(result.omega_peak)}"
@@ -70,7 +71,11 @@ def _cmd_norm(args) -> int:
 
 def _cmd_abscissa(args) -> int:
     cl = _closed_loop_from_args(args)
-    result = spectral_abscissa(cl.A)
+    try:
+        result = spectral_abscissa(cl.A)
+    except EigenFailure as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(_fmt(result.alpha))
     return 0
 

@@ -19,7 +19,7 @@ import scipy.linalg as la
 from .analysis import (
     NormResult,
     _abscissa,
-    _hinf_many,
+    _hinf,
     _per_member,
     _secondary_peak_gap,
     hinf_norm,
@@ -225,7 +225,7 @@ def _hinf_bounded(
     computes it when there are no hints.  Returns per member the NormResult,
     the gradient of the branch that attains its value, and whether the
     value is certified; None when the loop is ill posed or not finite, or
-    unstable, or its eigenvalue iteration fails.  A trial (see `_hinf_many`)
+    unstable, or its eigenvalue iteration fails.  A trial (see `_hinf`)
     takes no gradient where the value exceeds its bound, and its list ends
     after the first certified member.
     """
@@ -236,7 +236,7 @@ def _hinf_bounded(
     if not posed:
         return out
     bounds = [bounds[j] for j in posed]
-    found = _hinf_many(cl, rel_tol, bound=bounds, hints=hints, trial=trial)
+    found = _hinf(cl, rel_tol, bound=bounds, hints=hints, trial=trial)
     if len(found) < len(posed):
         out = out[: posed[len(found) - 1] + 1]
     ok = [

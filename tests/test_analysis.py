@@ -163,7 +163,7 @@ def test_polish_stops_where_the_open_bracket_still_rises(monkeypatch, interior_p
     # from the last pole frequency sigma keeps rising toward sigma_max(D):
     # no finite maximum lies beyond it
     gain = INTERIOR_OPTIMUM * (1.0 + 1e-6)
-    ev = analysis._FreqEvaluator(lft_closed_loop(interior_plant, Controller.static([[-gain]])))
+    ev = hinf_norm(lft_closed_loop(interior_plant, Controller.static([[-gain]])))._ev
     omegas = analysis._candidate_frequencies(ev.lam)
     vals = ev.sigma_max_many(omegas)
     i = omegas.size - 1
@@ -183,7 +183,7 @@ def test_scan_filter_matches_full_svd_scan(p, m):
     rng = np.random.default_rng(6100 + 10 * p + m)
     for _ in range(3):
         sys = stable_system(rng, int(rng.integers(2, 7)), m, p, margin=0.1 + rng.random())
-        ev = analysis._FreqEvaluator(sys)
+        ev = hinf_norm(sys)._ev
         best_omega = float(np.abs(ev.lam).max())
         omegas = analysis._scan_grid(ev, best_omega, 512)
         vals = np.linalg.svd(ev.responses(omegas), compute_uv=False)[:, 0]
@@ -308,7 +308,7 @@ def test_responses_take_one_solve_per_frequency_on_the_solve_path(rng, monkeypat
     n = 40
     A = -np.eye(n) + np.diag(np.ones(n - 1), 1)
     sys = StateSpace(A, rng.standard_normal((n, 2)), rng.standard_normal((2, n)), np.zeros((2, 2)))
-    ev = analysis._FreqEvaluator(sys)
+    ev = hinf_norm(sys)._ev
     omegas = np.linspace(0.0, 3.0, 10)
     calls = []
     lu_solve = la.lu_solve
@@ -324,21 +324,16 @@ def _norm_bits(norm: analysis.NormResult):
     return tuple(repr(x) for x in fields) + (norm.iterations,)
 
 
-@pytest.mark.parametrize("hints", [(), (0.7,)])
-def test_a_stack_of_one_equals_hinf(rng, hints):
-    """The stacked norm on a stack of one gives _hinf's bits at every bound,
-    certified or not, on the modal and the solve path."""
-    n = 30
-    jordan = -np.eye(n) + np.diag(np.ones(n - 1), 1)
-    systems = [stable_system(rng, int(rng.integers(1, 9)), 2, 3, margin=0.1) for _ in range(6)]
-    systems.append(StateSpace(jordan, rng.standard_normal((n, 2)), rng.standard_normal((2, n)), np.eye(2)))
-    for sys in systems:
-        gamma = hinf_norm(sys).gamma
-        for bound in (-math.inf, 0.5 * gamma, 2.0 * gamma, math.inf):
-            want, flag = analysis._hinf(sys, 1e-7, bound=bound, hints=hints)
-            (got, got_flag), = analysis._hinf_many(sys._members(None), 1e-7, bound=bound, hints=hints)
-            assert got_flag == flag
-            assert _norm_bits(got) == _norm_bits(want)
+def _alone(sys: StateSpace, bound, **kwargs):
+    """The (NormResult, flag) of sys run as a stack of one."""
+    (found,) = analysis._hinf(sys._members(None), 1e-7, bound=bound, **kwargs)
+    return found
+
+
+def _stacked(members):
+    """The stack of the systems members, all of one shape."""
+    blocks = zip(*((s.A, s.B, s.C, s.D) for s in members))
+    return StateSpace._unchecked(*(np.stack(group) for group in blocks))
 
 
 def test_a_stack_reports_each_members_failure(rng):
@@ -347,68 +342,84 @@ def test_a_stack_reports_each_members_failure(rng):
     blocks = zip((stable.A, stable.B, stable.C, stable.D), (unstable.A, stable.B, stable.C, stable.D))
     stack = StateSpace._unchecked(*(np.stack([a, b, a]) for a, b in blocks))
     stack.A[2, 0, 0] = math.nan
-    got = analysis._hinf_many(stack, 1e-7, bound=math.inf)
+    got = analysis._hinf(stack, 1e-7, bound=math.inf)
     assert _norm_bits(got[0][0]) == _norm_bits(hinf_norm(stable))
     assert isinstance(got[1], UnstableSystem)
     assert isinstance(got[2], EigenFailure)
 
 
 def test_members_run_alone_when_the_stack_eigenvalue_iteration_fails(rng, monkeypatch):
+    """Each member takes an eigendecomposition of its own, and a member whose
+    own one fails too gets EigenFailure; the others keep their bits."""
     stable = stable_system(rng, 4, 2, 2, margin=0.5)
     unstable = StateSpace(-stable.A, stable.B, stable.C, stable.D)
-    blocks = zip(*((s.A, s.B, s.C, s.D) for s in (stable, unstable)))
-    stack = StateSpace._unchecked(*(np.stack(pair) for pair in blocks))
+    broken = stable_system(rng, 4, 2, 2, margin=0.5)
+    stack = _stacked([stable, unstable, broken])
+    want = _norm_bits(hinf_norm(stable))
     eig = np.linalg.eig
 
     def fails_on_stacks(a):
-        if a.ndim > 2:
+        if a.ndim > 2 or np.array_equal(a, broken.A):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
         return eig(a)
 
     monkeypatch.setattr(np.linalg, "eig", fails_on_stacks)
     gc.collect()
-    got = analysis._hinf_many(stack, 1e-7, bound=math.inf)
-    assert _norm_bits(got[0][0]) == _norm_bits(hinf_norm(stable))
+    got = analysis._hinf(stack, 1e-7, bound=math.inf)
+    assert _norm_bits(got[0][0]) == want
     assert isinstance(got[1], UnstableSystem)
-    # an error kept with its traceback would hold the stack in a reference cycle
+    assert isinstance(got[2], EigenFailure)
+    # an error kept with a traceback would hold the stack in a reference cycle
     del got
     assert gc.collect() == 0
 
 
 def test_a_stack_gives_each_member_its_bits_alone(rng):
-    """Members with real eigenvalues share a stack with members whose
-    eigenvalues are complex, and still get the bits of a call of their own.
-    With one output, C V takes a matrix-vector product whose rounding on a
-    complex V differs from that on the real V of a single call."""
+    """Every member of a stack gets the bits of the same system run as a
+    stack of one, at every bound, with and without hints, certified or not.
+    Members with real eigenvalues share a stack with members whose
+    eigenvalues are complex: with one output, C V takes a matrix-vector
+    product whose rounding on a complex V differs from that on the real V
+    of a single call.  Modal members share a stack with a Jordan block,
+    which has no usable eigenvector basis and takes the solve path."""
+    stacks = []
     n = 10
     for _ in range(6):
         real = np.diag(-rng.uniform(0.5, 3.0, n)) + 0.5 * np.triu(rng.standard_normal((n, n)), 1)
         B, C, D = rng.standard_normal((n, 2)), rng.standard_normal((1, n)), 0.1 * rng.standard_normal((1, 2))
-        members = [StateSpace(real, B, C, D), stable_system(rng, n, 2, 1, margin=0.3)]
-        blocks = zip(*((s.A, s.B, s.C, s.D) for s in members))
-        stack = StateSpace._unchecked(*(np.stack(pair) for pair in blocks))
-        for bound in (-math.inf, math.inf):
-            got = analysis._hinf_many(stack, 1e-7, bound=bound)
-            for sys, (norm, flag) in zip(members, got):
-                want, want_flag = analysis._hinf(sys, 1e-7, bound=bound)
-                assert flag == want_flag and _norm_bits(norm) == _norm_bits(want)
+        stacks.append([StateSpace(real, B, C, D), stable_system(rng, n, 2, 1, margin=0.3)])
+    for n in [int(rng.integers(2, 9)) for _ in range(6)] + [30]:
+        jordan = -np.eye(n) + np.diag(np.ones(n - 1), 1)
+        solved = StateSpace(jordan, rng.standard_normal((n, 2)), rng.standard_normal((3, n)), np.eye(3, 2))
+        assert hinf_norm(solved)._ev._modal is None
+        stacks.append([stable_system(rng, n, 2, 3, margin=0.1), solved])
+    for members in stacks:
+        stack = _stacked(members)
+        gammas = [hinf_norm(sys).gamma for sys in members]
+        for scale in (-math.inf, 0.5, 2.0, math.inf):
+            bounds = [scale * gamma for gamma in gammas]
+            for hints in ((), (0.7,)):
+                got = analysis._hinf(stack, 1e-7, bound=bounds, hints=hints)
+                for sys, bound, (norm, flag) in zip(members, bounds, got):
+                    want, want_flag = _alone(sys, bound, hints=hints)
+                    assert flag == want_flag and _norm_bits(norm) == _norm_bits(want)
 
 
 def test_a_stack_of_trials_stops_at_its_first_certified_member(rng, monkeypatch):
     """A trial member whose lower bound before polishing exceeds its bound
-    is not polished, and returns that bound; the others get `_hinf`'s bits,
-    and the stack ends at its first certified member."""
+    is not polished, and returns that bound; the others get the bits of a
+    stack of one, and the stack ends at its first certified member."""
     n = 6
     members = [stable_system(rng, n, 2, 2, margin=0.3) for _ in range(5)]
-    # the third member is ill conditioned and runs alone
+    # the third member is ill conditioned and takes the solve path
     jordan = -np.eye(n) + np.diag(np.ones(n - 1), 1)
     members[2] = StateSpace(jordan, members[2].B, members[2].C, members[2].D)
     assert analysis._residues(np.linalg.eig(members[2].A)[1], members[2].B, members[2].C) is None
     gammas = [hinf_norm(sys).gamma for sys in members]
-    # rejected well below the norm, rejected, rejected alone, accepted, accepted
+    # rejected well below the norm, rejected, rejected on the solve path,
+    # accepted, accepted
     bounds = [0.2 * gammas[0], 0.5 * gammas[1], 0.2 * gammas[2], 2.0 * gammas[3], 2.0 * gammas[4]]
-    blocks = zip(*((s.A, s.B, s.C, s.D) for s in members))
-    stack = StateSpace._unchecked(*(np.stack(group) for group in blocks))
+    stack = _stacked(members)
     polished = []
     polish = analysis._polish_many
 
@@ -417,14 +428,14 @@ def test_a_stack_of_trials_stops_at_its_first_certified_member(rng, monkeypatch)
         return polish(ev, starts)
 
     monkeypatch.setattr(analysis, "_polish_many", counted)
-    got = analysis._hinf_many(stack, 1e-7, bound=bounds, hints=(0.7,), trial=True)
+    got = analysis._hinf(stack, 1e-7, bound=bounds, hints=(0.7,), trial=True)
     assert len(got) == 4
     for sys, bound, gamma, (norm, flag) in zip(members, bounds, gammas, got):
-        want, want_flag = analysis._hinf(sys, 1e-7, bound=bound, hints=(0.7,), trial=True)
+        want, want_flag = _alone(sys, bound, hints=(0.7,), trial=True)
         assert flag == want_flag == (bound > gamma)
         assert _norm_bits(norm) == _norm_bits(want)
         assert bound < norm.gamma <= gamma or flag
     polished.clear()
     for sys, bound in zip(members[:3], bounds):
-        analysis._hinf(sys, 1e-7, bound=bound, hints=(0.7,), trial=True)
+        _alone(sys, bound, hints=(0.7,), trial=True)
     assert polished == []

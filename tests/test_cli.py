@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from conftest import INTERIOR_OPTIMUM, stable_system
@@ -64,6 +65,19 @@ def test_norm_unstable_system_exits_one(tmp_path, capsys):
     path.write_text(json.dumps({"A": [[0.5]], "B": [[1.0]], "C": [[1.0]]}))
     assert main(["norm", str(path)]) == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["norm", "abscissa"])
+def test_eigenvalue_failure_exits_one(tmp_path, rng, monkeypatch, capsys, command):
+    path = _write_statespace(tmp_path, stable_system(rng, 3, 1, 1))
+
+    def fails(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eig", fails)
+    monkeypatch.setattr(np.linalg, "eigvals", fails)
+    assert main([command, str(path)]) == 1
+    assert "eigenvalue iteration failed" in capsys.readouterr().err
 
 
 def test_norm_plant_without_controller_uses_zero_gain(toy_plant_file, capsys):
