@@ -336,6 +336,33 @@ def _stacked(members):
     return StateSpace._unchecked(*(np.stack(group) for group in blocks))
 
 
+@pytest.mark.parametrize("hints", [(), (0.7,)])
+def test_a_stack_of_one_equals_hinf(rng, hints):
+    """A stack of one, on the modal and the solve path, certifies where its
+    lower bound is at most the bound and then gives hinf_norm's norm (its
+    bits, without hints); otherwise it returns that lower bound, above the
+    bound and below the norm to within its tolerance, unconverged and with
+    no level-set iteration."""
+    n = 30
+    jordan = -np.eye(n) + np.diag(np.ones(n - 1), 1)
+    systems = [stable_system(rng, int(rng.integers(1, 9)), 2, 3, margin=0.1) for _ in range(6)]
+    systems.append(StateSpace(jordan, rng.standard_normal((n, 2)), rng.standard_normal((2, n)), np.eye(2)))
+    assert hinf_norm(systems[-1])._ev._modal is None
+    for sys in systems:
+        want = hinf_norm(sys)
+        for bound in (-math.inf, 0.5 * want.gamma, 2.0 * want.gamma, math.inf):
+            got, flag = _alone(sys, bound, hints=hints)
+            if bound != 0.5 * want.gamma:
+                assert flag == (bound > want.gamma)
+            if flag and not hints:
+                assert _norm_bits(got) == _norm_bits(want)
+            elif flag:
+                assert got.converged and math.isclose(got.gamma, want.gamma, rel_tol=1e-6)
+            else:
+                assert bound < got.gamma <= want.gamma * (1.0 + 1e-7)
+                assert not got.converged and got.iterations == 0
+
+
 def test_a_stack_reports_each_members_failure(rng):
     stable = stable_system(rng, 4, 2, 2, margin=0.5)
     unstable = StateSpace(-stable.A, stable.B, stable.C, stable.D)
