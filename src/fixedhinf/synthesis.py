@@ -178,11 +178,10 @@ def _stage2_oracle(plant: Plant, order: int, rel_tol: float):
     the rows of thetas in order, under one bound or a list of one per row,
     as one call each would, and stops after the first certified row, which
     moves the hint.  The rows go through the stacked computation in chunks
-    that allocate no more than one confirmation scan of the loop does (see
-    _batch_size); one call is a batch of one.  A trial (see the optimize
-    module) returns a lower bound above its bound before polishing it, with
-    no gradient; oracle.trial_chunk is the most trials worth stacking (see
-    _trial_chunk).
+    of capped memory (see _batch_size); one call is a batch of one.  A
+    trial (see the optimize module) returns a lower bound above its bound
+    before polishing it, with no gradient; oracle.trial_chunk is the most
+    trials worth stacking (see _trial_chunk).
     """
     loop = _Interconnection(plant, order)
     size = _batch_size(loop.N)
@@ -222,12 +221,12 @@ def _stage2_oracle(plant: Plant, order: int, rel_tol: float):
 
 
 def _batch_size(N: int) -> int:
-    """Members per stack at loop order N.  A confirmation scan holds the
-    resolvent at about 512 + 2N + 16 frequencies, (512 + 2N + 16) N complex
-    values; a member holds about 2 N^2 (its eigenvector basis and its
-    resolvent at the candidate frequencies).  25 members at N = 11, 3 at
-    N = 100."""
-    return max(1, (512 + 2 * N + 16) // (2 * N))
+    """Members per stack at loop order N: as many as fit in (528 + 2N) N
+    complex values, about 8.4 N kB at small N, and at least one.  A member
+    holds about 2 N^2 of them (its eigenvector basis and its resolvent at
+    the candidate frequencies).  25 members at N = 11, 3 at N = 100, 1 at
+    N = 1000."""
+    return max(1, (528 + 2 * N) // (2 * N))
 
 
 # Line-search trials are stacked only at loop orders up to _TRIAL_STACK_ORDER,

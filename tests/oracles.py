@@ -12,6 +12,7 @@ from __future__ import annotations
 from itertools import combinations
 
 import numpy as np
+import scipy.linalg as la
 
 
 def controller_tf(k, s: complex) -> np.ndarray:
@@ -151,6 +152,42 @@ def hinf_grid(sys, grid_points: int = 4000) -> float:
             continue
         best = max(best, _golden_max(f, lo_i, hi_i))
     return float(max(best, np.max(vals)))
+
+
+def brl_holds(sys, gamma: float) -> bool:
+    """Bounded real lemma: is ||C (sI - A)^-1 B + D||_inf < gamma?
+
+    For stable A it holds exactly when R = gamma^2 I - D^T D is positive
+    definite and the Riccati equation
+        A^T X + X A + C^T C + (X B + C^T D) R^-1 (B^T X + D^T C) = 0
+    has a stabilizing solution, one with A + B R^-1 (B^T X + D^T C) stable.
+    scipy's solver is given the input weight -R.  Below the norm it still
+    returns an answer, with a residual near 1e-9 of its scale and closed-loop
+    eigenvalues a rounding error off the imaginary axis; an answer counts
+    only with a residual under 1e-10 of its scale and closed-loop
+    eigenvalues at least 1e-9 max(1, |A|) left of the axis.
+    """
+    A = np.asarray(sys.A, dtype=float)
+    B = np.asarray(sys.B, dtype=float)
+    C = np.asarray(sys.C, dtype=float)
+    D = np.asarray(sys.D, dtype=float)
+    assert np.max(np.linalg.eigvals(A).real) < 0.0, "the lemma needs a stable system"
+    R = gamma * gamma * np.eye(D.shape[1]) - D.T @ D
+    if np.min(np.linalg.eigvalsh(R)) <= 0.0:
+        return False
+    S = C.T @ D
+    try:
+        X = la.solve_continuous_are(A, B, C.T @ C, -R, s=S)
+    except (np.linalg.LinAlgError, ValueError):
+        return False
+    if not np.all(np.isfinite(X)):
+        return False
+    K = np.linalg.solve(R, B.T @ X + S.T)
+    residual = A.T @ X + X @ A + C.T @ C + (X @ B + S) @ K
+    scale = max(1.0, np.linalg.norm(X) * np.linalg.norm(A), np.linalg.norm(C.T @ C))
+    if np.linalg.norm(residual) > 1e-10 * scale:
+        return False
+    return bool(np.max(np.linalg.eigvals(A + B @ K).real) < -1e-9 * max(1.0, np.linalg.norm(A)))
 
 
 def fd_gradient(f, x, h: float = 1e-6) -> np.ndarray:

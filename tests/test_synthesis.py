@@ -551,8 +551,11 @@ def test_stage2_solves_a_hamiltonian_at_under_a_third_of_its_evaluations(rng, mo
     real = analysis._hamiltonian
     monkeypatch.setattr(analysis, "_hamiltonian", lambda *a: solves.append(1) or real(*a))
     calls = _record_stage2_calls(monkeypatch)
+    # three iterations a phase leave the bundle unverified, so gradient
+    # sampling runs; how long a run that verifies spends on rejected points
+    # depends on its path, and with it the share of solves
     optimize_performance(
-        plant, Controller.static(np.zeros((2, 2))), SynthesisOptions(order=0, max_iters=40)
+        plant, Controller.static(np.zeros((2, 2))), SynthesisOptions(order=0, max_iters=3)
     )
     # the count includes the final certificate's solves
     assert 0 < len(solves) < sum(math.isfinite(f) for _, _, f in calls) / 3
@@ -656,7 +659,7 @@ def test_stage2_batch_of_dynamic_controllers_equals_single_calls(rng):
         _same_bits(member, serial(theta, -math.inf))
 
 
-def test_batch_size_keeps_a_stack_within_one_confirmation_scan():
+def test_batch_size_caps_a_stacks_memory():
     assert synthesis_module._batch_size(11) == 25
     assert synthesis_module._batch_size(100) == 3
     assert synthesis_module._batch_size(1000) == 1
