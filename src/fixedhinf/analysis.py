@@ -10,7 +10,8 @@ the requested relative tolerance.  Before that is accepted, sigma_max is
 evaluated at the imaginary parts of all the probe's eigenvalues: a crossing
 misclassified as off the axis shows up there, and so does a peak just under
 the probe, as a near-tangent eigenvalue pair.  A value more than 1e-12
-above the lower bound is polished and probed again.
+above the lower bound is polished; a peak above the probe is probed again,
+and one at or below it is the norm, which the probe still brackets.
 
 Each new lower bound is polished to a local peak of sigma_max by safeguarded
 Newton steps on d(sigma^2)/dw, with derivatives from the singular vectors
@@ -631,14 +632,16 @@ def _level_set(
                 continue
         # no crossings, or a probe that only grazes the curve: the probe is
         # an upper bound unless sigma_max at the frequencies of all its
-        # eigenvalues finds a misclassified crossing or a near-tied peak
+        # eigenvalues finds a misclassified crossing; a near-tied peak at or
+        # below the probe raises the lower bound inside the same bracket
         trial = _level_grid(ew)
         tvals = ev.sigma_max_many(trial)
         i = int(np.argmax(tvals))
         if tvals[i] > lower * (1.0 + 1e-12):
             best_omega, best_finite = _polish(ev, trial, tvals, i)
-            lower = best_finite
-            continue
+            if best_finite > probe:
+                lower = best_finite
+                continue
         converged = True
         break
 
