@@ -26,18 +26,19 @@ scan included: the result carries the evaluator on.
 
 One routine, `_hinf`, runs the norm over a stack of systems of one shape,
 whose blocks carry a leading member axis: `hinf_norm` passes a stack of one,
-and the optimizer's stage-2 oracle one point as a stack of one or a batch of
-sample points as a longer stack.  The lower-bound stage takes one
-eigendecomposition call, the stability test and the polished best candidate
-frequency of every member: the candidates go through one padded stack, and
-each Newton step takes every start still running as one stack.  The
-level-set stage takes the Hamiltonian probes and their confirmations,
-member by member, on the same evaluator.  numpy's stacked eig, svd, solve
-and matmul give each member the bits of a single call, so a member gets the
-same bits in any stack, a stack of one included.  Given a bound, a member
-returns after the first stage when its value already exceeds the bound: the
-optimizer's stage-2 oracle passes the threshold the optimizer tests, where
-the certified norm could not change the outcome; `hinf_norm` passes none.
+and the optimizer's stage-2 oracle one point (a line-search trial among
+them) as a stack of one, or a batch of sample points as a longer stack.
+The lower-bound stage takes one eigendecomposition call, the stability test
+and the polished best candidate frequency of every member: the candidates
+go through one padded stack, and each Newton step takes every start still
+running as one stack.  The level-set stage takes the Hamiltonian probes and
+their confirmations, member by member, on the same evaluator.  numpy's
+stacked eig, svd, solve and matmul give each member the bits of a single
+call, so a member gets the same bits in any stack, a stack of one included.
+Given a bound, a member returns after the first stage when its value
+already exceeds the bound: the optimizer's stage-2 oracle passes the
+threshold the optimizer tests, where the certified norm could not change
+the outcome; `hinf_norm` passes none.
 A line-search trial needs only its verdict: where the lower bound before
 polishing already exceeds the bound, the polish could not change it, and
 the trial returns it as it is.
@@ -449,16 +450,15 @@ def _hinf(
     sys: StateSpace,
     rel_tol: float,
     *,
-    bound,
+    bound: float,
     hints: tuple[float, ...] = (),
     trial: bool = False,
 ) -> list:
     """H-infinity norms of a stack of systems of order n > 0, each certified
-    only where it may be at most its bound; bound is one float, or a list of
-    one per member.  Returns per member its (NormResult, flag), the flag
-    saying whether the lower bound was at most the bound, or its error:
-    UnstableSystem, or EigenFailure for a member that is not finite or
-    whose eigenvalue iteration fails.
+    only where it may be at most bound.  Returns per member its
+    (NormResult, flag), the flag saying whether the lower bound was at most
+    the bound, or its error: UnstableSystem, or EigenFailure for a member
+    that is not finite or whose eigenvalue iteration fails.
 
     The members share one eigendecomposition call and one lower-bound
     stage, which polishes the best of sigma_max at the pole-frequency
@@ -467,12 +467,10 @@ def _hinf(
     takes a factor-and-solve evaluator and a lower-bound stage of its own.
     A lower bound above the bound is returned with converged=False and 0
     iterations; otherwise the level-set stage certifies the norm, member by
-    member, on the same evaluator.  With trial (a chain of line-search
-    trials) the members run in order, each polished only when the order
-    reaches it and only where the lower bound before polishing is at most
-    its bound, and the list ends after the first certified member.
+    member, on the same evaluator.  With trial (a line-search trial) a
+    member is polished only where its lower bound before polishing is at
+    most the bound.
     """
-    bounds = _per_member(bound, len(sys.A))
     out: list = [None] * len(sys.A)
     blocks = (sys.A, sys.B, sys.C, sys.D)
     members = range(len(sys.A))
@@ -539,16 +537,9 @@ def _hinf(
             (peak,), (start,) = _lower_bounds(stack, [sigma_d[k]], hints)
         else:
             continue
-        peak = _polished(stack, sigma_d[k], peak, start, bounds[j] if trial else math.inf)
-        out[j] = _level_set(sys._members(k), stack.member(i), sigma_d[k], peak, rel_tol, bounds[j])
-        if trial and out[j][1]:
-            return out[: j + 1]
+        peak = _polished(stack, sigma_d[k], peak, start, bound if trial else math.inf)
+        out[j] = _level_set(sys._members(k), stack.member(i), sigma_d[k], peak, rel_tol, bound)
     return out
-
-
-def _per_member(bound, n: int) -> list:
-    """A bound for each of n members: a list as it is, one float n times."""
-    return bound if isinstance(bound, list) else [bound] * n
 
 
 def _lower_bounds(ev: _FreqEvaluator, sigma_d, hints: tuple[float, ...]) -> tuple[list, list]:

@@ -20,7 +20,6 @@ from .analysis import (
     NormResult,
     _abscissa,
     _hinf,
-    _per_member,
     _secondary_peak_gap,
     hinf_norm,
 )
@@ -211,38 +210,33 @@ def _hinf_bounded(
     thetas: np.ndarray,
     *,
     rel_tol: float,
-    bound,
+    bound: float,
     hints: tuple[float, ...] = (),
     trial: bool = False,
 ) -> list[tuple[NormResult, np.ndarray | None, bool] | None]:
     """Closed-loop H-infinity norms at a stack of packed controllers (one per
     row of thetas) under the optimizer's oracle contract, with the bits each
-    member gets alone; bound is one float, or a list of one per row.
+    member gets alone.
 
     Each norm's lower bound, with the hint frequencies added to its
-    candidates, is returned uncertified when it exceeds its bound, in
+    candidates, is returned uncertified when it exceeds the bound, in
     (bound, norm]; otherwise the norm is certified exactly as hinf_gradient
     computes it when there are no hints.  Returns per member the NormResult,
     the gradient of the branch that attains its value, and whether the
     value is certified; None when the loop is ill posed or not finite, or
     unstable, or its eigenvalue iteration fails.  A trial (see `_hinf`)
-    takes no gradient where the value exceeds its bound, and its list ends
-    after the first certified member.
+    takes no gradient where the value exceeds the bound.
     """
-    bounds = _per_member(bound, len(thetas))
     out: list = [None] * len(thetas)
     cl, L, R, errors = loop.close(loop.gain(thetas))
     posed = [j for j, error in enumerate(errors) if error is None]
     if not posed:
         return out
-    bounds = [bounds[j] for j in posed]
-    found = _hinf(cl, rel_tol, bound=bounds, hints=hints, trial=trial)
-    if len(found) < len(posed):
-        out = out[: posed[len(found) - 1] + 1]
+    found = _hinf(cl, rel_tol, bound=bound, hints=hints, trial=trial)
     ok = [
         k
         for k, res in enumerate(found)
-        if not isinstance(res, Exception) and not (trial and res[0].gamma > bounds[k])
+        if not isinstance(res, Exception) and not (trial and res[0].gamma > bound)
     ]
     grads = [None] * len(found)
     if ok:

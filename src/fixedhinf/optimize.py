@@ -27,39 +27,32 @@ itself: which value in (bound, f(x)] comes back changes no accept/reject
 decision and no count of evaluations.  Only the gradients that the bundle
 and sampling phases collect at their samples can differ, with the branch
 the returned value belongs to.  At sample points only the gradient is
-read, and gradient sampling needs the gradient of f itself there: that is
-why -inf is not a sound bound for them, since it lets the oracle answer
-with the gradient of a lower branch; +inf is.  An oracle that always
-returns f(x) meets the contract.
+read, and gradient sampling needs the gradient of f itself there.  The
+bound -inf that gradient_sampling passes there lets the oracle answer with
+the gradient of a lower branch; +inf would be sound.  That is a known
+defect, still open.  An oracle that always returns f(x) meets the
+contract.
 
-An oracle may also carry a batch form, oracle.batch(xs, bounds, trial),
-which evaluates the rows of xs in order, row i under bounds[i], and returns
-one (f, grad) per row evaluated.  It may stop after any row, and it stops
-after a row whose evaluation changes state that the oracle carries from
-call to call, so that each row it returns sees the state one call at a time
-would; the stage-2 oracle's state is the peak frequency of its last
-certified evaluation.  Such an oracle also takes trial on its plain call,
-oracle(x, bound, trial), and may carry trial_chunk, the most rows of
-line-search trials worth sending at once (1 when absent).  An oracle
-without a batch form is called one row at a time, as above.
+Line-search trials go to the oracle one at a time.  A trial's gradient is
+read only where f <= bound, so an oracle with a batch form (below) is
+called as oracle(x, bound, trial=True) at a trial: it may return grad None
+where f > bound, and the stage-2 oracle then returns its lower bound
+before polishing it and takes no gradient.
 
-trial=True marks line-search trials, whose gradient is read only where f
-<= bound: there the oracle may return grad None for a row with f > bound,
-and the stage-2 oracle then returns its lower bound before polishing it
-and takes no gradient.  Gradient sampling hands the batch form the sample
-points of an iteration, drawn first in the order single draws would take,
-with trial=False and bound -inf, under which no point is certified, so
-every point gets the bits of a single call.  The line searches hand it the
-trials that they would make while every trial is rejected: the weak-Wolfe
-bisections t <- (alpha + t) / 2 toward the last accepted step and the
-Armijo halvings t = 1, 1/2, ..., 2^-29.  These go in chunks of 1, 2, 4, ...
-rows up to trial_chunk; a chunk of one row is a plain call.  The tracker
-replays each chunk's results in order, counting each one, checking the
-stop rule before each row as around single calls and recording the first
-hit; after the first row with f <= its bound, where the search changes
-course, it drops the rest, and rows the oracle did not return go again in
-the next chunk.  Counts, accepted points, hits and statuses are thus those
-of single calls, and a deadline overshoots by at most one chunk.
+An oracle may also carry a batch form, oracle.batch(xs, bound), which
+evaluates the rows of xs in order under one bound and returns one (f, grad)
+per row evaluated.  It may stop after any row, and it stops after a row
+whose evaluation changes state that the oracle carries from call to call,
+so that each row it returns sees the state one call at a time would; the
+stage-2 oracle's state is the peak frequency of its last certified
+evaluation.  Gradient sampling hands it the sample points of an iteration,
+drawn first in the order single draws would take.  The tracker counts the
+rows in order, checks the stop rule before each as around single calls,
+drops the rest after a row at or below its bound, where the target can
+end the run, and sends again the rows the oracle did not return.  Counts
+and hits are thus those of single calls, and a deadline overshoots by at
+most one batch.  An oracle without a batch form is called one point at a
+time.
 
 Infeasible points are signalled by f = +inf with grad = None, and f = +inf
 is the only feasibility signal.  The line searches retreat rather than
@@ -71,7 +64,6 @@ with status "infeasible" when every start is infeasible.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -113,8 +105,8 @@ class OptOptions:
 
     cpu_budget_seconds is a wall-clock deadline, not CPU time, despite its
     name, for one phase call or one whole hanso call; loops check it before
-    oracle calls, so overshoot is at most one call, one batch of sample
-    points or one chunk of line-search trials.
+    oracle calls, so overshoot is at most one call or one batch of sample
+    points.
     """
 
     max_iters: int = 1000
@@ -166,60 +158,31 @@ class _Tracker:
         f, g = self.oracle(x, max(bound, self.target))
         return self._count(x, f, g)
 
+    def trial(self, x: np.ndarray, level: float) -> tuple[float, np.ndarray | None]:
+        """The oracle at a line-search trial, as `call`, which says so to an
+        oracle with a batch form (see the module docstring)."""
+        if self.batch is None:
+            return self.call(x, level)
+        f, g = self.oracle(x, max(level, self.target), trial=True)
+        return self._count(x, f, g)
+
     def call_many(self, xs: np.ndarray, bound: float) -> list[tuple[float, np.ndarray | None]]:
         """The oracle at the sample points xs, in order, up to the first
         stop, with the stop rule checked before each point as around single
-        calls: one batch when the oracle has a batch form."""
-        if self.stop:
-            return []
-        rows = ((x, bound) for x in xs)
-        return [(f, g) for _, _, f, g in self._replay(rows, False, len(xs), len(xs))]
-
-    def trials(self, rows):
-        """The oracle at a line search's trials: rows yields (x, level) in
-        the order the search takes them while every trial is rejected.
-        Yields (x, level, f, g) per trial, up to the stop rule, which is
-        checked before each trial after the first; the search takes what it
-        needs.  Rows go in chunks of 1, 2, 4, ... up to the oracle's
-        trial_chunk (see the module docstring)."""
-        return self._replay(rows, True, 1, getattr(self.oracle, "trial_chunk", 1))
-
-    def _replay(self, rows, trial: bool, size: int, cap: int):
-        """(x, level, f, g) at the (x, level) of rows, each evaluated under
-        max(level, target) in chunks of size rows, doubling up to cap; see
-        the module docstring for the replay."""
-        if self.batch is None:
-            size = cap = 1
-        # a trial says so on the plain call of an oracle with the batch form
-        trial = trial and self.batch is not None
-        rows = iter(rows)
-        pending: list = []
-        first = True
-        while True:
-            if not first and self.stop:
-                return
-            pending += itertools.islice(rows, size - len(pending))
-            if not pending:
-                return
-            bounds = [max(level, self.target) for _, level in pending]
-            if len(pending) == 1:
-                x = pending[0][0]
-                f, g = self.oracle(x, bounds[0], trial=True) if trial else self.oracle(x, bounds[0])
-                results = [(f, g)]
-            else:
-                results = self.batch(np.array([x for x, _ in pending]), bounds, trial=trial)
-            first = False
-            done = 0
-            for (x, level), bound, (f, g) in zip(pending, bounds, results):
-                if done and self.stop:
-                    return
-                done += 1
-                f, g = self._count(x, f, g)
-                yield x, level, f, g
-                if f <= bound:
+        calls: in batches when the oracle has a batch form (see the module
+        docstring)."""
+        bound = max(bound, self.target)
+        out: list = []
+        while len(out) < len(xs) and not self.stop:
+            rest = xs[len(out) :]
+            rows = [self.oracle(rest[0], bound)] if self.batch is None else self.batch(rest, bound)
+            for i, (x, (f, g)) in enumerate(zip(rest, rows)):
+                if i and self.stop:
+                    return out
+                out.append(self._count(x, f, g))
+                if out[-1][0] <= bound:
                     break
-            del pending[:done]
-            size = min(2 * size, cap)
+        return out
 
     def _count(self, x: np.ndarray, f, g) -> tuple[float, np.ndarray | None]:
         self.n_evals += 1
@@ -277,26 +240,6 @@ def _start(oracle, x0, opts: OptOptions | None, track: _Tracker | None, first):
     return opts, track, x, f, g
 
 
-def _bisections(x, f0, d, slope0, alpha, t, steps):
-    """The weak-Wolfe trials (x + t d, level) from step t on while every one
-    is rejected: t <- (alpha + t) / 2 until the bracket [alpha, t]
-    collapses, at most `steps` of them."""
-    for _ in range(steps):
-        yield x + t * d, f0 + _WOLFE_C1 * t * slope0
-        if t - alpha <= 1e-16 * max(1.0, alpha):
-            return
-        t = 0.5 * (alpha + t)
-
-
-def _halvings(x, f, d, measure):
-    """The Armijo trials (x - t d, level) of gradient sampling, t = 1, 1/2,
-    ..., 2^-29."""
-    t = 1.0
-    for _ in range(30):
-        yield x - t * d, f - _WOLFE_C1 * t * measure * measure
-        t *= 0.5
-
-
 def _weak_wolfe(
     track: _Tracker,
     x: np.ndarray,
@@ -312,28 +255,20 @@ def _weak_wolfe(
     conditions hold, "decrease" when only sufficient decrease was secured
     before bracketing collapsed, "fail" otherwise.  Infinite f at a trial
     point shrinks the bracket toward the feasible endpoint, so the search
-    never steps onward from an infeasible point.  The trials a run of
-    rejections would make go to the tracker as one chain, which a trial
-    with sufficient decrease ends.
+    never steps onward from an infeasible point.
     """
     alpha = 0.0
     xa, fa, ga = x, f0, g0
     beta = math.inf
     t = 1.0
-    chain = None
-    for step in range(_LINE_SEARCH_STEPS):
-        if chain is None:
-            chain = track.trials(_bisections(x, f0, d, slope0, alpha, t, _LINE_SEARCH_STEPS - step))
-        trial = next(chain, None)
-        if trial is None:
-            # the stop rule ended the chain
-            break
-        xt, level, ft, gt = trial
+    for _ in range(_LINE_SEARCH_STEPS):
+        xt = x + t * d
+        level = f0 + _WOLFE_C1 * t * slope0
+        ft, gt = track.trial(xt, level)
         if not math.isfinite(ft) or ft > level:
             beta = t
         elif gt @ d < _WOLFE_C2 * slope0:
             alpha, xa, fa, ga = t, xt, ft, gt
-            chain = None
         else:
             return t, xt, ft, gt, "wolfe"
         if track.stop:
@@ -589,15 +524,21 @@ def gradient_sampling(
             measure = float(np.linalg.norm(d))
             if measure <= opts.grad_norm_tol:
                 break
-            # Armijo backtracking along -d
+            # Armijo backtracking along -d: t = 1, 1/2, ..., 2^-29
             accepted = False
             f_prev = f
-            trials = [] if track.stop else track.trials(_halvings(x, f, d, measure))
-            for xt, level, ft, gt in trials:
+            t = 1.0
+            for _ in range(30):
+                if track.stop:
+                    break
+                xt = x - t * d
+                level = f_prev - _WOLFE_C1 * t * measure * measure
+                ft, gt = track.trial(xt, level)
                 if math.isfinite(ft) and ft <= level:
                     x, f, g = xt, ft, gt
                     accepted = True
                     break
+                t *= 0.5
             if accepted:
                 improvement = f_prev - f
                 if f < f_best:

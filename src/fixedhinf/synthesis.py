@@ -28,7 +28,6 @@ from .analysis import (
     NormResult,
     _abscissa,
     _check_rel_tol,
-    _per_member,
     hinf_norm,
     spectral_abscissa,
 )
@@ -174,30 +173,27 @@ def _stage2_oracle(plant: Plant, order: int, rel_tol: float):
     optimizer is following.  The loop is closed straight from theta, on
     padding built once for the oracle.
 
-    The oracle's batch form, oracle.batch(thetas, bound, trial), evaluates
-    the rows of thetas in order, under one bound or a list of one per row,
-    as one call each would, and stops after the first certified row, which
-    moves the hint.  The rows go through the stacked computation in chunks
-    of capped memory (see _batch_size); one call is a batch of one.  A
-    trial (see the optimize module) returns a lower bound above its bound
-    before polishing it, with no gradient; oracle.trial_chunk is the most
-    trials worth stacking (see _trial_chunk).
+    The oracle's batch form, oracle.batch(thetas, bound), evaluates the
+    rows of thetas in order as one call each would, and stops after the
+    first certified row, which moves the hint.  The rows go through the
+    stacked computation in chunks of capped memory (see _batch_size); one
+    call is a batch of one.  A trial, oracle(theta, bound, trial=True) (see
+    the optimize module), returns a lower bound above its bound before
+    polishing it, with no gradient.
     """
     loop = _Interconnection(plant, order)
     size = _batch_size(loop.N)
     hints = ()
 
-    def batch(thetas: np.ndarray, bound, trial: bool = False) -> list:
+    def evaluate(thetas: np.ndarray, bound: float, trial: bool) -> list:
         nonlocal hints
-        bounds = _per_member(bound, len(thetas))
         finite = np.isfinite(thetas).all(axis=1).tolist()
         out = []
         for lo in range(0, len(thetas), size):
             chunk = range(lo, min(lo + size, len(thetas)))
             rows = [j for j in chunk if finite[j]]
             found = iter(
-                _hinf_bounded(loop, thetas[rows], rel_tol=rel_tol, bound=[bounds[j] for j in rows],
-                              hints=hints, trial=trial)
+                _hinf_bounded(loop, thetas[rows], rel_tol=rel_tol, bound=bound, hints=hints, trial=trial)
                 if rows else ()
             )
             for j in chunk:
@@ -213,10 +209,9 @@ def _stage2_oracle(plant: Plant, order: int, rel_tol: float):
         return out
 
     def oracle(theta: np.ndarray, bound: float, trial: bool = False):
-        return batch(theta[None], bound, trial)[0]
+        return evaluate(theta[None], bound, trial)[0]
 
-    oracle.batch = batch
-    oracle.trial_chunk = _trial_chunk(loop.N)
+    oracle.batch = lambda thetas, bound: evaluate(thetas, bound, False)
     return oracle
 
 
@@ -227,20 +222,6 @@ def _batch_size(N: int) -> int:
     the candidate frequencies).  25 members at N = 11, 3 at N = 100, 1 at
     N = 1000."""
     return max(1, (528 + 2 * N) // (2 * N))
-
-
-# Line-search trials are stacked only at loop orders up to _TRIAL_STACK_ORDER,
-# where a member's eig costs less than the fixed cost of a call, and then at
-# most _TRIAL_CHUNK at a time
-_TRIAL_STACK_ORDER = 40
-_TRIAL_CHUNK = 8
-
-
-def _trial_chunk(N: int) -> int:
-    """The most line-search trials worth evaluating as one stack at loop
-    order N: a rejected trial's eigendecomposition is wasted once a trial
-    before it is accepted, so trials are stacked only where eig is cheap."""
-    return _TRIAL_CHUNK if N <= _TRIAL_STACK_ORDER else 1
 
 
 def _hanso_options(opts: SynthesisOptions, run_seed: int | None) -> OptOptions:

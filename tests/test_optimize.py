@@ -459,32 +459,34 @@ def test_hanso_hands_its_point_to_each_refinement_phase():
     assert np.array_equal(res.g_best, max_plus_quad(res.x_best, math.inf)[1])
 
 
-def _batched(fn, chunk=8, stop_at_bound=True):
-    """fn as an oracle with a batch form that takes line-search trials in
-    chunks of up to `chunk` rows.  Both forms record each point they
-    evaluate, and the batch form (size, trial) of each batch.  The batch
-    form stops after the first row with f <= its bound, as the contract
-    allows, unless stop_at_bound is False; a trial returns no gradient
-    above its bound."""
-    points, batches = [], []
+def _batched(fn, stop_at_bound=True):
+    """fn as an oracle with a batch form.  Both forms record each point
+    they evaluate, and calls records ("batch", rows, bound) for each batch
+    and ("call", trial) for each plain call.  The batch form stops after
+    the first row with f <= bound, as the contract allows, unless
+    stop_at_bound is False; a trial returns no gradient above its bound."""
+    points, calls = [], []
 
-    def oracle(x, bound, trial=False):
+    def evaluate(x, bound, trial):
         points.append(x.copy())
         f, g = fn(x, bound)
         return f, (None if trial and f > bound else g)
 
-    def batch(xs, bounds, trial=False):
-        batches.append((len(xs), trial))
+    def oracle(x, bound, trial=False):
+        calls.append(("call", trial))
+        return evaluate(x, bound, trial)
+
+    def batch(xs, bound):
+        calls.append(("batch", len(xs), bound))
         out = []
-        for x, bound in zip(xs, bounds):
-            out.append(oracle(x, bound, trial))
+        for x in xs:
+            out.append(evaluate(x, bound, False))
             if stop_at_bound and out[-1][0] <= bound:
                 break
         return out
 
     oracle.batch = batch
-    oracle.trial_chunk = chunk
-    return oracle, points, batches
+    return oracle, points, calls
 
 
 @pytest.mark.parametrize(
@@ -515,20 +517,17 @@ def _batched(fn, chunk=8, stop_at_bound=True):
 )
 def test_the_batch_form_changes_no_run(fn, run):
     """Sample points go to the oracle's batch form in one call per
-    iteration, line-search trials in chunks of up to 1, 2 or 8, and the
-    run is the one that single calls give: the same points evaluated in
-    the same order."""
+    iteration, everything else in plain calls, and the run is the one that
+    single calls give: the same points evaluated in the same order."""
     plain, plain_calls = _recording(fn)
     a = run(plain)
-    for chunk in (1, 2, 8):
-        batched, points, batches = _batched(fn, chunk)
-        b = run(batched)
-        assert len(points) == len(plain_calls) == a.n_evals == b.n_evals
-        assert all(np.array_equal(x, y) for (x, _), y in zip(plain_calls, points))
-        assert np.array_equal(a.x_best, b.x_best)
-        assert a.f_best == b.f_best and a.status == b.status
-        assert all(size == 4 for size, trial in batches if not trial)
-        assert all(2 <= size <= chunk for size, trial in batches if trial)
+    batched, points, calls = _batched(fn)
+    b = run(batched)
+    assert len(points) == len(plain_calls) == a.n_evals == b.n_evals
+    assert all(np.array_equal(x, y) for (x, _), y in zip(plain_calls, points))
+    assert np.array_equal(a.x_best, b.x_best)
+    assert a.f_best == b.f_best and a.status == b.status
+    assert all(call[1] == 4 for call in calls if call[0] == "batch")
 
 
 @pytest.mark.parametrize("with_batch", [False, True])
@@ -547,91 +546,84 @@ def test_a_target_hit_inside_a_batch_counts_up_to_the_hit(with_batch):
     assert len(points) == (5 if with_batch else 3)
 
 
-def _table(values):
-    """An oracle whose f at x = (i,) is values[i]."""
+def _halving_table(values, slow_at=None):
+    """An oracle whose f at x = (2^-k,) is values[k], with gradient 1: the
+    trials of `_search`, all rejected up to the first at or below its
+    level, which then meets the curvature condition too.  The trial at
+    k = slow_at takes 0.2 s."""
 
     def fn(x, bound):
-        return values[int(x[0])], np.array([1.0])
+        k = round(-math.log2(x[0]))
+        if k == slow_at:
+            time.sleep(0.2)
+        return values[k], np.array([1.0])
 
     return fn
 
 
-def _search(track, values, level=1.0):
-    """The trials (x, level) at x = 0, 1, 2, ... as a line search takes
-    them: up to the first at or below its level."""
-    got = []
-    for x, lv, f, g in track.trials((np.array([float(i)]), level) for i in range(len(values))):
-        got.append((f, g))
-        if f <= lv:
-            break
-    return got
+def _search(track, f0=1.0):
+    """`_weak_wolfe` from x = 0 along d = 1 with slope -1 at f0: its trials
+    are x = 1, 1/2, 1/4, ... while they are rejected, at the levels
+    f0 - 1e-4 x."""
+    return optimize._weak_wolfe(track, np.zeros(1), f0, np.array([-1.0]), np.ones(1), -1.0)
 
 
-@pytest.mark.parametrize("stop_at_bound", [False, True])
-def test_a_trial_chain_replays_up_to_the_first_accepted_trial(stop_at_bound):
-    # chunks of 1, 2 and 4 trials; the sixth is the first at or below its level
+@pytest.mark.parametrize("with_batch", [False, True])
+def test_a_line_search_evaluates_no_trial_past_the_accepted_one(with_batch):
+    # the sixth trial is the first at or below its level
     values = [5.0, 4.0, 3.0, 2.0, 1.5, 0.5, 0.25, 0.1, 0.05]
-    oracle, points, batches = _batched(_table(values), 4, stop_at_bound)
+    oracle, points, calls = _batched(_halving_table(values))
+    if not with_batch:
+        del oracle.batch
     track = optimize._Tracker(oracle, 60.0)
-    got = _search(track, values)
-    assert [f for f, _ in got] == values[:6]
-    assert all(g is None for _, g in got[:5]) and got[5][1] is not None
-    assert track.n_evals == 6
-    assert batches == [(2, True), (4, True)]
-    # the oracle may evaluate the rest of the chunk, which counts for nothing
-    assert len(points) == (6 if stop_at_bound else 7)
+    t, xt, ft, gt, outcome = _search(track)
+    assert (t, ft, outcome) == (2.0**-5, 0.5, "wolfe") and np.array_equal(xt, [2.0**-5])
+    assert track.n_evals == len(points) == 6
+    assert [x[0] for x in points] == [2.0**-k for k in range(6)]
+    # each trial is a plain call, and says so to an oracle with a batch form
+    assert calls == [("call", with_batch)] * 6
 
 
-@pytest.mark.parametrize("stop_at_bound", [False, True])
-def test_a_rejected_trial_equal_to_the_target_continues_the_chain(stop_at_bound):
+@pytest.mark.parametrize("with_batch", [False, True])
+def test_a_rejected_trial_equal_to_the_target_continues_the_chain(with_batch):
     # f == target is no hit, but it is at its bound, max(level, target):
-    # the search rejects it and the chain goes on, from a trial evaluated
-    # anew even where the oracle went past the trial at its bound
+    # the search rejects it and goes on to its next trial
     values = [5.0, 2.0, 0.5]
-    oracle, points, batches = _batched(_table(values), 8, stop_at_bound)
+    oracle, points, calls = _batched(_halving_table(values))
+    if not with_batch:
+        del oracle.batch
     track = optimize._Tracker(oracle, 60.0, target=2.0)
-    got = _search(track, values)
-    assert [f for f, _ in got] == values
-    assert track.n_evals == 3 and track.hit is not None and track.hit[1] == 0.5
-    assert batches == [(2, True)]
-    assert len(points) == (3 if stop_at_bound else 4)
+    _search(track, 0.0)
+    assert track.n_evals == len(points) == 3
+    assert track.hit is not None and track.hit[1] == 0.5
+    assert calls == [("call", with_batch)] * 3
 
 
-def test_a_target_hit_inside_a_chunk_ends_the_chain():
+def test_a_target_hit_ends_a_line_search_at_that_trial():
     values = [5.0, 4.0, 3.0, 0.5, 0.25, 2.0, 2.0]
-    oracle, points, batches = _batched(_table(values), 8, stop_at_bound=False)
+    oracle, points, calls = _batched(_halving_table(values))
     track = optimize._Tracker(oracle, 60.0, target=1.0)
-    got = _search(track, values, 0.0)
-    # the fourth trial is below the target: the hit, and the last one counted
-    assert [f for f, _ in got] == values[:4]
+    # the fourth trial is below the target but above its level: the search
+    # rejects it, and the hit ends the search there
+    assert _search(track, 0.0)[4] == "fail"
     assert track.stop == "target" and track.hit[1] == 0.5 and track.n_evals == 4
-    assert batches == [(2, True), (4, True)]
+    assert np.array_equal(track.hit[0], [0.125])
+    assert len(points) == 4 and calls == [("call", True)] * 4
 
 
-def test_a_deadline_inside_a_chunk_stops_the_chain_there():
+def test_a_deadline_ends_a_line_search_after_the_trial_that_passes_it():
     values = [5.0, 4.0, 3.0, 2.0, 1.5, 1.2]
-    fn = _table(values)
-
-    def slow(x, bound):
-        # the first trial of the second chunk passes the deadline
-        if int(x[0]) == 3:
-            time.sleep(0.2)
-        return fn(x, bound)
-
-    oracle, points, batches = _batched(slow, 4)
+    oracle, points, calls = _batched(_halving_table(values, slow_at=3))
     track = optimize._Tracker(oracle, 0.1)
-    got = _search(track, values)
-    # the chunk of x = 3 .. 6 is evaluated whole, and only its first trial,
-    # made before the deadline was checked, counts
-    assert [f for f, _ in got] == values[:4]
-    assert track.n_evals == 4 and track.stop == "budget"
-    assert batches == [(2, True), (3, True)]
-    assert len(points) == 6
+    # the fourth trial passes the deadline; it counts, and none follows it
+    assert _search(track)[4] == "fail"
+    assert track.n_evals == len(points) == 4 and track.stop == "budget"
+    assert calls == [("call", True)] * 4
 
 
 def _reference_weak_wolfe(track, x, f0, g0, d, slope0):
-    """The weak-Wolfe search one call at a time, as it was written before
-    trials went to the oracle as chains: the reference for `_weak_wolfe`."""
+    """The weak-Wolfe search one call at a time, written apart from
+    `_weak_wolfe` as its reference."""
     alpha = 0.0
     xa, fa, ga = x, f0, g0
     beta = math.inf
@@ -684,49 +676,78 @@ def _walled(fn, wall):
     ids=["kink", "kink-long", "rosenbrock", "linf", "wall", "short", "no-descent"],
 )
 def test_weak_wolfe_with_trial_chains_equals_the_serial_search(fn, x, scale):
+    """On an oracle with a batch form, each trial goes alone as a plain
+    call that says it is a trial, and the search is the reference's."""
     x = np.array(x)
     f0, g0 = fn(x, math.inf)
     d = -scale * g0
     slope0 = float(g0 @ d)
     plain, plain_calls = _recording(fn)
     want = _reference_weak_wolfe(optimize._Tracker(plain, 60.0), x, f0, g0, d, slope0)
-    for chunk in (1, 2, 8):
-        batched, points, _ = _batched(fn, chunk)
-        got = optimize._weak_wolfe(optimize._Tracker(batched, 60.0), x, f0, g0, d, slope0)
-        assert len(points) == len(plain_calls)
-        assert all(np.array_equal(p, q) for (p, _), q in zip(plain_calls, points))
-        assert got[0] == want[0] and got[2] == want[2] and got[4] == want[4]
-        assert np.array_equal(got[1], want[1]) and np.array_equal(got[3], want[3])
+    batched, points, calls = _batched(fn)
+    got = optimize._weak_wolfe(optimize._Tracker(batched, 60.0), x, f0, g0, d, slope0)
+    assert len(points) == len(plain_calls)
+    assert calls == [("call", True)] * len(points)
+    assert all(np.array_equal(p, q) for (p, _), q in zip(plain_calls, points))
+    assert got[0] == want[0] and got[2] == want[2] and got[4] == want[4]
+    assert np.array_equal(got[1], want[1]) and np.array_equal(got[3], want[3])
 
 
 def test_armijo_trials_halve_the_step_thirty_times():
-    x, d = np.array([1.0, -2.0]), np.array([0.3, 0.7])
-    f, measure = 1.7, 0.9
-    got = list(optimize._halvings(x, f, d, measure))
-    assert len(got) == 30
+    """One gradient-sampling iteration whose every trial is infeasible:
+    30 trials x - t d at the Armijo levels f - c1 t |d|^2, t = 1, 1/2, ...,
+    2^-29, each a plain call, after the iteration's batch of samples."""
+    x0 = np.array([1.0, 1.1])
+    f0, g0 = max_plus_quad(x0, math.inf)
+    batched, points, calls = _batched(max_plus_quad)
+    trials, samples = [], []
+
+    def oracle(x, bound, trial=False):
+        if trial:
+            trials.append((x.copy(), bound))
+            return math.inf, None
+        return batched(x, bound)
+
+    def batch(xs, bound):
+        found = batched.batch(xs, bound)
+        samples.extend(g for _, g in found)
+        return found
+
+    oracle.batch = batch
+    res = gradient_sampling(oracle, x0, OptOptions(max_iters=1, rng_seed=4))
+    assert res.status == "iteration-limit" and res.n_evals == 1 + 4 + 30
+    assert calls == [("call", False), ("batch", 4, -math.inf)]
+    d, _ = min_norm_convex_hull([g0] + samples)
+    measure = float(np.linalg.norm(d))
+    assert len(trials) == 30
     t = 1.0
-    for xt, level in got:
-        assert np.array_equal(xt, x - t * d)
-        assert level == f - optimize._WOLFE_C1 * t * measure * measure
+    for xt, level in trials:
+        assert np.array_equal(xt, x0 - t * d)
+        assert level == f0 - optimize._WOLFE_C1 * t * measure * measure
         t *= 0.5
 
 
 @pytest.mark.parametrize(
-    "alpha, t, steps", [(0.0, 1.0, 50), (0.25, 2.0, 7), (1.0, 1.0 + 2.0**-40, 50)]
+    "accepted_up_to, steps, outcome",
+    [
+        (0.0, [2.0**-k for k in range(50)], "fail"),
+        (1.0, [1.0, 2.0] + [1.0 + 2.0**-k for k in range(1, 49)], "decrease"),
+        (0.5, [1.0, 0.5] + [0.5 + 2.0**-k for k in range(2, 50)], "decrease"),
+    ],
+    ids=["all-rejected", "doubled-then-rejected", "rejected-then-accepted"],
 )
-def test_weak_wolfe_chains_are_the_serial_bisections(alpha, t, steps):
-    """Each rejection sets beta = t and bisects toward alpha until the
-    bracket collapses, as the serial search does; the last case collapses
-    after 14 trials, when the bisection rounds onto alpha."""
-    x, d = np.array([0.5, -1.0]), np.array([1.0, 2.0])
-    f0, slope0 = 2.0, -3.0
-    got = list(optimize._bisections(x, f0, d, slope0, alpha, t, steps))
-    want = []
-    for _ in range(steps):
-        want.append((x + t * d, f0 + optimize._WOLFE_C1 * t * slope0))
-        beta = t
-        if beta - alpha <= 1e-16 * max(1.0, alpha):
-            break
-        t = 0.5 * (alpha + beta)
-    assert len(got) == len(want) == (14 if alpha == 1.0 else steps)
-    assert all(np.array_equal(a, b) and la == lb for (a, la), (b, lb) in zip(got, want))
+def test_weak_wolfe_bisects_toward_the_last_accepted_step(accepted_up_to, steps, outcome):
+    """Steps up to accepted_up_to give sufficient decrease but fail the
+    curvature test: an accepted step doubles while no step was rejected,
+    and otherwise each trial bisects [last accepted, last rejected], for
+    50 trials at the levels f0 + c1 t slope0."""
+
+    def fn(x, bound):
+        return (-1.0 if x[0] <= accepted_up_to else 1.0), np.array([-1.0])
+
+    oracle, calls = _recording(fn)
+    track = optimize._Tracker(oracle, 60.0)
+    got = optimize._weak_wolfe(track, np.zeros(1), 0.0, np.array([-1.0]), np.ones(1), -1.0)
+    assert [x[0] for x, _ in calls] == steps
+    assert [bound for _, bound in calls] == [optimize._WOLFE_C1 * t * -1.0 for t in steps]
+    assert got[4] == outcome and got[0] == accepted_up_to

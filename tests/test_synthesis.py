@@ -13,6 +13,7 @@ import pytest
 
 import fixedhinf.analysis as analysis
 import fixedhinf.gradients as gradients_module
+import fixedhinf.optimize as optimize_module
 import fixedhinf.synthesis as synthesis_module
 from conftest import INTERIOR_OPTIMUM, random_plant
 from fixedhinf import (
@@ -22,6 +23,7 @@ from fixedhinf import (
     IllPosed,
     NoStabilizingController,
     NotStabilizing,
+    OptOptions,
     Plant,
     SynthesisOptions,
     SynthesisStatus,
@@ -676,18 +678,17 @@ def test_optimize_performance_is_the_same_without_the_batch_form(monkeypatch):
         oracle = real(*args)
         batch = oracle.batch
 
-        def counting(thetas, bound, trial=False):
-            sizes.append((len(thetas), trial))
-            return batch(thetas, bound, trial)
+        def counting(thetas, bound):
+            sizes.append((len(thetas), bound))
+            return batch(thetas, bound)
 
         oracle.batch = counting
         return oracle
 
     monkeypatch.setattr(synthesis_module, "_stage2_oracle", counted)
     k, absc, cert = optimize_performance(plant, k0, opts)
-    # sample points in batches of 2 dim, trials in chunks of up to 8
-    assert any(not trial for _, trial in sizes) and any(trial for _, trial in sizes)
-    assert all(size == 8 if not trial else 2 <= size <= 8 for size, trial in sizes)
+    # sample points in batches of 2 dim
+    assert sizes and all(size == (8, -math.inf) for size in sizes)
     # the same oracle called point by point
     monkeypatch.setattr(
         synthesis_module, "_stage2_oracle", lambda *args: real(*args).__call__
@@ -726,44 +727,41 @@ def _hinted_pair(plant, order, theta):
 def test_stage2_trial_rows_pay_only_for_their_verdict(monkeypatch):
     plant = _jordan_plant()
     # unstable, ill posed, not finite, ill-conditioned eigenvectors, stable,
-    # then the accepted row, and one after it that would be certified
-    thetas = np.array([[0.9], [1.0], [math.nan], [0.0], [0.3], [-3.0], [0.3]])
+    # then the accepted trial
+    thetas = np.array([[0.9], [1.0], [math.nan], [0.0], [0.3], [-3.0]])
     exact = [synthesis_module._stage2_oracle(plant, 0, 1e-7)(t, math.inf)[0] for t in thetas]
-    # the rejected rows' bounds lie far below their norms, and so below
-    # sigma_max at their pole frequencies; the accepted row's lies above
-    bounds = [0.0, 0.0, 0.0, 1e-3, 1e-3, 2.0 * exact[5], math.inf]
-    serial, chained = _hinted_pair(plant, 0, np.array([-0.5]))
+    # the rejected trials' bounds lie far below their norms, and so below
+    # sigma_max at their pole frequencies; the accepted trial's lies above
+    bounds = [0.0, 0.0, 0.0, 1e-3, 1e-3, 2.0 * exact[5]]
+    serial, trials = _hinted_pair(plant, 0, np.array([-0.5]))
     counts = _stage2_call_counts(monkeypatch)
-    got = chained.batch(thetas, bounds, trial=True)
-    chain_counts = dict(counts)
-    counts.update(polish=0, gradient=0)
-    want = serial(thetas[5], bounds[5], trial=True)
-    # the chain stops at the accepted row, which gets a single call's bits,
-    # polish and gradient; no other row is polished or gets a gradient
-    assert len(got) == 6
-    _same_bits(got[5], want)
-    assert chain_counts == counts and counts["gradient"] == 1 and counts["polish"] >= 1
-    for (f, g), bound, f_exact in zip(got[:5], bounds, exact):
+    got = [trials(theta, bound, trial=True) for theta, bound in zip(thetas[:5], bounds)]
+    # no rejected trial is polished or gets a gradient
+    assert counts == {"polish": 0, "gradient": 0}
+    for (f, g), bound, f_exact in zip(got, bounds, exact):
         assert g is None
         assert f == math.inf or bound < f <= f_exact
-    assert [math.isinf(f) for f, _ in got[:5]] == [True, True, True, False, False]
-    # the next call sees the accepted row's peak as its hint, not the peak
-    # of the row after it (at dc)
+    assert [math.isinf(f) for f, _ in got] == [True, True, True, False, False]
+    # the accepted trial gets a plain call's bits, polish and gradient
+    _same_bits(trials(thetas[5], bounds[5], trial=True), serial(thetas[5], bounds[5]))
+    assert counts["gradient"] == 2 and counts["polish"] >= 2
+    # and moves the hint as the plain call does
     hints = []
     real = synthesis_module._hinf_bounded
     monkeypatch.setattr(
         synthesis_module, "_hinf_bounded", lambda *a, **kw: hints.append(kw["hints"]) or real(*a, **kw)
     )
     probe = np.array([-2.0])
-    _same_bits(chained(probe, -math.inf), serial(probe, -math.inf))
-    assert hints[0] == hints[1] != (0.0,)
+    _same_bits(trials(probe, -math.inf), serial(probe, -math.inf))
+    assert hints[0] == hints[1]
 
 
 def test_stage2_trial_chains_equal_single_calls(rng):
-    """Random trial chains along a line, at the weak-Wolfe levels: every
-    row returned has the single call's verdict, and the bits where it is
-    accepted; the chain ends at the first certified row, and the hint
-    after it is the one single calls leave."""
+    """Random trial chains along a line, at the weak-Wolfe levels, one call
+    per trial: every trial has the verdict of a plain call at its bound,
+    and its bits where it is accepted; a rejected trial's value lies in
+    (bound, the plain call's value], with no gradient.  The hint after the
+    chain is the one plain calls leave."""
     chains = 0
     for case in range(12):
         order = case % 3
@@ -780,15 +778,63 @@ def test_stage2_trial_chains_equal_single_calls(rng):
         ts = 2.0 ** -np.arange(8.0) * 4.0
         thetas = x + ts[:, None] * d
         bounds = (f0 - 1e-4 * ts * f0).tolist()
-        serial, chained = _hinted_pair(plant, order, x)
-        got = chained.batch(thetas, bounds, trial=True)
-        for j, (theta, bound, (f, g)) in enumerate(zip(thetas, bounds, got)):
-            want = serial(theta, bound, trial=True)
+        serial, trials = _hinted_pair(plant, order, x)
+        for theta, bound in zip(thetas, bounds):
+            want = serial(theta, bound)
+            f, g = trials(theta, bound, trial=True)
             if want[0] <= bound:
                 _same_bits((f, g), want)
             else:
-                assert g is None and want[1] is None
-                assert f == want[0] or bound < f <= serial(theta, math.inf)[0]
+                assert g is None
+                assert f == want[0] or bound < f <= want[0]
         probe = x + 0.01 * d
-        _same_bits(chained(probe, -math.inf), serial(probe, -math.inf))
+        _same_bits(trials(probe, -math.inf), serial(probe, -math.inf))
     assert chains >= 6
+
+
+def test_no_line_search_trial_reaches_the_batch_form(monkeypatch):
+    """hanso on a stage-2 oracle sends the batch form only gradient
+    sampling's sample points, under bound -inf, and every line-search trial
+    as one plain call with trial=True.  The other plain calls are the start
+    and the bundle phase's ball samples.  On this plant every phase makes
+    trials, and both the BFGS and the bundle phase reject some of them."""
+    plant = random_plant(np.random.default_rng(0), 4, 2, 2, 2, 2, stable=True)
+    oracle = synthesis_module._stage2_oracle(plant, 0, 1e-7)
+    phase = [None]
+    batches, plain, balls = [], [], []
+
+    def batch(thetas, bound, **kwargs):
+        batches.append((phase[0], len(thetas), bound, kwargs))
+        return oracle.batch(thetas, bound, **kwargs)
+
+    def wrapped(theta, bound, **kwargs):
+        f, g = oracle(theta, bound, **kwargs)
+        plain.append((phase[0], kwargs.get("trial", False), f > bound and g is None))
+        return f, g
+
+    # the oracle's attributes, with the batch form wrapped
+    vars(wrapped).update(vars(oracle), batch=batch)
+
+    def entering(name, run):
+        def phase_run(*args, **kwargs):
+            phase[0] = name
+            return run(*args, **kwargs)
+
+        return phase_run
+
+    for name in ("bfgs_nonsmooth", "bundle_phase", "gradient_sampling"):
+        monkeypatch.setattr(optimize_module, name, entering(name, getattr(optimize_module, name)))
+    ball_sample = optimize_module._ball_sample
+    monkeypatch.setattr(
+        optimize_module, "_ball_sample", lambda *a: balls.append(phase[0]) or ball_sample(*a)
+    )
+    res = optimize_module.hanso(wrapped, [np.zeros(4)], OptOptions(max_iters=3, rng_seed=5))
+    assert "sampling:" in res.status
+    assert not any(kwargs.get("trial") for *_, kwargs in batches)
+    assert batches and all(b == ("gradient_sampling", 8, -math.inf, {}) for b in batches)
+    assert res.n_evals == len(plain) + 8 * len(batches)
+    not_trials = [p for p, trial, _ in plain if not trial]
+    assert not_trials == ["bfgs_nonsmooth"] + ["bundle_phase"] * balls.count("bundle_phase")
+    for name in ("bfgs_nonsmooth", "bundle_phase"):
+        assert any(p == name and trial and rejected for p, trial, rejected in plain)
+    assert any(p == "gradient_sampling" and trial for p, trial, _ in plain)
