@@ -3,15 +3,15 @@
 The norm computation is a level-set iteration (Bruinsma & Steinbuch, 1990):
 a lower bound gamma is probed at gamma*(1 + rel_tol); purely imaginary
 eigenvalues of the associated Hamiltonian matrix locate frequency intervals
-where the largest singular value exceeds the probe, and evaluating at the
-crossings and interval midpoints pushes the lower bound up.  No imaginary
+where the largest singular value exceeds the probe.  No imaginary
 eigenvalues means the probe is an upper bound, which brackets the norm to
-the requested relative tolerance.  Before that is accepted, sigma_max is
-evaluated at the imaginary parts of all the probe's eigenvalues: a crossing
-misclassified as off the axis shows up there, and so does a peak just under
-the probe, as a near-tangent eigenvalue pair.  A value more than 1e-12
-above the lower bound is polished; a peak above the probe is probed again,
-and one at or below it is the norm, which the probe still brackets.
+the requested relative tolerance.  After each probe sigma_max is evaluated
+once, at the imaginary parts of all the probe's eigenvalues and the
+midpoints between them, with no eigenvalue classified as on or off the
+axis: a crossing of the probe shows up there, and so does a peak just
+under the probe, at a near-tangent eigenvalue pair.  A value more than
+1e-12 above the lower bound is polished; a peak above the probe is probed
+again, and one at or below it is the norm, which the probe still brackets.
 
 Each new lower bound is polished to a local peak of sigma_max by safeguarded
 Newton steps on d(sigma^2)/dw, with derivatives from the singular vectors
@@ -32,9 +32,10 @@ The lower-bound stage takes one eigendecomposition call, the stability test
 and the polished best candidate frequency of every member: the candidates
 go through one padded stack, and each Newton step takes every start still
 running as one stack.  The level-set stage takes the Hamiltonian probes and
-their confirmations, member by member, on the same evaluator.  numpy's
-stacked eig, svd, solve and matmul give each member the bits of a single
-call, so a member gets the same bits in any stack, a stack of one included.
+the sigma_max pass after each, member by member, on the same evaluator.
+numpy's stacked eig, svd, solve and matmul give each member the bits of a
+single call, so a member gets the same bits in any stack, a stack of one
+included.
 Given a bound, a member returns after the first stage when its value
 already exceeds the bound: the optimizer's stage-2 oracle passes the
 threshold the optimizer tests, where the certified norm could not change
@@ -69,8 +70,6 @@ __all__ = [
 DEFAULT_TIE_TOL = 1e-8
 # Cap on Hamiltonian probes per norm; one or two usually certify.
 _LEVEL_ITERS = 60
-# |Re(lam)| below this times the eigenvalue scale counts as "on the axis".
-_HAM_IMAG_TOL = 1e-7
 # Cap on peak-polish steps; Newton needs a handful, bisection from a bracket
 # down to the 1e-13 relative step tolerance about 45.
 _POLISH_ITERS = 50
@@ -611,20 +610,10 @@ def _level_set(
             return _grid_fallback(ev, sigma_d, iterations), True
         if not np.all(np.isfinite(ew)):
             return _grid_fallback(ev, sigma_d, iterations), True
-        scale = max(1.0, float(np.abs(ew).max()))
-        trial = _level_grid(ew[np.abs(ew.real) <= _HAM_IMAG_TOL * scale])
-        if trial.size:
-            tvals = ev.sigma_max_many(trial)
-            omega, top = _polish(ev, trial, tvals, int(np.argmax(tvals)))
-            if top > best_finite:
-                best_finite, best_omega = top, omega
-            if top > lower * (1.0 + 1e-14):
-                lower = top
-                continue
-        # no crossings, or a probe that only grazes the curve: the probe is
-        # an upper bound unless sigma_max at the frequencies of all its
-        # eigenvalues finds a misclassified crossing; a near-tied peak at or
-        # below the probe raises the lower bound inside the same bracket
+        # one sigma_max pass at the frequencies of all the probe's eigenvalues
+        # and the midpoints between them: a crossing of the probe raises the
+        # lower bound above it, and a near-tied peak at or below the probe
+        # raises it inside the same bracket
         trial = _level_grid(ew)
         tvals = ev.sigma_max_many(trial)
         i = int(np.argmax(tvals))

@@ -17,6 +17,7 @@ import numpy as np
 import scipy.linalg as la
 
 from .analysis import (
+    AbscissaResult,
     NormResult,
     _abscissa,
     _hinf,
@@ -81,32 +82,53 @@ def _chain_to_controller(
     return _pack_gain(np.real(Lt_left * R_right.swapaxes(-1, -2)), *ports)
 
 
-def abscissa_gradient(plant: Plant, k: Controller) -> GradientReport:
-    """Gradient of the closed-loop spectral abscissa at k.
-
-    Differentiates the first eigenvalue (by solver index) inside the active
-    window.  Near-tie is flagged when another eigenvalue group is within
-    DEFAULT_NEAR_TIE_TOL * (1 + |alpha|) of the abscissa, or the active
-    eigenvalue is so ill conditioned that it is numerically defective.
-    """
-    cl, L, R = _interconnect(plant, k)
+def _abscissa_branch(
+    cl: StateSpace, L: np.ndarray, R: np.ndarray, ports: tuple[int, int]
+) -> tuple[AbscissaResult, np.ndarray, bool] | EigenFailure:
+    """The abscissa of the closed loop cl, the gradient over the packed
+    controller, of ports (nu, ny), of the real part of its first active
+    eigenvalue (by solver index), and whether that eigenvalue is numerically
+    defective; EigenFailure when the loop is not finite or its eigenvalue
+    iteration fails.  L and R are the loop's factors from
+    `_Interconnection.close`.  A gradient that is not finite is returned as
+    zero and flagged defective."""
+    if not all(np.isfinite(block).all() for block in (cl.A, cl.B, cl.C, cl.D)):
+        return EigenFailure("the closed loop is not finite")
     try:
         w, vl, vr = la.eig(cl.A, left=True, right=True)
-    except la.LinAlgError as exc:
-        raise EigenFailure("eigenvalue iteration failed on the closed loop") from exc
+    except la.LinAlgError:
+        return EigenFailure("eigenvalue iteration failed on the closed loop")
     absc = _abscissa(w)
-    alpha, i_star = absc.alpha, absc.active_indices[0]
-    lam = w[i_star]
-    x = vr[:, i_star]
-    y = vl[:, i_star]
+    i_star = absc.active_indices[0]
+    x, y = vr[:, i_star], vl[:, i_star]
     s = np.vdot(y, x)
     defective = abs(s) < 1e-8 * la.norm(x) * la.norm(y)
     if s == 0:
         s = 1e-300
-    grad = _chain_to_controller((k.nu, k.ny), L[: cl.n], R[:, : cl.n], np.conj(y) / s, x)
+    grad = _chain_to_controller(ports, L[: cl.n], R[:, : cl.n], np.conj(y) / s, x)
     if not np.all(np.isfinite(grad)):
         grad = np.zeros_like(grad)
         defective = True
+    return absc, grad, defective
+
+
+def abscissa_gradient(plant: Plant, k: Controller) -> GradientReport:
+    """Gradient of the closed-loop spectral abscissa at k.
+
+    Differentiates the first eigenvalue (by solver index) inside the active
+    window, as the synthesis stage-1 oracle does (both go through
+    `_abscissa_branch`).  Near-tie is flagged when another eigenvalue group
+    is within DEFAULT_NEAR_TIE_TOL * (1 + |alpha|) of the abscissa, or the
+    active eigenvalue is so ill conditioned that it is numerically
+    defective.  Raises EigenFailure when the eigenvalue iteration fails.
+    """
+    cl, L, R = _interconnect(plant, k)
+    found = _abscissa_branch(cl, L, R, (k.nu, k.ny))
+    if isinstance(found, EigenFailure):
+        raise found
+    absc, grad, defective = found
+    alpha, i_star, w = absc.alpha, absc.active_indices[0], absc.eigenvalues
+    lam = w[i_star]
 
     # margin to the nearest eigenvalue outside {lam, conj(lam)}
     exclude = {i_star}

@@ -252,10 +252,11 @@ def _weak_wolfe(
     most _LINE_SEARCH_STEPS trial points.
 
     Returns (t, x_t, f_t, g_t, outcome) with outcome "wolfe" when both
-    conditions hold, "decrease" when only sufficient decrease was secured
-    before bracketing collapsed, "fail" otherwise.  Infinite f at a trial
-    point shrinks the bracket toward the feasible endpoint, so the search
-    never steps onward from an infeasible point.
+    conditions hold; "decrease", with the last trial that secured only
+    sufficient decrease, when the trials ran out or the tracker stopped the
+    search after one; "fail" otherwise.  Infinite f at a trial point shrinks
+    the bracket toward the feasible endpoint, so the search never steps
+    onward from an infeasible point.
     """
     alpha = 0.0
     xa, fa, ga = x, f0, g0
@@ -274,12 +275,10 @@ def _weak_wolfe(
         if track.stop:
             break
         if math.isfinite(beta):
-            if beta - alpha <= 1e-16 * max(1.0, alpha):
-                break
             t = 0.5 * (alpha + beta)
         else:
             t = 2.0 * t
-    # bisection budget exhausted: certification failed; surface any decrease
+    # trials exhausted or stopped: certification failed; surface any decrease
     # point found so the caller can keep the gain before stopping
     if alpha > 0.0:
         return alpha, xa, fa, ga, "decrease"

@@ -33,13 +33,11 @@ from .analysis import (
 )
 from .errors import (
     DimensionMismatch,
-    EigenFailure,
-    IllPosed,
     NoStabilizingController,
     NotStabilizing,
     UnstableSystem,
 )
-from .gradients import _hinf_bounded, abscissa_gradient
+from .gradients import _abscissa_branch, _hinf_bounded
 from .optimize import OptOptions, _phase_rng, hanso
 from .statespace import (
     Controller,
@@ -150,17 +148,22 @@ def random_controller(
 
 
 def _stage1_oracle(plant: Plant, order: int):
-    """The closed-loop abscissa, exact at every bound; a non-finite theta,
-    or an ill-posed or eigen-failed loop, is f = +inf."""
+    """The closed-loop abscissa, exact at every bound, with the gradient
+    `abscissa_gradient` gives; a non-finite theta, or an ill-posed, not
+    finite or eigen-failed loop, is f = +inf.  The loop is closed straight
+    from theta, on padding built once for the oracle, as in stage 2."""
+    loop = _Interconnection(plant, order)
 
     def oracle(theta: np.ndarray, bound: float):
         if not np.all(np.isfinite(theta)):
             return math.inf, None
-        try:
-            rep = abscissa_gradient(plant, unpack_controller(theta, order, plant.p2, plant.m2))
-        except (IllPosed, EigenFailure):
+        cl, L, R, errors = loop.close(loop.gain(theta[None]))
+        if errors[0] is not None:
             return math.inf, None
-        return rep.value, rep.grad
+        found = _abscissa_branch(cl._members(0), L[0], R[0], (plant.m2, plant.p2))
+        if isinstance(found, Exception):
+            return math.inf, None
+        return found[0].alpha, found[1]
 
     return oracle
 

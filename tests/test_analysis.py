@@ -196,18 +196,17 @@ def test_probe_eigenvalues_give_away_a_near_tied_peak(rng):
     assert norm.omega_peak == pytest.approx(0.3600358794507249, rel=1e-8)
 
 
-def test_probe_eigenvalues_give_away_crossings_misclassified_off_the_axis(rng, monkeypatch):
-    """With no Hamiltonian eigenvalue counted as on the axis, no probe finds
-    a crossing; sigma_max at the imaginary parts of all its eigenvalues
-    still finds them, on systems whose first probe has crossings."""
+def test_probe_eigenvalues_give_away_the_crossings_of_a_probe(rng):
+    """No Hamiltonian eigenvalue is classified as on or off the axis:
+    sigma_max at the imaginary parts of all of a probe's eigenvalues finds
+    its crossings, on systems whose first probe has some."""
     systems = []
     while len(systems) < 6:
         sys = stable_system(rng, int(rng.integers(2, 9)), 2, 2, margin=0.1)
-        if hinf_norm(sys).iterations >= 2:
-            systems.append(sys)
-    monkeypatch.setattr(analysis, "_HAM_IMAG_TOL", -1.0)
-    for sys in systems:
         got = hinf_norm(sys)
+        if got.iterations >= 2:
+            systems.append((sys, got))
+    for sys, got in systems:
         assert got.converged
         assert got.gamma == pytest.approx(oracles.hinf_grid(sys), rel=1e-7)
 

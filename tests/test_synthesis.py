@@ -20,13 +20,13 @@ from fixedhinf import (
     Controller,
     DimensionMismatch,
     EigenFailure,
-    IllPosed,
     NoStabilizingController,
     NotStabilizing,
     OptOptions,
     Plant,
     SynthesisOptions,
     SynthesisStatus,
+    abscissa_gradient,
     certify_controller,
     hinf_gradient,
     hinf_norm,
@@ -109,15 +109,15 @@ def test_stabilize_raises_when_control_has_no_authority():
 
 
 def test_stabilize_says_when_the_deadline_stopped_it(monkeypatch):
-    real = synthesis_module.abscissa_gradient
+    real = synthesis_module._abscissa_branch
     calls = []
 
-    def slow(plant, k):
-        calls.append(k)
+    def slow(*args):
+        calls.append(args)
         time.sleep(0.05)
-        return real(plant, k)
+        return real(*args)
 
-    monkeypatch.setattr(synthesis_module, "abscissa_gradient", slow)
+    monkeypatch.setattr(synthesis_module, "_abscissa_branch", slow)
     # the zero controller leaves the unstable pole at +1
     with pytest.raises(NoStabilizingController, match="ran out of time") as info:
         stabilize(_scalar_unstable_plant(), SynthesisOptions(order=0, cpumax_seconds=0.01))
@@ -126,10 +126,10 @@ def test_stabilize_says_when_the_deadline_stopped_it(monkeypatch):
 
 
 def test_stabilize_says_when_every_start_was_infeasible(monkeypatch):
-    def ill_posed(plant, k):
-        raise IllPosed("I - D22 DK is singular")
+    def failed(*args):
+        return EigenFailure("eigenvalue iteration failed on the closed loop")
 
-    monkeypatch.setattr(synthesis_module, "abscissa_gradient", ill_posed)
+    monkeypatch.setattr(synthesis_module, "_abscissa_branch", failed)
     with pytest.raises(NoStabilizingController, match="every stage-1 start was infeasible"):
         stabilize(_scalar_unstable_plant(), SynthesisOptions(order=0, **QUICK))
 
@@ -418,6 +418,36 @@ def test_synthesize_warm_start_is_used_and_improved(interior_plant):
     assert res.norm == pytest.approx(INTERIOR_OPTIMUM, rel=1e-6)
 
 
+def test_a_warm_start_whose_loop_overflows_is_an_infeasible_start():
+    """Every controller entry is finite, but the closed loop overflows: the
+    stage-1 oracle gives it f = +inf, as stage 2 would, and synthesis goes
+    on from the other starts exactly as without the warm start."""
+    # the two-state unstable plant of the CI's plant2.json
+    plant = Plant.from_blocks(
+        [[0.0, 0.4], [0.5, 0.9]],
+        [[0.3], [-0.1]],
+        [[-0.3], [1.1]],
+        [[-2.3, -0.1], [0.0, 0.0]],
+        [[0.0, -1.4]],
+        D12=[[0.0], [1.0]],
+        D21=[[1.0]],
+    )
+    big = 1.7e308
+    warm = Controller([[-1.0]], [[big]], [[big]], [[big]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = synthesis_module._stage1_oracle(plant, 1)(pack_controller(warm), math.inf)
+        assert f == (math.inf, None)
+        opts = SynthesisOptions(order=1, runs=1, rng_seed=0, **QUICK)
+        got = synthesize(plant, replace(opts, warm_start=warm))
+    want = synthesize(plant, opts)
+    assert got.status is want.status is SynthesisStatus.SUCCESS
+    assert got.norm == want.norm and got.abscissa == want.abscissa
+    assert np.array_equal(pack_controller(got.controller), pack_controller(want.controller))
+    assert [(r.seed, r.stage1_abscissa, r.stage2_norm) for r in got.per_run] == [
+        (r.seed, r.stage1_abscissa, r.stage2_norm) for r in want.per_run
+    ]
+
+
 def test_synthesize_warm_start_order_mismatch_is_rejected(interior_plant):
     warm = Controller.static([[-2.0]])
     with pytest.raises(DimensionMismatch, match="order"):
@@ -500,6 +530,21 @@ def test_stage2_oracle_without_a_bound_matches_hinf_gradient(interior_plant, rng
         rep = hinf_gradient(plant, k, rel_tol=1e-7)
         assert f == rep.value
         assert np.array_equal(g, rep.grad)
+
+
+@pytest.mark.parametrize("d22", [False, True])
+def test_stage1_oracle_matches_abscissa_gradient(rng, d22):
+    """The oracle closes its loop from theta on padding built once, and
+    gives the bits of the public gradient at every point."""
+    for order in range(3):
+        plant = random_plant(rng, 4, 2, 2, 2, 2, d22=d22)
+        oracle = synthesis_module._stage1_oracle(plant, order)
+        for _ in range(20):
+            k = random_controller(order, 2, 2, 1.0, rng)
+            f, g = oracle(pack_controller(k), math.inf)
+            rep = abscissa_gradient(plant, k)
+            assert f == rep.value
+            assert np.array_equal(g, rep.grad)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
