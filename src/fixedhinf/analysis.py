@@ -26,8 +26,9 @@ scan included: the result carries the evaluator on.
 
 One routine, `_hinf`, runs the norm over a stack of systems of one shape,
 whose blocks carry a leading member axis: `hinf_norm` passes a stack of one,
-and the optimizer's stage-2 oracle one point (a line-search trial among
-them) as a stack of one, or a batch of sample points as a longer stack.
+`hinf_gradient` a closed loop as a stack of one, and the optimizer's
+stage-2 oracle one point (a line-search trial among them) as a stack of
+one, or a batch of sample points as a longer stack.
 The lower-bound stage takes one eigendecomposition call, the stability test
 and the polished best candidate frequency of every member: the candidates
 go through one padded stack, and each Newton step takes every start still
@@ -39,7 +40,7 @@ included.
 Given a bound, a member returns after the first stage when its value
 already exceeds the bound: the optimizer's stage-2 oracle passes the
 threshold the optimizer tests, where the certified norm could not change
-the outcome; `hinf_norm` passes none.
+the outcome; `hinf_norm` and `hinf_gradient` pass none.
 A line-search trial needs only its verdict: where the lower bound before
 polishing already exceeds the bound, the polish could not change it, and
 the trial returns it as it is.
@@ -453,11 +454,11 @@ def _hinf(
     hints: tuple[float, ...] = (),
     trial: bool = False,
 ) -> list:
-    """H-infinity norms of a stack of systems of order n > 0, each certified
-    only where it may be at most bound.  Returns per member its
+    """H-infinity norms of a stack of finite systems of order n > 0, each
+    certified only where it may be at most bound.  Returns per member its
     (NormResult, flag), the flag saying whether the lower bound was at most
     the bound, or its error: UnstableSystem, or EigenFailure for a member
-    that is not finite or whose eigenvalue iteration fails.
+    whose eigenvalue iteration fails.
 
     The members share one eigendecomposition call and one lower-bound
     stage, which polishes the best of sigma_max at the pole-frequency
@@ -471,25 +472,17 @@ def _hinf(
     most the bound.
     """
     out: list = [None] * len(sys.A)
-    blocks = (sys.A, sys.B, sys.C, sys.D)
-    members = range(len(sys.A))
-    if not all(np.isfinite(block).all() for block in blocks):
-        finite = np.logical_and.reduce([np.isfinite(b).all(axis=(1, 2)) for b in blocks])
-        for j in np.flatnonzero(~finite):
-            out[j] = EigenFailure("the system is not finite")
-        members = np.flatnonzero(finite)
-        sys = sys._members(members)
     try:
         lam, V = np.linalg.eig(sys.A)
     except np.linalg.LinAlgError:
         lam = V = None
     solve_path, modal, lams, residues = {}, {}, [], []
-    for k, j in enumerate(members):
+    for k in range(len(sys.A)):
         if lam is None:
             try:
                 w, vectors = np.linalg.eig(sys.A[k])
             except np.linalg.LinAlgError:
-                out[j] = EigenFailure("eigenvalue iteration failed on A")
+                out[k] = EigenFailure("eigenvalue iteration failed on A")
                 continue
         else:
             w, vectors = lam[k], V[k]
@@ -499,8 +492,8 @@ def _hinf(
                 # real views eig returns for it alone, since C @ V rounds
                 # differently on complex arrays
                 w, vectors = w.real, vectors.real
-        out[j] = _instability(w)
-        if out[j] is not None:
+        out[k] = _instability(w)
+        if out[k] is not None:
             continue
         res = _residues(vectors, sys.B[k], sys.C[k])
         if res is None:
@@ -527,7 +520,7 @@ def _hinf(
             for start, peak in zip(polish, _polish_many(ev, polish)):
                 peaks[start[0]] = peak
             starts = [None] * len(starts)
-    for k, j in enumerate(members):
+    for k in range(len(sys.A)):
         if k in modal:
             stack, i = ev, modal[k]
             peak, start = peaks[i], starts[i]
@@ -537,7 +530,7 @@ def _hinf(
         else:
             continue
         peak = _polished(stack, sigma_d[k], peak, start, bound if trial else math.inf)
-        out[j] = _level_set(sys._members(k), stack.member(i), sigma_d[k], peak, rel_tol, bound)
+        out[k] = _level_set(sys._members(k), stack.member(i), sigma_d[k], peak, rel_tol, bound)
     return out
 
 

@@ -3,8 +3,8 @@
 Subcommands: norm, abscissa, synth, bench.  Numeric output is printed with
 17 significant digits so values round-trip double precision.  Exit codes:
 0 success, 1 synthesis/analysis failure (e.g. no stabilizing controller,
-unstable system, failed eigenvalue iteration), 2 input errors, bad option
-values included.
+unstable system, a closed loop that is ill posed or overflows, failed
+eigenvalue iteration), 2 input errors, bad option values included.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .analysis import hinf_norm, spectral_abscissa
 from .bench import BUILTIN_CASES, BenchOptions, case_names, run_suite
-from .errors import EigenFailure, FixedHinfError, UnstableSystem
+from .errors import EigenFailure, FixedHinfError, IllPosed, UnstableSystem
 from .fileio import load_controller, load_plant, load_system, save_controller
 from .statespace import Controller, Plant, StateSpace, lft_closed_loop
 from .synthesis import SynthesisOptions, SynthesisStatus, synthesize
@@ -54,10 +54,9 @@ def _closed_loop_from_args(args) -> StateSpace:
 
 
 def _cmd_norm(args) -> int:
-    cl = _closed_loop_from_args(args)
     try:
-        result = hinf_norm(cl, rel_tol=args.rel_tol)
-    except (UnstableSystem, EigenFailure) as exc:
+        result = hinf_norm(_closed_loop_from_args(args), rel_tol=args.rel_tol)
+    except (IllPosed, UnstableSystem, EigenFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     line = f"{_fmt(result.gamma)} {_fmt(result.omega_peak)}"
@@ -70,10 +69,9 @@ def _cmd_norm(args) -> int:
 
 
 def _cmd_abscissa(args) -> int:
-    cl = _closed_loop_from_args(args)
     try:
-        result = spectral_abscissa(cl.A)
-    except EigenFailure as exc:
+        result = spectral_abscissa(_closed_loop_from_args(args).A)
+    except (IllPosed, EigenFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(_fmt(result.alpha))

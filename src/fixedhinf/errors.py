@@ -27,8 +27,9 @@ class LengthMismatch(FixedHinfError):
 
 
 class IllPosed(FixedHinfError):
-    """The plant/controller interconnection is not well posed (I - D22*DK singular
-    or so badly conditioned that the closed loop is numerically meaningless)."""
+    """The plant/controller interconnection does not exist: I - D22*DK is singular
+    or so badly conditioned that the closed loop is numerically meaningless, or
+    the closed loop overflows."""
 
 
 class SingularResolvent(FixedHinfError):

@@ -20,19 +20,12 @@ from .analysis import (
     AbscissaResult,
     NormResult,
     _abscissa,
+    _check_rel_tol,
     _hinf,
     _secondary_peak_gap,
-    hinf_norm,
 )
-from .errors import EigenFailure
-from .statespace import (
-    Controller,
-    Plant,
-    StateSpace,
-    _interconnect,
-    _Interconnection,
-    _pack_gain,
-)
+from .errors import EigenFailure, IllPosed
+from .statespace import Controller, Plant, StateSpace, _interconnect, _pack_gain
 
 __all__ = [
     "Smoothness",
@@ -83,33 +76,37 @@ def _chain_to_controller(
 
 
 def _abscissa_branch(
-    cl: StateSpace, L: np.ndarray, R: np.ndarray, ports: tuple[int, int]
-) -> tuple[AbscissaResult, np.ndarray, bool] | EigenFailure:
-    """The abscissa of the closed loop cl, the gradient over the packed
-    controller, of ports (nu, ny), of the real part of its first active
-    eigenvalue (by solver index), and whether that eigenvalue is numerically
-    defective; EigenFailure when the loop is not finite or its eigenvalue
-    iteration fails.  L and R are the loop's factors from
-    `_Interconnection.close`.  A gradient that is not finite is returned as
-    zero and flagged defective."""
-    if not all(np.isfinite(block).all() for block in (cl.A, cl.B, cl.C, cl.D)):
-        return EigenFailure("the closed loop is not finite")
-    try:
-        w, vl, vr = la.eig(cl.A, left=True, right=True)
-    except la.LinAlgError:
-        return EigenFailure("eigenvalue iteration failed on the closed loop")
-    absc = _abscissa(w)
-    i_star = absc.active_indices[0]
-    x, y = vr[:, i_star], vl[:, i_star]
-    s = np.vdot(y, x)
-    defective = abs(s) < 1e-8 * la.norm(x) * la.norm(y)
-    if s == 0:
-        s = 1e-300
-    grad = _chain_to_controller(ports, L[: cl.n], R[:, : cl.n], np.conj(y) / s, x)
-    if not np.all(np.isfinite(grad)):
-        grad = np.zeros_like(grad)
-        defective = True
-    return absc, grad, defective
+    ports: tuple[int, int], cl: StateSpace, L: np.ndarray, R: np.ndarray, errors: list
+) -> list[tuple[AbscissaResult, np.ndarray, bool] | IllPosed | EigenFailure]:
+    """Per member of a stack of loops from `_Interconnection.close`, with
+    its factors L and R and its error list, the abscissa, the gradient over
+    the packed controller, of ports (nu, ny), of the real part of its first
+    active eigenvalue (by solver index), and whether that eigenvalue is
+    numerically defective; or the member's IllPosed error, or EigenFailure
+    when its eigenvalue iteration fails.  A gradient that is not finite is
+    returned as zero and flagged defective."""
+    out: list = list(errors)
+    posed = [j for j, error in enumerate(errors) if error is None]
+    n = cl.n
+    for k, j in enumerate(posed):
+        try:
+            w, vl, vr = la.eig(cl.A[k], left=True, right=True)
+        except la.LinAlgError:
+            out[j] = EigenFailure("eigenvalue iteration failed on the closed loop")
+            continue
+        absc = _abscissa(w)
+        i_star = absc.active_indices[0]
+        x, y = vr[:, i_star], vl[:, i_star]
+        s = np.vdot(y, x)
+        defective = abs(s) < 1e-8 * la.norm(x) * la.norm(y)
+        if s == 0:
+            s = 1e-300
+        grad = _chain_to_controller(ports, L[k, :n], R[k, :, :n], np.conj(y) / s, x)
+        if not np.all(np.isfinite(grad)):
+            grad = np.zeros_like(grad)
+            defective = True
+        out[j] = (absc, grad, defective)
+    return out
 
 
 def abscissa_gradient(plant: Plant, k: Controller) -> GradientReport:
@@ -120,11 +117,11 @@ def abscissa_gradient(plant: Plant, k: Controller) -> GradientReport:
     `_abscissa_branch`).  Near-tie is flagged when another eigenvalue group
     is within DEFAULT_NEAR_TIE_TOL * (1 + |alpha|) of the abscissa, or the
     active eigenvalue is so ill conditioned that it is numerically
-    defective.  Raises EigenFailure when the eigenvalue iteration fails.
+    defective.  Raises IllPosed when the closed loop does not exist and
+    EigenFailure when the eigenvalue iteration fails.
     """
-    cl, L, R = _interconnect(plant, k)
-    found = _abscissa_branch(cl, L, R, (k.nu, k.ny))
-    if isinstance(found, EigenFailure):
+    (found,) = _abscissa_branch((k.nu, k.ny), *_interconnect(plant, k))
+    if isinstance(found, Exception):
         raise found
     absc, grad, defective = found
     alpha, i_star, w = absc.alpha, absc.active_indices[0], absc.eigenvalues
@@ -199,23 +196,27 @@ def hinf_gradient(
 
     Differentiates the largest singular value at the peak frequency via its
     singular vectors; when the peak is attained at infinity only the D
-    feedthrough path contributes.  Near-tie is flagged when the second
-    singular value at the peak, a secondary frequency peak, or the
-    at-infinity value sigma_max(D_cl) comes within DEFAULT_NEAR_TIE_TOL
-    relative of the norm.  Raises UnstableSystem for unstable closed loops.
+    feedthrough path contributes.  The norm and its gradient are those of
+    the synthesis stage-2 oracle without a bound (both go through
+    `_hinf_branch`).  Near-tie is flagged when the second singular value at
+    the peak, a secondary frequency peak, or the at-infinity value
+    sigma_max(D_cl) comes within DEFAULT_NEAR_TIE_TOL relative of the norm.
+    Raises IllPosed when the closed loop does not exist, UnstableSystem
+    when it is unstable and EigenFailure when its eigenvalue iteration
+    fails.
     """
-    cl, L, R = _interconnect(plant, k)
-    result = hinf_norm(cl, rel_tol=rel_tol)
+    _check_rel_tol(rel_tol)
+    cl, L, R, errors = _interconnect(plant, k)
+    (found,) = _hinf_branch((k.nu, k.ny), cl, L, R, errors, rel_tol=rel_tol, bound=math.inf)
+    if isinstance(found, Exception):
+        raise found
+    result, grad, _, svals = found
     gamma = result.gamma
-    grads, svals = _peak_gradient(
-        (k.nu, k.ny), cl._members(None), L[None], R[None], [result]
-    )
-    grad, svals = grads[0], svals[0]
     # at infinity a distinct finite peak near the norm is the competing
     # branch, which the rival scan below looks for
     gaps = []
     if not result.attained_at_infinity:
-        gaps.append(gamma - float(np.linalg.svd(cl.D, compute_uv=False)[0]))
+        gaps.append(gamma - float(np.linalg.svd(cl.D[0], compute_uv=False)[0]))
     if svals.size > 1:
         gaps.append(float(svals[0] - svals[1]))
     if scan_secondary_peaks:
@@ -227,47 +228,47 @@ def hinf_gradient(
     return GradientReport(float(gamma), grad, hint, tie_gap)
 
 
-def _hinf_bounded(
-    loop: _Interconnection,
-    thetas: np.ndarray,
+def _hinf_branch(
+    ports: tuple[int, int],
+    cl: StateSpace,
+    L: np.ndarray,
+    R: np.ndarray,
+    errors: list,
     *,
     rel_tol: float,
     bound: float,
     hints: tuple[float, ...] = (),
     trial: bool = False,
-) -> list[tuple[NormResult, np.ndarray | None, bool] | None]:
-    """Closed-loop H-infinity norms at a stack of packed controllers (one per
-    row of thetas) under the optimizer's oracle contract, with the bits each
-    member gets alone.
+) -> list:
+    """Closed-loop H-infinity norms of a stack of loops from
+    `_Interconnection.close`, with their factors L and R and their error
+    list, under the optimizer's oracle contract; each member gets the bits
+    it gets alone.
 
     Each norm's lower bound, with the hint frequencies added to its
     candidates, is returned uncertified when it exceeds the bound, in
-    (bound, norm]; otherwise the norm is certified exactly as hinf_gradient
-    computes it when there are no hints.  Returns per member the NormResult,
-    the gradient of the branch that attains its value, and whether the
-    value is certified; None when the loop is ill posed or not finite, or
-    unstable, or its eigenvalue iteration fails.  A trial (see `_hinf`)
-    takes no gradient where the value exceeds the bound.
+    (bound, norm]; otherwise the norm is certified.  Returns per member the
+    NormResult, the gradient over the packed controller, of ports (nu, ny),
+    of the branch that attains its value, whether the value is certified,
+    and the singular values at the peak; or the member's IllPosed,
+    UnstableSystem or EigenFailure.  A trial (see `_hinf`) takes no
+    gradient, and no singular values, where the value exceeds the bound.
     """
-    out: list = [None] * len(thetas)
-    cl, L, R, errors = loop.close(loop.gain(thetas))
+    out: list = list(errors)
     posed = [j for j, error in enumerate(errors) if error is None]
-    if not posed:
-        return out
     found = _hinf(cl, rel_tol, bound=bound, hints=hints, trial=trial)
     ok = [
         k
         for k, res in enumerate(found)
         if not isinstance(res, Exception) and not (trial and res[0].gamma > bound)
     ]
-    grads = [None] * len(found)
+    grads: list = [None] * len(found)
+    svals: list = [None] * len(found)
     if ok:
         if len(ok) < len(posed):
             cl, L, R = cl._members(ok), L[ok], R[ok]
-        ports = (loop.plant.m2, loop.plant.p2)
-        for k, grad in zip(ok, _peak_gradient(ports, cl, L, R, [found[k][0] for k in ok])[0]):
-            grads[k] = grad
-    for k, res in enumerate(found):
-        if not isinstance(res, Exception):
-            out[posed[k]] = (res[0], grads[k], res[1])
+        for k, grad, sval in zip(ok, *_peak_gradient(ports, cl, L, R, [found[k][0] for k in ok])):
+            grads[k], svals[k] = grad, sval
+    for j, res, grad, sval in zip(posed, found, grads, svals):
+        out[j] = res if isinstance(res, Exception) else (res[0], grad, res[1], sval)
     return out

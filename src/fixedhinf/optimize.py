@@ -40,19 +40,16 @@ where f > bound, and the stage-2 oracle then returns its lower bound
 before polishing it and takes no gradient.
 
 An oracle may also carry a batch form, oracle.batch(xs, bound), which
-evaluates the rows of xs in order under one bound and returns one (f, grad)
-per row evaluated.  It may stop after any row, and it stops after a row
-whose evaluation changes state that the oracle carries from call to call,
-so that each row it returns sees the state one call at a time would; the
-stage-2 oracle's state is the peak frequency of its last certified
-evaluation.  Gradient sampling hands it the sample points of an iteration,
-drawn first in the order single draws would take.  The tracker counts the
-rows in order, checks the stop rule before each as around single calls,
-drops the rest after a row at or below its bound, where the target can
-end the run, and sends again the rows the oracle did not return.  Counts
-and hits are thus those of single calls, and a deadline overshoots by at
-most one batch.  An oracle without a batch form is called one point at a
-time.
+returns one (f, grad) per row of xs under one bound: each row is what one
+call at the oracle's state before the batch would return, and the batch
+changes no state that the oracle carries from call to call (the stage-2
+oracle's state is the peak frequency of its last certified call).
+Gradient sampling hands it the sample points of an iteration, drawn first
+in the order single draws would take.  The tracker counts the rows in
+order, checks the stop rule before each as around single calls, and drops
+the rest after a row below the target.  Counts and hits are thus those of
+single calls, and a deadline overshoots by at most one batch.  An oracle
+without a batch form is called one point at a time.
 
 Infeasible points are signalled by f = +inf with grad = None, and f = +inf
 is the only feasibility signal.  The line searches retreat rather than
@@ -169,19 +166,18 @@ class _Tracker:
     def call_many(self, xs: np.ndarray, bound: float) -> list[tuple[float, np.ndarray | None]]:
         """The oracle at the sample points xs, in order, up to the first
         stop, with the stop rule checked before each point as around single
-        calls: in batches when the oracle has a batch form (see the module
-        docstring)."""
+        calls: in one batch when the oracle has a batch form (see the
+        module docstring)."""
         bound = max(bound, self.target)
         out: list = []
-        while len(out) < len(xs) and not self.stop:
-            rest = xs[len(out) :]
-            rows = [self.oracle(rest[0], bound)] if self.batch is None else self.batch(rest, bound)
-            for i, (x, (f, g)) in enumerate(zip(rest, rows)):
-                if i and self.stop:
-                    return out
-                out.append(self._count(x, f, g))
-                if out[-1][0] <= bound:
-                    break
+        if self.stop:
+            return out
+        rows = None if self.batch is None else self.batch(xs, bound)
+        for i, x in enumerate(xs):
+            if i and self.stop:
+                break
+            f, g = self.oracle(x, bound) if rows is None else rows[i]
+            out.append(self._count(x, f, g))
         return out
 
     def _count(self, x: np.ndarray, f, g) -> tuple[float, np.ndarray | None]:

@@ -323,24 +323,24 @@ def lft_closed_loop(plant: Plant, k: Controller) -> StateSpace:
 
     The controller acts as the static gain K = [[DK, CK], [BK, AK]] from
     [y; xK] to [u; xK'] on the plant augmented with nK integrator states, so
-    the result is a StateSpace of order n + nK.  The loop is well posed when
-    I - D22*DK is invertible; if it is singular or its inverse has 2-norm
-    above 1e12, raises IllPosed.
+    the result is a StateSpace of order n + nK.  Raises IllPosed when the
+    loop does not exist: I - D22*DK is singular, its inverse has 2-norm
+    above 1e12, or the loop's entries overflow.
     """
-    return _interconnect(plant, k)[0]
+    cl, _, _, errors = _interconnect(plant, k)
+    if errors[0] is not None:
+        raise errors[0]
+    return StateSpace(cl.A[0], cl.B[0], cl.C[0], cl.D[0])
 
 
-def _interconnect(plant: Plant, k: Controller) -> tuple[StateSpace, np.ndarray, np.ndarray]:
-    """lft_closed_loop, with the factors L and R of its derivative (see
-    `_Interconnection`); the loop is a validated StateSpace."""
+def _interconnect(plant: Plant, k: Controller) -> tuple[StateSpace, np.ndarray, np.ndarray, list]:
+    """`_Interconnection.close` of k's gain, a stack of one, on a plant whose
+    ports match k's."""
     if k.ny != plant.p2 or k.nu != plant.m2:
         raise DimensionMismatch(
             f"controller is {k.nu}x{k.ny} but plant ports need {plant.m2}x{plant.p2}"
         )
-    cl, L, R, errors = _Interconnection(plant, k.order).close(_gain(k)[None])
-    if errors[0] is not None:
-        raise errors[0]
-    return StateSpace(cl.A[0], cl.B[0], cl.C[0], cl.D[0]), L[0], R[0]
+    return _Interconnection(plant, k.order).close(_gain(k)[None])
 
 
 class _Interconnection:
@@ -352,7 +352,8 @@ class _Interconnection:
     Q = [C2, D21] and D22, the loop is S0 + P K R, R = (I - D22 K)^-1 Q and
     L = P (I - K D22)^-1.  Nothing here validates K: `gain` takes packed
     vectors of the right length, and `close` takes a stack of gains and
-    returns a stack of loops whose blocks are not checked or copied.
+    returns the stack of the loops that exist, whose blocks are not
+    copied, with each other member's error as a value.
     """
 
     def __init__(self, plant: Plant, order: int):
@@ -386,49 +387,58 @@ class _Interconnection:
         """The loops closed by a stack of gains K (leading member axis).
 
         Returns the stack of loops and their factors L and R, stacked alike,
-        for the members whose loop is well posed, and per member its
-        IllPosed error or None: I - D22*DK is singular, or its inverse has
-        2-norm above 1e12.  Each member gets the bits that a stack of one
-        gives it.
+        for the members whose loop exists, and per member its IllPosed error
+        or None.  A loop does not exist when I - D22*DK is singular, its
+        inverse has 2-norm above 1e12, or an entry of the loop is not finite
+        (a gain that is not finite, or one whose loop overflows); the
+        arithmetic of such a member raises no floating-point warning.  Each
+        member gets the bits that a stack of one gives it.
         """
         plant, N, P, D22 = self.plant, self.N, self.P, self.D22
         n, p2 = plant.n, plant.p2
         errors = [None] * len(K)
-        lhs = self.eye - D22 @ K
-        try:
-            delta = np.linalg.inv(lhs)
-        except np.linalg.LinAlgError:
-            # one singular member fails the stack: invert member by member
-            delta = np.full_like(lhs, np.nan)
-            for j, M in enumerate(lhs):
-                try:
-                    delta[j] = np.linalg.inv(M)
-                except np.linalg.LinAlgError:
-                    errors[j] = IllPosed("I - D22*DK is singular")
-        # delta = [[(I - D22*DK)^-1, *], [0, I]]: its leading block sets the conditioning
-        posed = np.isfinite(delta).all(axis=(1, 2))
-        lead = delta[:, :p2, :p2] if posed.all() else delta[posed, :p2, :p2]
-        posed[posed] = np.linalg.svd(lead, compute_uv=False)[:, 0] <= _WELLPOSEDNESS_CAP
-        if not posed.all():
-            for j in np.flatnonzero(~posed):
-                if errors[j] is None:
-                    errors[j] = IllPosed(
-                        f"interconnection badly conditioned: ||(I - D22*DK)^-1|| exceeds "
-                        f"{_WELLPOSEDNESS_CAP:g}"
-                    )
-            K, delta = K[posed], delta[posed]
-        R = delta @ self.Q
-        # (I - K D22)^-1 = I + K delta D22 by the push-through identity
-        L = P + P @ (K @ delta @ D22)
-        # S0 + P K R block by block, with no loop-sized temporary; S0 is zero off the plant
-        PK = P @ K
-        A = PK[:, :N] @ R[:, :, :N]
-        A[:, :n, :n] += plant.A
-        B = PK[:, :N] @ R[:, :, N:]
-        B[:, :n] += plant.B1
-        C = PK[:, N:] @ R[:, :, :N]
-        C[:, :, :n] += plant.C1
-        D = PK[:, N:] @ R[:, :, N:] + plant.D11
+        with np.errstate(over="ignore", invalid="ignore"):
+            lhs = self.eye - D22 @ K
+            try:
+                delta = np.linalg.inv(lhs)
+            except np.linalg.LinAlgError:
+                # one singular member fails the stack: invert member by member
+                delta = np.full_like(lhs, np.nan)
+                for j, M in enumerate(lhs):
+                    try:
+                        delta[j] = np.linalg.inv(M)
+                    except np.linalg.LinAlgError:
+                        errors[j] = IllPosed("I - D22*DK is singular")
+            # delta = [[(I - D22*DK)^-1, *], [0, I]]: its leading block sets the conditioning
+            posed = np.isfinite(delta).all(axis=(1, 2))
+            lead = delta[:, :p2, :p2] if posed.all() else delta[posed, :p2, :p2]
+            posed[posed] = np.linalg.svd(lead, compute_uv=False)[:, 0] <= _WELLPOSEDNESS_CAP
+            if not posed.all():
+                for j in np.flatnonzero(~posed):
+                    if errors[j] is None:
+                        errors[j] = IllPosed(
+                            f"interconnection badly conditioned: ||(I - D22*DK)^-1|| exceeds "
+                            f"{_WELLPOSEDNESS_CAP:g}"
+                        )
+                K, delta = K[posed], delta[posed]
+            R = delta @ self.Q
+            # (I - K D22)^-1 = I + K delta D22 by the push-through identity
+            L = P + P @ (K @ delta @ D22)
+            # S0 + P K R block by block, with no loop-sized temporary; S0 is zero off the plant
+            PK = P @ K
+            A = PK[:, :N] @ R[:, :, :N]
+            A[:, :n, :n] += plant.A
+            B = PK[:, :N] @ R[:, :, N:]
+            B[:, :n] += plant.B1
+            C = PK[:, N:] @ R[:, :, :N]
+            C[:, :, :n] += plant.C1
+            D = PK[:, N:] @ R[:, :, N:] + plant.D11
+        finite = np.logical_and.reduce([np.isfinite(X).all(axis=(1, 2)) for X in (A, B, C, D)])
+        if not finite.all():
+            for j, ok in zip(np.flatnonzero(posed), finite):
+                if not ok:
+                    errors[j] = IllPosed("the closed loop is not finite")
+            A, B, C, D, L, R = (X[finite] for X in (A, B, C, D, L, R))
         return StateSpace._unchecked(A, B, C, D), L, R, errors
 
 

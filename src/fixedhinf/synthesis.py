@@ -37,7 +37,7 @@ from .errors import (
     NotStabilizing,
     UnstableSystem,
 )
-from .gradients import _abscissa_branch, _hinf_bounded
+from .gradients import _abscissa_branch, _hinf_branch
 from .optimize import OptOptions, _phase_rng, hanso
 from .statespace import (
     Controller,
@@ -149,18 +149,15 @@ def random_controller(
 
 def _stage1_oracle(plant: Plant, order: int):
     """The closed-loop abscissa, exact at every bound, with the gradient
-    `abscissa_gradient` gives; a non-finite theta, or an ill-posed, not
-    finite or eigen-failed loop, is f = +inf.  The loop is closed straight
-    from theta, on padding built once for the oracle, as in stage 2."""
+    `abscissa_gradient` gives; a loop that does not exist (see
+    `_Interconnection.close`) or whose eigenvalue iteration fails is
+    f = +inf.  The loop is closed straight from theta, on padding built once
+    for the oracle, as in stage 2."""
     loop = _Interconnection(plant, order)
+    ports = (plant.m2, plant.p2)
 
     def oracle(theta: np.ndarray, bound: float):
-        if not np.all(np.isfinite(theta)):
-            return math.inf, None
-        cl, L, R, errors = loop.close(loop.gain(theta[None]))
-        if errors[0] is not None:
-            return math.inf, None
-        found = _abscissa_branch(cl._members(0), L[0], R[0], (plant.m2, plant.p2))
+        (found,) = _abscissa_branch(ports, *loop.close(loop.gain(theta[None])))
         if isinstance(found, Exception):
             return math.inf, None
         return found[0].alpha, found[1]
@@ -171,50 +168,49 @@ def _stage1_oracle(plant: Plant, order: int):
 def _stage2_oracle(plant: Plant, order: int, rel_tol: float):
     """The closed-loop H-infinity norm, certified only where the optimizer
     can accept the point: a lower bound above `bound` is returned as it is.
-    The peak frequency of the last certified evaluation joins the next
-    lower bound's candidates, so that the bound usually finds the peak the
-    optimizer is following.  The loop is closed straight from theta, on
+    The peak frequency of the last certified call joins the next lower
+    bound's candidates, so that the bound usually finds the peak the
+    optimizer is following.  Without a bound the value and gradient are
+    those of `hinf_gradient`.  A loop that does not exist (see
+    `_Interconnection.close`), an unstable one or a failed eigenvalue
+    iteration is f = +inf.  The loop is closed straight from theta, on
     padding built once for the oracle.
 
-    The oracle's batch form, oracle.batch(thetas, bound), evaluates the
-    rows of thetas in order as one call each would, and stops after the
-    first certified row, which moves the hint.  The rows go through the
-    stacked computation in chunks of capped memory (see _batch_size); one
-    call is a batch of one.  A trial, oracle(theta, bound, trial=True) (see
-    the optimize module), returns a lower bound above its bound before
-    polishing it, with no gradient.
+    A trial, oracle(theta, bound, trial=True) (see the optimize module),
+    returns a lower bound above its bound before polishing it, with no
+    gradient.  The batch form, oracle.batch(thetas, bound), returns one
+    (f, grad) per row of thetas, each what a call at the oracle's state
+    before the batch would return, and moves no hint.  The rows go through
+    the stacked computation in chunks of capped memory (see _batch_size).
     """
     loop = _Interconnection(plant, order)
+    ports = (plant.m2, plant.p2)
     size = _batch_size(loop.N)
     hints = ()
 
-    def evaluate(thetas: np.ndarray, bound: float, trial: bool) -> list:
-        nonlocal hints
-        finite = np.isfinite(thetas).all(axis=1).tolist()
-        out = []
-        for lo in range(0, len(thetas), size):
-            chunk = range(lo, min(lo + size, len(thetas)))
-            rows = [j for j in chunk if finite[j]]
-            found = iter(
-                _hinf_bounded(loop, thetas[rows], rel_tol=rel_tol, bound=bound, hints=hints, trial=trial)
-                if rows else ()
-            )
-            for j in chunk:
-                res = next(found) if finite[j] else None
-                if res is None:
-                    out.append((math.inf, None))
-                    continue
-                norm, grad, certified = res
-                out.append((norm.gamma, grad))
-                if certified:
-                    hints = (norm.omega_peak,)
-                    return out
-        return out
+    def evaluate(thetas: np.ndarray, bound: float, trial: bool = False) -> list:
+        closed = loop.close(loop.gain(thetas))
+        return _hinf_branch(ports, *closed, rel_tol=rel_tol, bound=bound, hints=hints, trial=trial)
 
     def oracle(theta: np.ndarray, bound: float, trial: bool = False):
-        return evaluate(theta[None], bound, trial)[0]
+        nonlocal hints
+        (found,) = evaluate(theta[None], bound, trial)
+        if isinstance(found, Exception):
+            return math.inf, None
+        norm, grad, certified, _ = found
+        if certified:
+            hints = (norm.omega_peak,)
+        return norm.gamma, grad
 
-    oracle.batch = lambda thetas, bound: evaluate(thetas, bound, False)
+    def batch(thetas: np.ndarray, bound: float) -> list:
+        rows = []
+        for lo in range(0, len(thetas), size):
+            for found in evaluate(thetas[lo : lo + size], bound):
+                failed = isinstance(found, Exception)
+                rows.append((math.inf, None) if failed else (found[0].gamma, found[1]))
+        return rows
+
+    oracle.batch = batch
     return oracle
 
 

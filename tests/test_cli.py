@@ -102,6 +102,25 @@ def test_abscissa_rejects_controller_file(tmp_path, capsys):
     assert "controller file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["norm", "abscissa"])
+def test_a_loop_that_overflows_exits_one(tmp_path, capsys, command):
+    # the CI's plant2.json, closed by a controller of finite entries whose
+    # loop overflows: the loop does not exist, a failure, not an input error
+    plant = tmp_path / "plant2.json"
+    plant.write_text(json.dumps({
+        "n": 2, "m1": 1, "m2": 1, "p1": 2, "p2": 1,
+        "A": [[0, 0.4], [0.5, 0.9]], "B1": [[0.3], [-0.1]], "B2": [[-0.3], [1.1]],
+        "C1": [[-2.3, -0.1], [0, 0]], "C2": [[0, -1.4]],
+        "D12": [[0], [1]], "D21": [[1]],
+    }))
+    kpath = tmp_path / "overflow.json"
+    save_controller(Controller([[-1.0]], [[1.7e308]], [[1.7e308]], [[1.7e308]]), kpath)
+    assert main([command, str(plant), "--controller", str(kpath)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the closed loop is not finite\n"
+
+
 def test_missing_file_exits_two(tmp_path, capsys):
     assert main(["norm", str(tmp_path / "absent.json")]) == 2
     assert "error" in capsys.readouterr().err

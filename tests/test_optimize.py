@@ -459,12 +459,11 @@ def test_hanso_hands_its_point_to_each_refinement_phase():
     assert np.array_equal(res.g_best, max_plus_quad(res.x_best, math.inf)[1])
 
 
-def _batched(fn, stop_at_bound=True):
+def _batched(fn):
     """fn as an oracle with a batch form.  Both forms record each point
     they evaluate, and calls records ("batch", rows, bound) for each batch
-    and ("call", trial) for each plain call.  The batch form stops after
-    the first row with f <= bound, as the contract allows, unless
-    stop_at_bound is False; a trial returns no gradient above its bound."""
+    and ("call", trial) for each plain call.  The batch form evaluates
+    every row; a trial returns no gradient above its bound."""
     points, calls = [], []
 
     def evaluate(x, bound, trial):
@@ -478,12 +477,7 @@ def _batched(fn, stop_at_bound=True):
 
     def batch(xs, bound):
         calls.append(("batch", len(xs), bound))
-        out = []
-        for x in xs:
-            out.append(evaluate(x, bound, False))
-            if stop_at_bound and out[-1][0] <= bound:
-                break
-        return out
+        return [evaluate(x, bound, False) for x in xs]
 
     oracle.batch = batch
     return oracle, points, calls
@@ -532,7 +526,7 @@ def test_the_batch_form_changes_no_run(fn, run):
 
 @pytest.mark.parametrize("with_batch", [False, True])
 def test_a_target_hit_inside_a_batch_counts_up_to_the_hit(with_batch):
-    oracle, points, _ = _batched(quadratic([0.0]), stop_at_bound=False)
+    oracle, points, _ = _batched(quadratic([0.0]))
     if not with_batch:
         del oracle.batch
     track = optimize._Tracker(oracle, 60.0, target=0.5)

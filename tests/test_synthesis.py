@@ -6,6 +6,7 @@ import math
 import multiprocessing
 import os
 import time
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -20,6 +21,7 @@ from fixedhinf import (
     Controller,
     DimensionMismatch,
     EigenFailure,
+    IllPosed,
     NoStabilizingController,
     NotStabilizing,
     OptOptions,
@@ -126,8 +128,8 @@ def test_stabilize_says_when_the_deadline_stopped_it(monkeypatch):
 
 
 def test_stabilize_says_when_every_start_was_infeasible(monkeypatch):
-    def failed(*args):
-        return EigenFailure("eigenvalue iteration failed on the closed loop")
+    def failed(ports, cl, L, R, errors):
+        return [EigenFailure("eigenvalue iteration failed on the closed loop") for _ in errors]
 
     monkeypatch.setattr(synthesis_module, "_abscissa_branch", failed)
     with pytest.raises(NoStabilizingController, match="every stage-1 start was infeasible"):
@@ -418,12 +420,9 @@ def test_synthesize_warm_start_is_used_and_improved(interior_plant):
     assert res.norm == pytest.approx(INTERIOR_OPTIMUM, rel=1e-6)
 
 
-def test_a_warm_start_whose_loop_overflows_is_an_infeasible_start():
-    """Every controller entry is finite, but the closed loop overflows: the
-    stage-1 oracle gives it f = +inf, as stage 2 would, and synthesis goes
-    on from the other starts exactly as without the warm start."""
-    # the two-state unstable plant of the CI's plant2.json
-    plant = Plant.from_blocks(
+def _plant2():
+    """The two-state unstable plant of the CI's plant2.json."""
+    return Plant.from_blocks(
         [[0.0, 0.4], [0.5, 0.9]],
         [[0.3], [-0.1]],
         [[-0.3], [1.1]],
@@ -432,13 +431,24 @@ def test_a_warm_start_whose_loop_overflows_is_an_infeasible_start():
         D12=[[0.0], [1.0]],
         D21=[[1.0]],
     )
-    big = 1.7e308
-    warm = Controller([[-1.0]], [[big]], [[big]], [[big]])
-    with np.errstate(over="ignore", invalid="ignore"):
-        f = synthesis_module._stage1_oracle(plant, 1)(pack_controller(warm), math.inf)
+
+
+# every entry finite, but the closed loop on _plant2 overflows
+_OVERFLOW = Controller([[-1.0]], [[1.7e308]], [[1.7e308]], [[1.7e308]])
+
+
+def test_a_warm_start_whose_loop_overflows_is_an_infeasible_start():
+    """Every controller entry is finite, but the closed loop overflows: the
+    stage-1 oracle gives it f = +inf, as stage 2 would, and synthesis goes
+    on from the other starts exactly as without the warm start, with no
+    floating-point warning."""
+    plant = _plant2()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        f = synthesis_module._stage1_oracle(plant, 1)(pack_controller(_OVERFLOW), math.inf)
         assert f == (math.inf, None)
         opts = SynthesisOptions(order=1, runs=1, rng_seed=0, **QUICK)
-        got = synthesize(plant, replace(opts, warm_start=warm))
+        got = synthesize(plant, replace(opts, warm_start=_OVERFLOW))
     want = synthesize(plant, opts)
     assert got.status is want.status is SynthesisStatus.SUCCESS
     assert got.norm == want.norm and got.abscissa == want.abscissa
@@ -446,6 +456,18 @@ def test_a_warm_start_whose_loop_overflows_is_an_infeasible_start():
     assert [(r.seed, r.stage1_abscissa, r.stage2_norm) for r in got.per_run] == [
         (r.seed, r.stage1_abscissa, r.stage2_norm) for r in want.per_run
     ]
+
+
+@pytest.mark.parametrize(
+    "call", [lft_closed_loop, abscissa_gradient, hinf_gradient, certify_controller]
+)
+def test_a_loop_that_overflows_does_not_exist(call):
+    """A controller of finite entries whose closed loop overflows is an
+    IllPosed loop at the public boundary, with no floating-point warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(IllPosed, match="not finite"):
+            call(_plant2(), _OVERFLOW)
 
 
 def test_synthesize_warm_start_order_mismatch_is_rejected(interior_plant):
@@ -550,11 +572,13 @@ def test_stage1_oracle_matches_abscissa_gradient(rng, d22):
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_oracles_give_a_non_finite_controller_f_inf(interior_plant, bad):
     theta = np.array([bad])
-    assert synthesis_module._stage1_oracle(interior_plant, 0)(theta, math.inf) == (math.inf, None)
-    assert synthesis_module._stage2_oracle(interior_plant, 0, 1e-7)(theta, math.inf) == (
-        math.inf,
-        None,
-    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for oracle in (
+            synthesis_module._stage1_oracle(interior_plant, 0),
+            synthesis_module._stage2_oracle(interior_plant, 0, 1e-7),
+        ):
+            assert oracle(theta, math.inf) == (math.inf, None)
 
 
 def test_stage2_oracle_below_the_norm_skips_the_level_set(rng, monkeypatch):
@@ -705,6 +729,30 @@ def test_stage2_batch_of_dynamic_controllers_equals_single_calls(rng):
         _same_bits(member, serial(theta, -math.inf))
 
 
+def test_a_certifying_batch_returns_every_row_and_moves_no_hint(monkeypatch):
+    """At bound +inf every row of a batch is certified.  Each row still has
+    the bits of a single call at the oracle's state before the batch, and
+    the batch leaves the peak hint where it was."""
+    plant = _jordan_plant()
+    # stable, unstable, ill posed, not finite, ill-conditioned eigenvectors
+    thetas = np.array([[0.3], [0.9], [1.0], [math.nan], [0.0], [-3.0], [-0.2]])
+    hinted = np.array([-0.5])
+    serial, batched = _hinted_pair(plant, 0, hinted)
+    got = batched.batch(thetas, math.inf)
+    assert len(got) == len(thetas)
+    for theta, row in zip(thetas, got):
+        _same_bits(row, _hinted_pair(plant, 0, hinted)[0](theta, math.inf))
+    assert [math.isinf(f) for f, _ in got] == [False, True, True, True, False, False, False]
+    hints = []
+    real = synthesis_module._hinf_branch
+    monkeypatch.setattr(
+        synthesis_module, "_hinf_branch", lambda *a, **kw: hints.append(kw["hints"]) or real(*a, **kw)
+    )
+    probe = np.array([-2.0])
+    _same_bits(batched(probe, -math.inf), serial(probe, -math.inf))
+    assert hints[0] == hints[1]
+
+
 def test_batch_size_caps_a_stacks_memory():
     assert synthesis_module._batch_size(11) == 25
     assert synthesis_module._batch_size(100) == 3
@@ -792,9 +840,9 @@ def test_stage2_trial_rows_pay_only_for_their_verdict(monkeypatch):
     assert counts["gradient"] == 2 and counts["polish"] >= 2
     # and moves the hint as the plain call does
     hints = []
-    real = synthesis_module._hinf_bounded
+    real = synthesis_module._hinf_branch
     monkeypatch.setattr(
-        synthesis_module, "_hinf_bounded", lambda *a, **kw: hints.append(kw["hints"]) or real(*a, **kw)
+        synthesis_module, "_hinf_branch", lambda *a, **kw: hints.append(kw["hints"]) or real(*a, **kw)
     )
     probe = np.array([-2.0])
     _same_bits(trials(probe, -math.inf), serial(probe, -math.inf))
