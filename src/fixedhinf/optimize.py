@@ -1,7 +1,8 @@
 """Nonsmooth, nonconvex local optimization.
 
-`hanso` chains three phases under one stop rule: a wall-clock deadline
-shared by every start and phase, and an optional target value of f:
+`hanso` chains three phases under one stop rule (a wall-clock deadline
+shared by every start and phase, and an optional target value of f) and one
+incumbent (below):
 
 1. BFGS with a weak-Wolfe line search.  On nonsmooth problems the quasi-Newton
    matrix absorbs the U/V structure of the objective; no curvature resets are
@@ -18,7 +19,7 @@ is that threshold: when f(x) <= bound the oracle must return f(x) exactly,
 and otherwise it may return any value in (bound, f(x)], with the gradient of
 the branch that attains the returned value.  Each call site passes the
 threshold it tests: the weak-Wolfe sufficient-decrease level at a line-search
-trial, the Armijo level at a gradient-sampling trial, the incumbent f at a
+trial, the Armijo level at a gradient-sampling trial, the iterate's f at a
 bundle ball sample, -inf at gradient-sampling sample points and +inf at a
 phase's start.  The run's target raises every bound to at least the target,
 so a value below the target is always exact.  A cheap lower bound that
@@ -32,6 +33,13 @@ bound -inf that gradient_sampling passes there lets the oracle answer with
 the gradient of a lower branch; +inf would be sound.  That is a known
 defect, still open.  An oracle that always returns f(x) meets the
 contract.
+
+A value is exact when it is at most its call's bound, raised to the
+target.  The incumbent is the evaluated (x, f, grad) with the least exact
+f, be it a start, an accepted step, a trial its line search passed over or
+a bundle sample.  A phase returns the incumbent, under hanso the run's, and
+hanso refines from it and returns it.  The run meets its target once the
+incumbent is below it.
 
 Line-search trials go to the oracle one at a time.  A trial's gradient is
 read only where f <= bound, so an oracle with a batch form (below) is
@@ -47,9 +55,9 @@ oracle's state is the peak frequency of its last certified call).
 Gradient sampling hands it the sample points of an iteration, drawn first
 in the order single draws would take.  The tracker counts the rows in
 order, checks the stop rule before each as around single calls, and drops
-the rest after a row below the target.  Counts and hits are thus those of
-single calls, and a deadline overshoots by at most one batch.  An oracle
-without a batch form is called one point at a time.
+the rest after a row below the target.  Counts and the incumbent are thus
+those of single calls, and a deadline overshoots by at most one batch.  An
+oracle without a batch form is called one point at a time.
 
 Infeasible points are signalled by f = +inf with grad = None, and f = +inf
 is the only feasibility signal.  The line searches retreat rather than
@@ -91,6 +99,9 @@ _WOLFE_C1 = 1e-4
 _WOLFE_C2 = 0.5
 # bisection steps of one weak-Wolfe line search
 _LINE_SEARCH_STEPS = 50
+# a gradient, or a smallest convex combination of gradients, at most this
+# long ends BFGS, verifies the bundle phase and ends a sampling radius
+_GRAD_NORM_TOL = 1e-6
 # gradient-sampling radius schedule, relative to 1 + ||x||; the bundle
 # phase takes its search radii from the same schedule
 _SAMPLING_RADII = (1e-3, 1e-4, 1e-5)
@@ -108,7 +119,6 @@ class OptOptions:
 
     max_iters: int = 1000
     cpu_budget_seconds: float = 300.0
-    grad_norm_tol: float = 1e-6
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -116,14 +126,12 @@ class OptOptions:
             raise ValueError("max_iters must be >= 1")
         if self.cpu_budget_seconds <= 0:
             raise ValueError("cpu_budget_seconds must be positive")
-        if self.grad_norm_tol <= 0:
-            raise ValueError("grad_norm_tol must be positive")
 
 
 @dataclass(frozen=True, eq=False)
 class OptResult:
-    """A phase's or a run's best point; g_best is the oracle's gradient at
-    x_best, None when no feasible point was found."""
+    """A phase's or a run's incumbent (see the module docstring); g_best is
+    the oracle's gradient at x_best, None when no point was feasible."""
 
     x_best: np.ndarray
     f_best: float
@@ -137,8 +145,9 @@ class OptResult:
 
 
 class _Tracker:
-    """One run's stop rule: an eval counter, a deadline and a target f;
-    hit is the first evaluated (x, f, g) with f < target."""
+    """One run's stop rule and incumbent: an eval counter, a deadline, a
+    target f, and best, the incumbent (x, f, g) or None before the first
+    exact finite value (see the module docstring)."""
 
     def __init__(self, oracle, budget_seconds: float, target: float = -math.inf):
         self.oracle = oracle
@@ -147,21 +156,25 @@ class _Tracker:
         self.deadline = self.t0 + budget_seconds
         self.target = target
         self.n_evals = 0
-        self.hit = None
+        self.best = None
+
+    @property
+    def f(self) -> float:
+        return math.inf if self.best is None else self.best[1]
 
     def call(self, x: np.ndarray, bound: float) -> tuple[float, np.ndarray | None]:
         """The oracle at x; f is exact where it is at most bound or below
         the target (see the module docstring)."""
-        f, g = self.oracle(x, max(bound, self.target))
-        return self._count(x, f, g)
+        bound = max(bound, self.target)
+        return self._count(x, *self.oracle(x, bound), bound)
 
     def trial(self, x: np.ndarray, level: float) -> tuple[float, np.ndarray | None]:
         """The oracle at a line-search trial, as `call`, which says so to an
         oracle with a batch form (see the module docstring)."""
         if self.batch is None:
             return self.call(x, level)
-        f, g = self.oracle(x, max(level, self.target), trial=True)
-        return self._count(x, f, g)
+        level = max(level, self.target)
+        return self._count(x, *self.oracle(x, level, trial=True), level)
 
     def call_many(self, xs: np.ndarray, bound: float) -> list[tuple[float, np.ndarray | None]]:
         """The oracle at the sample points xs, in order, up to the first
@@ -177,23 +190,23 @@ class _Tracker:
             if i and self.stop:
                 break
             f, g = self.oracle(x, bound) if rows is None else rows[i]
-            out.append(self._count(x, f, g))
+            out.append(self._count(x, f, g, bound))
         return out
 
-    def _count(self, x: np.ndarray, f, g) -> tuple[float, np.ndarray | None]:
+    def _count(self, x: np.ndarray, f, g, bound: float) -> tuple[float, np.ndarray | None]:
         self.n_evals += 1
         f = float(f)
         if g is not None:
             g = np.asarray(g, dtype=float).ravel()
-        if f < self.target:
-            self.hit = (np.array(x, dtype=float), f, g)
+        if f <= bound and f < self.f:
+            self.best = (np.array(x, dtype=float), f, g)
         return f, g
 
     @property
     def stop(self) -> str | None:
-        """"target" once a point met the target, "budget" past the deadline,
-        None while the run may go on."""
-        if self.hit is not None:
+        """"target" once the incumbent is below the target, "budget" past
+        the deadline, None while the run may go on."""
+        if self.f < self.target:
             return "target"
         if time.perf_counter() >= self.deadline:
             return "budget"
@@ -295,13 +308,12 @@ def bfgs_nonsmooth(
         return track.result(x, math.inf, None, math.inf, Phase.BFGS_ONLY, 0, "infeasible-start")
     dim = x.size
     H = np.eye(dim)
-    x_best, f_best, g_best = x.copy(), f, g.copy()
     status = "iteration-limit"
     it = 0
     scaled = False
     while it < opts.max_iters:
         gnorm = float(np.linalg.norm(g))
-        if gnorm <= opts.grad_norm_tol:
+        if gnorm <= _GRAD_NORM_TOL:
             status = "gradient-tolerance"
             break
         if track.stop:
@@ -323,8 +335,6 @@ def bfgs_nonsmooth(
         s = xn - x
         yv = gn - g
         x, f, g = xn, fn, gn
-        if f < f_best:
-            x_best, f_best, g_best = x.copy(), f, g.copy()
         if outcome == "decrease":
             # Wolfe certification failed within the bisection budget, which
             # on nonsmooth objectives means the iterate is wedged against a
@@ -340,8 +350,8 @@ def bfgs_nonsmooth(
             rho = 1.0 / sy
             H += rho * (1.0 + rho * float(yv @ Hy)) * np.outer(s, s)
             H -= rho * (np.outer(s, Hy) + np.outer(Hy, s))
-    measure = float(np.linalg.norm(g_best))
-    return track.result(x_best, f_best, g_best, measure, Phase.BFGS_ONLY, it, status)
+    measure = float(np.linalg.norm(track.best[2]))
+    return track.result(*track.best, measure, Phase.BFGS_ONLY, it, status)
 
 
 def min_norm_convex_hull(gradients) -> tuple[np.ndarray, np.ndarray]:
@@ -407,7 +417,7 @@ def bundle_phase(
 
     Collects gradients at nearby points, measures the smallest convex
     combination within a shrinking radius, and tries descent along its
-    negation.  Status is "verified" when the measure reaches grad_norm_tol,
+    negation.  Status is "verified" when the measure reaches 1e-6,
     "improvement" when the candidate was strictly improved but not verified,
     "infeasible-start" when f(x0) = +inf, "inconclusive" otherwise.
     """
@@ -421,7 +431,6 @@ def bundle_phase(
     scale = 1.0 + float(np.linalg.norm(x))
     radius = _SAMPLING_RADII[0] * scale
     floor = _SAMPLING_RADII[-1] * scale * 0.1
-    x_best, f_best, g_best = x.copy(), f, g
     measure = float(np.linalg.norm(g))
     improved = False
     stalls = 0
@@ -435,7 +444,7 @@ def bundle_phase(
         active = [g] + [gi for xi, gi in bundle if np.linalg.norm(xi - x) <= radius]
         d, _ = min_norm_convex_hull(active)
         measure = float(np.linalg.norm(d))
-        if measure <= opts.grad_norm_tol:
+        if measure <= _GRAD_NORM_TOL:
             break
         slope = -measure * measure
         t, xn, fn, gn, outcome = _weak_wolfe(track, x, f, g, -d, slope)
@@ -444,8 +453,6 @@ def bundle_phase(
             x, f, g = xn, fn, gn
             bundle.append((x.copy(), g.copy()))
             improved = True
-            if f < f_best:
-                x_best, f_best, g_best = x.copy(), f, g
         if outcome != "fail" and meaningful:
             stalls = 0
         elif track.stop:
@@ -461,8 +468,6 @@ def bundle_phase(
                 if fs < f:
                     x, f, g = xs, fs, gs
                     improved = True
-                    if f < f_best:
-                        x_best, f_best, g_best = x.copy(), f, g
             stalls += 1
             if stalls >= 10:
                 radius *= 0.2
@@ -471,13 +476,13 @@ def bundle_phase(
                     break
         if len(bundle) > maxlen:
             bundle = bundle[-maxlen:]
-    if measure <= opts.grad_norm_tol:
+    if measure <= _GRAD_NORM_TOL:
         status = "verified"
     elif improved:
         status = "improvement"
     else:
         status = "inconclusive"
-    return track.result(x_best, f_best, g_best, measure, Phase.BUNDLE, it, status)
+    return track.result(*track.best, measure, Phase.BUNDLE, it, status)
 
 
 def gradient_sampling(
@@ -501,7 +506,6 @@ def gradient_sampling(
     dim = x.size
     rng = _phase_rng(opts.rng_seed, 2)
     m = 2 * dim
-    x_best, f_best, g_best = x.copy(), f, g
     measure = float(np.linalg.norm(g))
     status = "radius-schedule-complete"
     it = 0
@@ -517,7 +521,7 @@ def gradient_sampling(
             grads = [g] + [gs for fs, gs in samples if math.isfinite(fs)]
             d, _ = min_norm_convex_hull(grads)
             measure = float(np.linalg.norm(d))
-            if measure <= opts.grad_norm_tol:
+            if measure <= _GRAD_NORM_TOL:
                 break
             # Armijo backtracking along -d: t = 1, 1/2, ..., 2^-29
             accepted = False
@@ -535,11 +539,8 @@ def gradient_sampling(
                     break
                 t *= 0.5
             if accepted:
-                improvement = f_prev - f
-                if f < f_best:
-                    x_best, f_best, g_best = x.copy(), f, g
                 # microscopic accepted steps mean this radius is exhausted
-                if improvement < 1e-12 * (1.0 + abs(f)):
+                if f_prev - f < 1e-12 * (1.0 + abs(f)):
                     break
             else:
                 break
@@ -547,7 +548,7 @@ def gradient_sampling(
             status = "iteration-limit"
         if status != "radius-schedule-complete":
             break
-    return track.result(x_best, f_best, g_best, measure, Phase.GRADIENT_SAMPLING, it, status)
+    return track.result(*track.best, measure, Phase.GRADIENT_SAMPLING, it, status)
 
 
 def hanso(
@@ -555,15 +556,16 @@ def hanso(
 ) -> OptResult:
     """Multi-start BFGS, then bundle verification, then gradient sampling.
 
-    Runs BFGS from each start in turn, takes the best terminal point,
-    verifies it with the bundle phase, and falls back to gradient sampling
-    when verification is inconclusive; each refinement phase starts from
-    the point, f and gradient that hanso already holds, without evaluating
-    it again.  Every start and phase shares one deadline, and the run ends
-    at the first evaluation with f < target, which it returns; the status
-    then ends with "budget" or "target".  Starts with f = +inf are skipped;
-    when every start is, the result has f_best = +inf and status
-    "infeasible".  Raises ValueError for no starts.
+    Runs BFGS from each start in turn, then the bundle phase from the run's
+    incumbent, and gradient sampling from it when verification is
+    inconclusive; a refinement phase takes the incumbent's f and gradient
+    without evaluating it again.  Returns the incumbent, with the statuses
+    of the BFGS start that last improved it and of each refinement phase.
+    Every start and phase shares one deadline, and the run ends at the
+    first evaluation with f < target; the status then ends with "budget" or
+    "target".  Starts with f = +inf are skipped; when every start is, the
+    result has f_best = +inf and status "infeasible".  Raises ValueError
+    for no starts.
 
     The oracle is called as oracle(x, bound) (see the module docstring): it
     must return f(x) exactly when f(x) <= bound, and may return any value in
@@ -575,45 +577,41 @@ def hanso(
     opts = opts if opts is not None else OptOptions()
     track = _Tracker(oracle, opts.cpu_budget_seconds, target)
 
-    best: OptResult | None = None
+    bfgs = None
     iters = 0
     statuses = []
     for x0 in starts:
         # past the deadline, starts are still tried until one is feasible
-        if track.stop and best is not None and math.isfinite(best.f_best):
+        if track.stop and track.best is not None:
             break
+        before = track.f
         r = bfgs_nonsmooth(oracle, x0, opts, _track=track)
         iters += r.iterations
         if r.status == "infeasible-start":
             statuses.append(r.status)
-        if best is None or r.f_best < best.f_best:
-            best = r
-    if not math.isfinite(best.f_best):
+        elif track.f < before:
+            bfgs = r
+    if bfgs is None:
         return track.result(
-            best.x_best, math.inf, None, math.inf, Phase.BFGS_ONLY, iters, "infeasible"
+            r.x_best, math.inf, None, math.inf, Phase.BFGS_ONLY, iters, "infeasible"
         )
-    statuses.append(f"bfgs:{best.status}")
+    statuses.append(f"bfgs:{bfgs.status}")
 
-    x, f, g = best.x_best, best.f_best, best.g_best
-    measure = best.optimality_measure
+    measure = bfgs.optimality_measure
     phase = Phase.BFGS_ONLY
     # looked up at call time, so that wrappers installed on the module apply
     for refine, name in ((bundle_phase, "bundle"), (gradient_sampling, "sampling")):
         if track.stop:
             break
+        x, f, g = track.best
         r = refine(oracle, x, opts, _track=track, _first=(f, g))
         iters += r.iterations
         phase = r.phase_reached
         measure = r.optimality_measure
         statuses.append(f"{name}:{r.status}")
-        if r.f_best < f:
-            x, f, g = r.x_best, r.f_best, r.g_best
         if r.status == "verified":
             break
-    # the hit may be a trial point that its line search rejected
-    if track.hit is not None:
-        x, f, g = track.hit
     if track.stop:
         statuses.append(track.stop)
 
-    return track.result(x, f, g, measure, phase, iters, ";".join(statuses))
+    return track.result(*track.best, measure, phase, iters, ";".join(statuses))

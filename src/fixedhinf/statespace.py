@@ -388,15 +388,16 @@ class _Interconnection:
 
         Returns the stack of loops and their factors L and R, stacked alike,
         for the members whose loop exists, and per member its IllPosed error
-        or None.  A loop does not exist when I - D22*DK is singular, its
-        inverse has 2-norm above 1e12, or an entry of the loop is not finite
-        (a gain that is not finite, or one whose loop overflows); the
-        arithmetic of such a member raises no floating-point warning.  Each
-        member gets the bits that a stack of one gives it.
+        or None.  A loop does not exist when an entry of the loop is not
+        finite (a gain that is not finite, whatever else holds, or one whose
+        loop overflows), I - D22*DK is singular or its inverse has 2-norm
+        above 1e12; the arithmetic of such a member raises no floating-point
+        warning.  Each member gets the bits that a stack of one gives it.
         """
         plant, N, P, D22 = self.plant, self.N, self.P, self.D22
         n, p2 = plant.n, plant.p2
-        errors = [None] * len(K)
+        gain_ok = np.isfinite(K).all(axis=(1, 2))
+        errors = [None if ok else IllPosed("the closed loop is not finite") for ok in gain_ok]
         with np.errstate(over="ignore", invalid="ignore"):
             lhs = self.eye - D22 @ K
             try:

@@ -190,6 +190,70 @@ def brl_holds(sys, gamma: float) -> bool:
     return bool(np.max(np.linalg.eigvals(A + B @ K).real) < -1e-9 * max(1.0, np.linalg.norm(A)))
 
 
+def _stable_riccati(H: np.ndarray):
+    """The stabilizing solution X = U21 U11^-1 of the Riccati equation of
+    the Hamiltonian H, from an orthonormal basis [U11; U21] of its stable
+    invariant subspace; None when H has an eigenvalue within 1e-10 |H| of
+    the imaginary axis or U11 is singular to 1e-12."""
+    n = H.shape[0] // 2
+    scale = max(1.0, np.linalg.norm(H))
+    if np.min(np.abs(la.eigvals(H).real)) <= 1e-10 * scale:
+        return None
+    _, U, stable = la.schur(H, output="real", sort="lhp")
+    if stable != n or np.linalg.cond(U[:n, :n]) > 1e12:
+        return None
+    X = la.solve(U[:n, :n].T, U[n:, :n].T).T
+    return 0.5 * (X + X.T)
+
+
+def dgkf_gamma_opt(plant) -> float:
+    """The least H-infinity norm over all stabilizing controllers of any
+    order, by DGKF gamma-iteration (Doyle, Glover, Khargonekar & Francis,
+    IEEE TAC 1989).
+
+    gamma is admissible when both Hamiltonians
+        [[A, B1 B1^T / gamma^2 - B2 B2^T], [-C1^T C1, -A^T]] and
+        [[A^T, C1^T C1 / gamma^2 - C2^T C2], [-B1 B1^T, -A]]
+    have stabilizing Riccati solutions X, Y >= 0 and rho(X Y) < gamma^2;
+    gamma_opt is the bound of the admissible set, found by doubling and then
+    bisection to 1e-15 relative.  The plant must meet DGKF's normalizing
+    assumptions, which are asserted: D11 = 0, D22 = 0,
+    D12^T [C1 D12] = [0 I] and [B1; D21] D21^T = [0; I].
+    """
+    A, B1, B2, C1, C2 = plant.A, plant.B1, plant.B2, plant.C1, plant.C2
+    D12, D21 = plant.D12, plant.D21
+    assert np.allclose(plant.D11, 0.0, atol=1e-12) and np.allclose(plant.D22, 0.0, atol=1e-12)
+    assert np.allclose(D12.T @ C1, 0.0, atol=1e-12)
+    assert np.allclose(D12.T @ D12, np.eye(D12.shape[1]), atol=1e-12)
+    assert np.allclose(B1 @ D21.T, 0.0, atol=1e-12)
+    assert np.allclose(D21 @ D21.T, np.eye(D21.shape[0]), atol=1e-12)
+
+    def admissible(gamma: float) -> bool:
+        g2 = gamma * gamma
+        X = _stable_riccati(np.block([[A, B1 @ B1.T / g2 - B2 @ B2.T], [-C1.T @ C1, -A.T]]))
+        Y = _stable_riccati(np.block([[A.T, C1.T @ C1 / g2 - C2.T @ C2], [-B1 @ B1.T, -A]]))
+        if X is None or Y is None:
+            return False
+        for Z in (X, Y):
+            if np.min(np.linalg.eigvalsh(Z)) < -1e-10 * max(1.0, np.linalg.norm(Z)):
+                return False
+        return bool(np.max(np.abs(np.linalg.eigvals(X @ Y))) < g2)
+
+    hi = 1.0
+    while not admissible(hi):
+        hi *= 2.0
+    lo = 0.5 * hi
+    while admissible(lo):
+        hi, lo = lo, 0.5 * lo
+    while hi - lo > 1e-15 * hi:
+        mid = 0.5 * (lo + hi)
+        if admissible(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def fd_gradient(f, x, h: float = 1e-6) -> np.ndarray:
     """Central finite difference gradient of a scalar function."""
     x = np.asarray(x, dtype=float)

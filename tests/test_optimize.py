@@ -80,12 +80,10 @@ def test_bfgs_absolute_value():
     assert res.f_best <= 1e-6
 
 
-def test_bfgs_rosenbrock():
-    res = bfgs_nonsmooth(
-        rosenbrock,
-        np.array([-1.2, 1.0]),
-        OptOptions(max_iters=500, grad_norm_tol=1e-10),
-    )
+def test_bfgs_rosenbrock(monkeypatch):
+    # a tighter gradient tolerance than the package's, for Rosenbrock's valley
+    monkeypatch.setattr(optimize, "_GRAD_NORM_TOL", 1e-10)
+    res = bfgs_nonsmooth(rosenbrock, np.array([-1.2, 1.0]), OptOptions(max_iters=500))
     assert res.f_best <= 1e-8
     assert res.iterations <= 500
     assert np.allclose(res.x_best, [1.0, 1.0], atol=1e-3)
@@ -459,6 +457,37 @@ def test_hanso_hands_its_point_to_each_refinement_phase():
     assert np.array_equal(res.g_best, max_plus_quad(res.x_best, math.inf)[1])
 
 
+def test_hanso_refines_from_and_returns_the_least_exact_value(monkeypatch):
+    """On f = -x up to its kink at x = 1 and -1 + 0.3 (x - 1) past it, the
+    first BFGS search from x = 0 meets sufficient decrease at x = 1 with
+    f = -1 but not the curvature condition, so it extrapolates to the
+    Wolfe point x = 2, f = -0.7.  The run's incumbent stays at x = 1: BFGS
+    returns it, the bundle phase starts there, and hanso returns it."""
+
+    def v(x, bound):
+        if x[0] <= 1.0:
+            return -float(x[0]), np.array([-1.0])
+        return 0.3 * (float(x[0]) - 1.0) - 1.0, np.array([0.3])
+
+    oracle, calls = _recording(v)
+    handed = []
+    bundle = optimize.bundle_phase
+
+    def recording_bundle(oracle, x0, opts, *, _track, _first):
+        handed.append((x0.copy(), _first[0]))
+        return bundle(oracle, x0, opts, _track=_track, _first=_first)
+
+    monkeypatch.setattr(optimize, "bundle_phase", recording_bundle)
+    res = hanso(oracle, [np.zeros(1)], OptOptions(max_iters=1))
+    # the first search: x = 1 below its level, then x = 2 at its Wolfe point
+    assert [x[0] for x, _ in calls[1:3]] == [1.0, 2.0]
+    assert calls[1][1] == -optimize._WOLFE_C1
+    assert len(handed) == 1 and handed[0][0][0] == 1.0 and handed[0][1] == -1.0
+    assert res.status.startswith("bfgs:iteration-limit;bundle:")
+    assert np.array_equal(res.x_best, [1.0]) and res.f_best == -1.0
+    assert np.array_equal(res.g_best, [-1.0])
+
+
 def _batched(fn):
     """fn as an oracle with a batch form.  Both forms record each point
     they evaluate, and calls records ("batch", rows, bound) for each batch
@@ -535,7 +564,7 @@ def test_a_target_hit_inside_a_batch_counts_up_to_the_hit(with_batch):
     # the third point is the first below the target; nothing after it counts
     assert [f for f, _ in got] == [4.0, 2.25, 0.25]
     assert track.n_evals == 3 and track.stop == "target"
-    assert np.array_equal(track.hit[0], [0.5]) and track.hit[1] == 0.25
+    assert np.array_equal(track.best[0], [0.5]) and track.best[1] == 0.25
     # the batch form evaluates every row; single calls stop at the hit
     assert len(points) == (5 if with_batch else 3)
 
@@ -580,8 +609,8 @@ def test_a_line_search_evaluates_no_trial_past_the_accepted_one(with_batch):
 
 @pytest.mark.parametrize("with_batch", [False, True])
 def test_a_rejected_trial_equal_to_the_target_continues_the_chain(with_batch):
-    # f == target is no hit, but it is at its bound, max(level, target):
-    # the search rejects it and goes on to its next trial
+    # f == target does not meet the target, but it is at its bound,
+    # max(level, target): the search rejects it and goes on to its next trial
     values = [5.0, 2.0, 0.5]
     oracle, points, calls = _batched(_halving_table(values))
     if not with_batch:
@@ -589,7 +618,7 @@ def test_a_rejected_trial_equal_to_the_target_continues_the_chain(with_batch):
     track = optimize._Tracker(oracle, 60.0, target=2.0)
     _search(track, 0.0)
     assert track.n_evals == len(points) == 3
-    assert track.hit is not None and track.hit[1] == 0.5
+    assert track.stop == "target" and track.best[1] == 0.5
     assert calls == [("call", with_batch)] * 3
 
 
@@ -598,10 +627,10 @@ def test_a_target_hit_ends_a_line_search_at_that_trial():
     oracle, points, calls = _batched(_halving_table(values))
     track = optimize._Tracker(oracle, 60.0, target=1.0)
     # the fourth trial is below the target but above its level: the search
-    # rejects it, and the hit ends the search there
+    # rejects it, and the incumbent below the target ends the search there
     assert _search(track, 0.0)[4] == "fail"
-    assert track.stop == "target" and track.hit[1] == 0.5 and track.n_evals == 4
-    assert np.array_equal(track.hit[0], [0.125])
+    assert track.stop == "target" and track.best[1] == 0.5 and track.n_evals == 4
+    assert np.array_equal(track.best[0], [0.125])
     assert len(points) == 4 and calls == [("call", True)] * 4
 
 

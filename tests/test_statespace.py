@@ -21,6 +21,7 @@ from fixedhinf import (
     transfer_eval,
     unpack_controller,
 )
+from fixedhinf.statespace import _Interconnection
 
 
 def test_statespace_shapes_and_properties():
@@ -193,6 +194,26 @@ def test_nearly_singular_interconnection_raises_ill_posed():
     )
     with pytest.raises(IllPosed, match="conditioned"):
         lft_closed_loop(plant, Controller.static([[1.0 - 1e-13]]))
+
+
+@pytest.mark.parametrize(
+    "theta, d22", [(np.nan, 0.0), (np.inf, 0.0), (np.nan, 0.5), (np.inf, 0.5)]
+)
+def test_a_gain_that_is_not_finite_has_no_loop(theta, d22):
+    # with D22 = 0, I - D22*DK is 1 - 0*DK = NaN at such a gain, whose
+    # inverse used to read as a badly conditioned interconnection
+    plant = Plant.from_blocks(
+        -np.eye(1), np.ones((1, 1)), np.ones((1, 1)), np.ones((1, 1)),
+        np.ones((1, 1)), D22=[[d22]],
+    )
+    loop = _Interconnection(plant, 0)
+    cl, L, R, errors = loop.close(loop.gain(np.array([[theta], [0.25]])))
+    assert isinstance(errors[0], IllPosed) and str(errors[0]) == "the closed loop is not finite"
+    assert errors[1] is None and len(cl.A) == len(L) == len(R) == 1
+    # the finite member keeps the bits of a stack of one
+    one, L1, R1, _ = loop.close(loop.gain(np.array([[0.25]])))
+    for got, want in zip((cl.A, cl.B, cl.C, cl.D, L, R), (one.A, one.B, one.C, one.D, L1, R1)):
+        assert np.array_equal(got, want)
 
 
 def test_controller_port_mismatch_is_rejected(make_plant):

@@ -16,6 +16,7 @@ import fixedhinf.analysis as analysis
 import fixedhinf.gradients as gradients_module
 import fixedhinf.optimize as optimize_module
 import fixedhinf.synthesis as synthesis_module
+import oracles
 from conftest import INTERIOR_OPTIMUM, random_plant
 from fixedhinf import (
     Controller,
@@ -396,6 +397,34 @@ def test_synthesize_is_deterministic_per_seed(interior_plant):
     assert np.array_equal(pack_controller(a.controller), pack_controller(b.controller))
     assert a.norm == b.norm
     assert [r.stage2_norm for r in a.per_run] == [r.stage2_norm for r in b.per_run]
+
+
+def _two_state_family() -> list[Plant]:
+    """Eight two-state plants that meet DGKF's normalizing assumptions,
+    drawn in turn from one generator: r0 to r7."""
+    rng = np.random.default_rng(7)
+    plants = []
+    for _ in range(8):
+        A = rng.standard_normal((2, 2)) + 0.3 * np.eye(2)
+        B1 = np.hstack([rng.standard_normal((2, 1)), np.zeros((2, 1))])
+        B2 = rng.standard_normal((2, 1))
+        C1 = np.vstack([rng.standard_normal((1, 2)), np.zeros((1, 2))])
+        C2 = rng.standard_normal((1, 2))
+        plants.append(Plant.from_blocks(A, B1, B2, C1, C2, D12=[[0.0], [1.0]], D21=[[0.0, 1.0]]))
+    return plants
+
+
+@pytest.mark.parametrize("r", range(8), ids=[f"r{r}" for r in range(8)])
+def test_no_controller_beats_the_full_order_optimum(r):
+    """DGKF's full-order optimum bounds the norm of every stabilizing
+    controller of any order from below."""
+    plant = _two_state_family()[r]
+    gamma_opt = oracles.dgkf_gamma_opt(plant)
+    if r == 2:
+        assert abs(gamma_opt - 1.4538145319299958) <= 1e-12
+    for order in (0, 1, 2):
+        res = synthesize(plant, SynthesisOptions(order=order, runs=1, stabilization_margin=0.01))
+        assert res.norm >= gamma_opt * (1.0 - 1e-9), (order, res.norm, gamma_opt)
 
 
 def test_synthesize_more_runs_never_worse(rng):
