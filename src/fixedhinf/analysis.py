@@ -29,14 +29,14 @@ whose blocks carry a leading member axis: `hinf_norm` passes a stack of one,
 `hinf_gradient` a closed loop as a stack of one, and the optimizer's
 stage-2 oracle one point (a line-search trial among them) as a stack of
 one, or a batch of sample points as a longer stack.
-The lower-bound stage takes one eigendecomposition call, the stability test
-and the polished best candidate frequency of every member: the candidates
-go through one padded stack, and each Newton step takes every start still
-running as one stack.  The level-set stage takes the Hamiltonian probes and
-the sigma_max pass after each, member by member, on the same evaluator.
-numpy's stacked eig, svd, solve and matmul give each member the bits of a
-single call, so a member gets the same bits in any stack, a stack of one
-included.
+Each member takes an eigendecomposition call of its own, for its stability
+test and its evaluator.  The lower-bound stage takes the polished best
+candidate frequency of every member: the candidates go through one padded
+stack, and each Newton step takes every start still running as one stack.
+The level-set stage takes the Hamiltonian probes and the sigma_max pass
+after each, member by member, on the same evaluator.  numpy's stacked svd,
+solve and matmul give each member the bits of a single call, so a member
+gets the same bits in any stack, a stack of one included.
 Given a bound, a member returns after the first stage when its value
 already exceeds the bound: the optimizer's stage-2 oracle passes the
 threshold the optimizer tests, where the certified norm could not change
@@ -460,38 +460,25 @@ def _hinf(
     the bound, or its error: UnstableSystem, or EigenFailure for a member
     whose eigenvalue iteration fails.
 
-    The members share one eigendecomposition call and one lower-bound
-    stage, which polishes the best of sigma_max at the pole-frequency
-    candidates and the hint frequencies; where that call fails, each member
-    takes its own.  A member whose eigenvector basis is ill conditioned
-    takes a factor-and-solve evaluator and a lower-bound stage of its own.
-    A lower bound above the bound is returned with converged=False and 0
+    Each member takes an eigendecomposition call of its own, and the
+    members share one lower-bound stage, which polishes the best of
+    sigma_max at the pole-frequency candidates and the hint frequencies.  A
+    member whose eigenvector basis is ill conditioned takes a
+    factor-and-solve evaluator and a lower-bound stage of its own.  A lower
+    bound above the bound is returned with converged=False and 0
     iterations; otherwise the level-set stage certifies the norm, member by
     member, on the same evaluator.  With trial (a line-search trial) a
     member is polished only where its lower bound before polishing is at
     most the bound.
     """
     out: list = [None] * len(sys.A)
-    try:
-        lam, V = np.linalg.eig(sys.A)
-    except np.linalg.LinAlgError:
-        lam = V = None
     solve_path, modal, lams, residues = {}, {}, [], []
     for k in range(len(sys.A)):
-        if lam is None:
-            try:
-                w, vectors = np.linalg.eig(sys.A[k])
-            except np.linalg.LinAlgError:
-                out[k] = EigenFailure("eigenvalue iteration failed on A")
-                continue
-        else:
-            w, vectors = lam[k], V[k]
-            if np.iscomplexobj(w) and not w.imag.any():
-                # eig returns a stack as complex arrays when any member's
-                # eigenvalues are complex; a member with real ones takes the
-                # real views eig returns for it alone, since C @ V rounds
-                # differently on complex arrays
-                w, vectors = w.real, vectors.real
+        try:
+            w, vectors = np.linalg.eig(sys.A[k])
+        except np.linalg.LinAlgError:
+            out[k] = EigenFailure("eigenvalue iteration failed on A")
+            continue
         out[k] = _instability(w)
         if out[k] is not None:
             continue
@@ -503,8 +490,8 @@ def _hinf(
             modal[k] = len(lams)
             lams.append(w)
             residues.append(res)
-    # the eigenvector bases, 1.4 MB at n = 300, are not needed past here
-    lam = V = vectors = None
+    # the eigenvector basis, 1.4 MB at n = 300, is not needed past here
+    vectors = None
     sigma_d = np.linalg.svd(sys.D, compute_uv=False)[:, 0].tolist()
     if modal:
         full = len(modal) == len(sys.A)

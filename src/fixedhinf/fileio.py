@@ -26,7 +26,6 @@ __all__ = [
     "save_plant",
     "load_controller",
     "save_controller",
-    "load_statespace",
     "load_system",
 ]
 
@@ -152,11 +151,6 @@ def load_controller(path) -> Controller:
 
 def save_controller(k: Controller, path) -> None:
     _dump({"nK": k.order} | _block_lists(k), path)
-
-
-def load_statespace(path) -> StateSpace:
-    """Read a plain (A, B, C, D) system; B must be n x m, D defaults to zeros."""
-    return _statespace(_read_json(path), path)
 
 
 def load_system(path):

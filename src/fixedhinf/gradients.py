@@ -77,36 +77,33 @@ def _chain_to_controller(
 
 def _abscissa_branch(
     ports: tuple[int, int], cl: StateSpace, L: np.ndarray, R: np.ndarray, errors: list
-) -> list[tuple[AbscissaResult, np.ndarray, bool] | IllPosed | EigenFailure]:
-    """Per member of a stack of loops from `_Interconnection.close`, with
+) -> tuple[AbscissaResult, np.ndarray, bool] | IllPosed | EigenFailure:
+    """For the loop that `_Interconnection.close` closes from one gain, with
     its factors L and R and its error list, the abscissa, the gradient over
     the packed controller, of ports (nu, ny), of the real part of its first
     active eigenvalue (by solver index), and whether that eigenvalue is
-    numerically defective; or the member's IllPosed error, or EigenFailure
+    numerically defective; or the loop's IllPosed error, or EigenFailure
     when its eigenvalue iteration fails.  A gradient that is not finite is
     returned as zero and flagged defective."""
-    out: list = list(errors)
-    posed = [j for j, error in enumerate(errors) if error is None]
-    n = cl.n
-    for k, j in enumerate(posed):
-        try:
-            w, vl, vr = la.eig(cl.A[k], left=True, right=True)
-        except la.LinAlgError:
-            out[j] = EigenFailure("eigenvalue iteration failed on the closed loop")
-            continue
-        absc = _abscissa(w)
-        i_star = absc.active_indices[0]
-        x, y = vr[:, i_star], vl[:, i_star]
-        s = np.vdot(y, x)
-        defective = abs(s) < 1e-8 * la.norm(x) * la.norm(y)
-        if s == 0:
-            s = 1e-300
-        grad = _chain_to_controller(ports, L[k, :n], R[k, :, :n], np.conj(y) / s, x)
-        if not np.all(np.isfinite(grad)):
-            grad = np.zeros_like(grad)
-            defective = True
-        out[j] = (absc, grad, defective)
-    return out
+    (error,) = errors
+    if error is not None:
+        return error
+    try:
+        w, vl, vr = la.eig(cl.A[0], left=True, right=True)
+    except la.LinAlgError:
+        return EigenFailure("eigenvalue iteration failed on the closed loop")
+    absc = _abscissa(w)
+    i_star = absc.active_indices[0]
+    x, y = vr[:, i_star], vl[:, i_star]
+    s = np.vdot(y, x)
+    defective = abs(s) < 1e-8 * la.norm(x) * la.norm(y)
+    if s == 0:
+        s = 1e-300
+    grad = _chain_to_controller(ports, L[0, : cl.n], R[0, :, : cl.n], np.conj(y) / s, x)
+    if not np.all(np.isfinite(grad)):
+        grad = np.zeros_like(grad)
+        defective = True
+    return absc, grad, defective
 
 
 def abscissa_gradient(plant: Plant, k: Controller) -> GradientReport:
@@ -120,7 +117,7 @@ def abscissa_gradient(plant: Plant, k: Controller) -> GradientReport:
     defective.  Raises IllPosed when the closed loop does not exist and
     EigenFailure when the eigenvalue iteration fails.
     """
-    (found,) = _abscissa_branch((k.nu, k.ny), *_interconnect(plant, k))
+    found = _abscissa_branch((k.nu, k.ny), *_interconnect(plant, k))
     if isinstance(found, Exception):
         raise found
     absc, grad, defective = found

@@ -392,7 +392,9 @@ class _Interconnection:
         finite (a gain that is not finite, whatever else holds, or one whose
         loop overflows), I - D22*DK is singular or its inverse has 2-norm
         above 1e12; the arithmetic of such a member raises no floating-point
-        warning.  Each member gets the bits that a stack of one gives it.
+        warning.  Each member's I - D22*DK is inverted on its own, so that a
+        singular one fails only its member, and each member gets the bits
+        that a stack of one gives it.
         """
         plant, N, P, D22 = self.plant, self.N, self.P, self.D22
         n, p2 = plant.n, plant.p2
@@ -400,16 +402,12 @@ class _Interconnection:
         errors = [None if ok else IllPosed("the closed loop is not finite") for ok in gain_ok]
         with np.errstate(over="ignore", invalid="ignore"):
             lhs = self.eye - D22 @ K
-            try:
-                delta = np.linalg.inv(lhs)
-            except np.linalg.LinAlgError:
-                # one singular member fails the stack: invert member by member
-                delta = np.full_like(lhs, np.nan)
-                for j, M in enumerate(lhs):
-                    try:
-                        delta[j] = np.linalg.inv(M)
-                    except np.linalg.LinAlgError:
-                        errors[j] = IllPosed("I - D22*DK is singular")
+            delta = np.full_like(lhs, np.nan)
+            for j, M in enumerate(lhs):
+                try:
+                    delta[j] = np.linalg.inv(M)
+                except np.linalg.LinAlgError:
+                    errors[j] = IllPosed("I - D22*DK is singular")
             # delta = [[(I - D22*DK)^-1, *], [0, I]]: its leading block sets the conditioning
             posed = np.isfinite(delta).all(axis=(1, 2))
             lead = delta[:, :p2, :p2] if posed.all() else delta[posed, :p2, :p2]

@@ -157,7 +157,7 @@ def _stage1_oracle(plant: Plant, order: int):
     ports = (plant.m2, plant.p2)
 
     def oracle(theta: np.ndarray, bound: float):
-        (found,) = _abscissa_branch(ports, *loop.close(loop.gain(theta[None])))
+        found = _abscissa_branch(ports, *loop.close(loop.gain(theta[None])))
         if isinstance(found, Exception):
             return math.inf, None
         return found[0].alpha, found[1]

@@ -417,9 +417,9 @@ def test_a_stack_reports_each_members_failure(rng):
     assert isinstance(got[2], EigenFailure)
 
 
-def test_members_run_alone_when_the_stack_eigenvalue_iteration_fails(rng, monkeypatch):
-    """Each member takes an eigendecomposition of its own, and a member whose
-    own one fails too gets EigenFailure; the others keep their bits."""
+def test_a_member_whose_eigenvalue_iteration_fails_fails_alone(rng, monkeypatch):
+    """Each member takes an eigendecomposition of its own: a member whose
+    one fails gets EigenFailure, and the others keep their bits."""
     stable = stable_system(rng, 4, 2, 2, margin=0.5)
     unstable = StateSpace(-stable.A, stable.B, stable.C, stable.D)
     broken = stable_system(rng, 4, 2, 2, margin=0.5)
@@ -427,12 +427,12 @@ def test_members_run_alone_when_the_stack_eigenvalue_iteration_fails(rng, monkey
     want = _norm_bits(hinf_norm(stable))
     eig = np.linalg.eig
 
-    def fails_on_stacks(a):
-        if a.ndim > 2 or np.array_equal(a, broken.A):
+    def fails_on_broken(a):
+        if np.array_equal(a, broken.A):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
         return eig(a)
 
-    monkeypatch.setattr(np.linalg, "eig", fails_on_stacks)
+    monkeypatch.setattr(np.linalg, "eig", fails_on_broken)
     gc.collect()
     got = analysis._hinf(stack, 1e-7, bound=math.inf)
     assert _norm_bits(got[0][0]) == want
@@ -447,10 +447,11 @@ def test_a_stack_gives_each_member_its_bits_alone(rng):
     """Every member of a stack gets the bits of the same system run as a
     stack of one, at every bound, with and without hints, certified or not.
     Members with real eigenvalues share a stack with members whose
-    eigenvalues are complex: with one output, C V takes a matrix-vector
-    product whose rounding on a complex V differs from that on the real V
-    of a single call.  Modal members share a stack with a Jordan block,
-    which has no usable eigenvector basis and takes the solve path."""
+    eigenvalues are complex: each member's own eigendecomposition keeps its
+    real V real, and with one output C V takes a matrix-vector product
+    whose rounding on a complex V would differ.  Modal members share a
+    stack with a Jordan block, which has no usable eigenvector basis and
+    takes the solve path."""
     stacks = []
     n = 10
     for _ in range(6):

@@ -16,7 +16,6 @@ from fixedhinf import (
     StateSpace,
     load_controller,
     load_plant,
-    load_statespace,
     load_system,
     pack_controller,
     save_controller,
@@ -176,12 +175,12 @@ def test_load_controller_dynamic_requires_state_blocks(tmp_path):
         load_controller(path)
 
 
-def test_load_statespace_with_default_d(tmp_path):
+def test_load_system_reads_a_statespace_with_default_d(tmp_path):
     path = _write(
         tmp_path, "ss.json",
         {"A": [[-1.0, 0.0], [0.0, -2.0]], "B": [[1.0], [1.0]], "C": [[1.0, 0.0]]},
     )
-    sys = load_statespace(path)
+    sys = load_system(path)
     assert isinstance(sys, StateSpace)
     assert (sys.n, sys.m, sys.p) == (2, 1, 1)
     assert not sys.D.any()
@@ -220,13 +219,13 @@ def test_round_trip_preserves_tiny_and_huge_magnitudes(tmp_path):
     assert loaded.B2[0, 0] == 3.0000000000000004
 
 
-def test_load_statespace_rejects_a_transposed_b(tmp_path):
+def test_load_system_rejects_a_statespace_with_a_transposed_b(tmp_path):
     path = _write(
         tmp_path, "bt.json",
         {"A": [[-1.0, 0.0], [0.0, -2.0]], "B": [[1.0, 1.0]], "C": [[1.0, 0.0]]},
     )
     with pytest.raises(DimensionMismatch, match="'B'"):
-        load_statespace(path)
+        load_system(path)
 
 
 @pytest.mark.parametrize(

@@ -216,6 +216,22 @@ def test_a_gain_that_is_not_finite_has_no_loop(theta, d22):
         assert np.array_equal(got, want)
 
 
+def test_a_singular_member_fails_alone():
+    # with D22 = 1, the gain 1 makes I - D22*DK exactly zero
+    plant = Plant.from_blocks(
+        -np.eye(1), np.ones((1, 1)), np.ones((1, 1)), np.ones((1, 1)),
+        np.ones((1, 1)), D22=np.ones((1, 1)),
+    )
+    loop = _Interconnection(plant, 0)
+    cl, L, R, errors = loop.close(loop.gain(np.array([[1.0], [0.25]])))
+    assert isinstance(errors[0], IllPosed) and str(errors[0]) == "I - D22*DK is singular"
+    assert errors[1] is None and len(cl.A) == len(L) == len(R) == 1
+    # the other member keeps the bits of a stack of one
+    one, L1, R1, _ = loop.close(loop.gain(np.array([[0.25]])))
+    for got, want in zip((cl.A, cl.B, cl.C, cl.D, L, R), (one.A, one.B, one.C, one.D, L1, R1)):
+        assert np.array_equal(got, want)
+
+
 def test_controller_port_mismatch_is_rejected(make_plant):
     plant = make_plant(n=2, m1=1, m2=1, p1=1, p2=1)
     with pytest.raises(DimensionMismatch, match="port"):

@@ -130,7 +130,7 @@ def test_stabilize_says_when_the_deadline_stopped_it(monkeypatch):
 
 def test_stabilize_says_when_every_start_was_infeasible(monkeypatch):
     def failed(ports, cl, L, R, errors):
-        return [EigenFailure("eigenvalue iteration failed on the closed loop") for _ in errors]
+        return EigenFailure("eigenvalue iteration failed on the closed loop")
 
     monkeypatch.setattr(synthesis_module, "_abscissa_branch", failed)
     with pytest.raises(NoStabilizingController, match="every stage-1 start was infeasible"):
