@@ -45,8 +45,11 @@ A line-search trial needs only its verdict: where the lower bound before
 polishing already exceeds the bound, the polish could not change it, and
 the trial returns it as it is.
 
-A dense-grid search with the same polish backs the method up when the
-Hamiltonian eigenvalue solve is unusable; its result is not certified.
+A probe whose Hamiltonian cannot be formed or eigendecomposed is an
+EigenFailure, as a failed eigendecomposition of A is: no frequency grid
+stands in for it, since a grid certifies nothing.  The relative tolerance is
+at least 1e-12, so every probe lies at least that far above sigma_max(D),
+where gamma^2 I - D^T D can be Cholesky-factored.
 """
 
 from __future__ import annotations
@@ -71,6 +74,11 @@ __all__ = [
 DEFAULT_TIE_TOL = 1e-8
 # Cap on Hamiltonian probes per norm; one or two usually certify.
 _LEVEL_ITERS = 60
+# Least relative tolerance of a norm: a probe at sigma_max(D)(1 + 1e-12) or
+# above leaves gamma^2 I - D^T D positive definite enough to Cholesky-factor,
+# and the level set tells a peak more than this far above its lower bound
+# from the bound itself.
+_MIN_REL_TOL = 1e-12
 # Cap on peak-polish steps; Newton needs a handful, bisection from a bracket
 # down to the 1e-13 relative step tolerance about 45.
 _POLISH_ITERS = 50
@@ -95,13 +103,14 @@ class AbscissaResult:
 class NormResult:
     """H-infinity norm value and where it is (approximately) attained.
 
-    `converged` is False when the level-set iteration stalled before
-    certifying the requested tolerance; `gamma` is then the best verified
-    lower bound rather than a bracketed value.  `iterations` counts the
-    Hamiltonian probes (eigen-solves) of the level-set stage, 0 where it did
-    not run; the benchmark's `analysis.hinf_norm_iters` sums it.  `_ev` is
-    the frequency evaluator of the system (None when it has no states), for
-    later scans of the same system and the abscissa of its eigenvalues.
+    `converged` is False when `gamma` is only a verified lower bound, not a
+    value bracketed to the requested tolerance: the bound `_hinf` was given
+    lies below it, or 60 Hamiltonian probes did not certify it.
+    `iterations` counts the Hamiltonian probes (eigen-solves) of the
+    level-set stage, 0 where it did not run; the benchmark's
+    `analysis.hinf_norm_iters` sums it.  `_ev` is the frequency evaluator of
+    the system (None when it has no states), for later scans of the same
+    system and the abscissa of its eigenvalues.
     """
 
     gamma: float
@@ -389,17 +398,6 @@ def _scan_grid(ev: _FreqEvaluator, best_omega: float, points: int) -> np.ndarray
     return _unique(np.concatenate(grid))
 
 
-def _grid_fallback(ev: _FreqEvaluator, sigma_d: float, iterations: int) -> NormResult:
-    """Dense-grid peak search; a grid certifies nothing, so not converged."""
-    omegas = _scan_grid(ev, 0.0, 2048 if ev.n <= 60 else 512)
-    vals = ev.sigma_max_many(omegas)
-    peaks = _polish_many(ev, [(0, omegas, vals, int(i)) for i in np.argsort(vals)[::-1][:8]])
-    best_omega, best = max(peaks, key=lambda peak: peak[1])
-    if sigma_d >= best:
-        return NormResult(sigma_d, 0.0, True, False, iterations, ev)
-    return NormResult(best, best_omega, False, False, iterations, ev)
-
-
 def _secondary_peak_gap(norm: NormResult) -> float:
     """Margin between the norm and the next-highest distinct local maximum of
     sigma_max over frequency (+inf when the response has a single peak).
@@ -442,8 +440,8 @@ def _secondary_peak_gap(norm: NormResult) -> float:
 
 
 def _check_rel_tol(rel_tol: float) -> None:
-    if not (0.0 < rel_tol <= 1e-2):
-        raise ValueError(f"rel_tol must be in (0, 1e-2], got {rel_tol}")
+    if not (_MIN_REL_TOL <= rel_tol <= 1e-2):
+        raise ValueError(f"rel_tol must be in [{_MIN_REL_TOL:g}, 1e-2], got {rel_tol}")
 
 
 def _hinf(
@@ -458,21 +456,20 @@ def _hinf(
     certified only where it may be at most bound.  Returns per member its
     (NormResult, flag), the flag saying whether the lower bound was at most
     the bound, or its error: UnstableSystem, or EigenFailure for a member
-    whose eigenvalue iteration fails.
+    whose eigenvalue iteration, on A or on a Hamiltonian probe, fails.
 
-    Each member takes an eigendecomposition call of its own, and the
-    members share one lower-bound stage, which polishes the best of
-    sigma_max at the pole-frequency candidates and the hint frequencies.  A
-    member whose eigenvector basis is ill conditioned takes a
-    factor-and-solve evaluator and a lower-bound stage of its own.  A lower
-    bound above the bound is returned with converged=False and 0
-    iterations; otherwise the level-set stage certifies the norm, member by
-    member, on the same evaluator.  With trial (a line-search trial) a
-    member is polished only where its lower bound before polishing is at
-    most the bound.
+    Each member takes an eigendecomposition call of its own.  The members
+    fall into evaluator groups: one stack of those with a well-conditioned
+    eigenvector basis, and one factor-and-solve evaluator for each of the
+    others.  Each group takes one lower-bound stage (see `_lower_bounds`),
+    then each of its members whose lower bound is at most the bound takes
+    the level-set stage on the same evaluator; a lower bound above the bound
+    is returned with converged=False and 0 iterations.  With trial (a
+    line-search trial) a member is polished only where its lower bound
+    before polishing is at most the bound.
     """
     out: list = [None] * len(sys.A)
-    solve_path, modal, lams, residues = {}, {}, [], []
+    groups, modal, lams, residues = [], [], [], []
     for k in range(len(sys.A)):
         try:
             w, vectors = np.linalg.eig(sys.A[k])
@@ -485,51 +482,39 @@ def _hinf(
         res = _residues(vectors, sys.B[k], sys.C[k])
         if res is None:
             abc = (sys.A[k], sys.B[k], sys.C[k])
-            solve_path[k] = _FreqEvaluator(w[None], sys.D[k : k + 1], None, abc)
+            groups.append((_FreqEvaluator(w[None], sys.D[k : k + 1], None, abc), [k]))
         else:
-            modal[k] = len(lams)
+            modal.append(k)
             lams.append(w)
             residues.append(res)
     # the eigenvector basis, 1.4 MB at n = 300, is not needed past here
     vectors = None
     sigma_d = np.linalg.svd(sys.D, compute_uv=False)[:, 0].tolist()
     if modal:
-        full = len(modal) == len(sys.A)
         # each member's residues keep the column-major layout `_residues`
         # gives them: a product at one frequency rounds differently on a
         # row-major copy
         stacked = np.array([r.T for r in residues]).swapaxes(1, 2)
-        ev = _FreqEvaluator(np.array(lams), sys.D if full else sys.D[list(modal)], stacked)
-        peaks, starts = _lower_bounds(ev, [sigma_d[k] for k in modal], hints)
-        if not trial:
-            # every member's polished peak, as one stack
-            polish = [start for start in starts if start is not None]
-            for start, peak in zip(polish, _polish_many(ev, polish)):
-                peaks[start[0]] = peak
-            starts = [None] * len(starts)
-    for k in range(len(sys.A)):
-        if k in modal:
-            stack, i = ev, modal[k]
-            peak, start = peaks[i], starts[i]
-        elif k in solve_path:
-            stack, i = solve_path[k], 0
-            (peak,), (start,) = _lower_bounds(stack, [sigma_d[k]], hints)
-        else:
-            continue
-        peak = _polished(stack, sigma_d[k], peak, start, bound if trial else math.inf)
-        out[k] = _level_set(sys._members(k), stack.member(i), sigma_d[k], peak, rel_tol, bound)
+        D = sys.D if len(modal) == len(sys.A) else sys.D[modal]
+        groups.insert(0, (_FreqEvaluator(np.array(lams), D, stacked), modal))
+    limit = bound if trial else math.inf
+    for ev, ks in groups:
+        peaks = _lower_bounds(ev, [sigma_d[k] for k in ks], hints, limit)
+        for i, (k, peak) in enumerate(zip(ks, peaks)):
+            out[k] = _level_set(sys._members(k), ev.member(i), sigma_d[k], peak, rel_tol, bound)
     return out
 
 
-def _lower_bounds(ev: _FreqEvaluator, sigma_d, hints: tuple[float, ...]) -> tuple[list, list]:
+def _lower_bounds(ev: _FreqEvaluator, sigma_d, hints: tuple[float, ...], limit: float) -> list:
     """The lower-bound stage on every member of the stack ev, whose
-    sigma_max(D) are sigma_d, before polishing: per member the best
-    (omega, sigma) of sigma_max at its candidate frequencies and the hints,
-    or None for a zero system, and the start (j, omegas, vals, i) from which
-    `_polish_many` polishes it, or None where the best lies below
-    sigma_max(D) (the probe at sigma_max(D) then finds any finite peak
-    above it).  The members' candidates go through one stack, each row
-    padded to the longest with copies of its last frequency."""
+    sigma_max(D) are sigma_d: per member the best (omega, sigma) of
+    sigma_max at its candidate frequencies and the hints, or None for a zero
+    system.  A best value in [sigma_max(D), limit] is polished, all of them
+    in one `_polish_many` stack; one below sigma_max(D) is left to the probe
+    at sigma_max(D), which finds any finite peak above it, and one above
+    limit is already too high: polishing could only raise it.  The
+    members' candidates go through one stack, each row padded to the
+    longest with copies of its last frequency."""
     cands = [_unique(np.concatenate([c, hints])) if len(hints) else c for c in ev.cands]
     grid = np.empty((len(cands), max(c.size for c in cands)))
     for row, c in zip(grid, cands):
@@ -546,21 +531,15 @@ def _lower_bounds(ev: _FreqEvaluator, sigma_d, hints: tuple[float, ...]) -> tupl
             v = member.sigma_max_many(c)
             if float(v.max()) == 0.0:
                 peaks.append(None)
-                starts.append(None)
                 continue
         i = int(np.argmax(v))
         peaks.append((float(c[i]), float(v[i])))
-        starts.append((j, c, v, i) if peaks[j][1] >= sigma_d[j] else None)
-    return peaks, starts
-
-
-def _polished(ev: _FreqEvaluator, sigma_d: float, peak, start, bound: float):
-    """peak polished from start, unless there is no start or the lower
-    bound max(sigma_d, peak) already exceeds bound: polishing can only
-    raise it, so the level-set stage would not run either way."""
-    if start is None or max(sigma_d, peak[1]) > bound:
-        return peak
-    return _polish_many(ev, [start])[0]
+        if sigma_d[j] <= v[i] <= limit:
+            starts.append((j, c, v, i))
+    if starts:
+        for start, peak in zip(starts, _polish_many(ev, starts)):
+            peaks[start[0]] = peak
+    return peaks
 
 
 def _level_set(
@@ -570,10 +549,12 @@ def _level_set(
     peak: tuple[float, float] | None,
     rel_tol: float,
     bound: float,
-) -> tuple[NormResult, bool]:
+) -> tuple[NormResult, bool] | EigenFailure:
     """`_hinf`'s result for one system from its lower-bound stage's peak
     (None for a zero system), with the level-set stage when the lower bound
-    is at most `bound`."""
+    is at most `bound`.  A probe whose Hamiltonian cannot be formed or
+    eigendecomposed, or has non-finite eigenvalues, brackets nothing: the
+    result is then EigenFailure."""
     if peak is None:
         return NormResult(0.0, 0.0, False, True, 0, ev), 0.0 <= bound
     best_omega, best_finite = peak
@@ -587,9 +568,9 @@ def _level_set(
         try:
             ew = np.linalg.eigvals(_hamiltonian(sys, probe))
         except np.linalg.LinAlgError:
-            return _grid_fallback(ev, sigma_d, iterations), True
+            return EigenFailure("eigenvalue iteration failed on a Hamiltonian probe")
         if not np.all(np.isfinite(ew)):
-            return _grid_fallback(ev, sigma_d, iterations), True
+            return EigenFailure("a Hamiltonian probe has non-finite eigenvalues")
         # one sigma_max pass at the frequencies of all the probe's eigenvalues
         # and the midpoints between them: a crossing of the probe raises the
         # lower bound above it, and a near-tied peak at or below the probe
@@ -597,7 +578,7 @@ def _level_set(
         trial = _level_grid(ew)
         tvals = ev.sigma_max_many(trial)
         i = int(np.argmax(tvals))
-        if tvals[i] > lower * (1.0 + 1e-12):
+        if tvals[i] > lower * (1.0 + _MIN_REL_TOL):
             best_omega, best_finite = _polish(ev, trial, tvals, i)
             if best_finite > probe:
                 lower = best_finite
@@ -614,12 +595,14 @@ def _level_set(
 def hinf_norm(sys: StateSpace, *, rel_tol: float = 1e-7) -> NormResult:
     """H-infinity norm of a stable system to relative tolerance rel_tol.
 
-    Raises UnstableSystem when the spectral abscissa of A is not strictly
-    negative, and EigenFailure when the eigenvalue iteration on A fails.
-    When the level iteration cannot certify the tolerance within 60
-    Hamiltonian probes, the best verified lower bound is returned with
-    converged=False instead of raising.  A finite omega_peak is a polished
-    local peak of sigma_max, where its frequency derivative vanishes.
+    rel_tol must lie in [1e-12, 1e-2]: the level set cannot bracket a
+    tighter tolerance.  Raises UnstableSystem when the spectral abscissa of
+    A is not strictly negative, and EigenFailure when the eigenvalue
+    iteration on A or on a Hamiltonian probe fails.  When the level
+    iteration cannot certify the tolerance within 60 Hamiltonian probes,
+    the best verified lower bound is returned with converged=False instead
+    of raising.  A finite omega_peak is a polished local peak of sigma_max,
+    where its frequency derivative vanishes.
     """
     _check_rel_tol(rel_tol)
     if sys.n == 0:

@@ -199,8 +199,8 @@ def hinf_gradient(
     the peak, a secondary frequency peak, or the at-infinity value
     sigma_max(D_cl) comes within DEFAULT_NEAR_TIE_TOL relative of the norm.
     Raises IllPosed when the closed loop does not exist, UnstableSystem
-    when it is unstable and EigenFailure when its eigenvalue iteration
-    fails.
+    when it is unstable and EigenFailure when its eigenvalue iteration, on
+    A or on a Hamiltonian probe, fails.
     """
     _check_rel_tol(rel_tol)
     cl, L, R, errors = _interconnect(plant, k)

@@ -74,7 +74,8 @@ class SynthesisOptions:
     stages; within a stage, every start and phase shares the one deadline.
     The budget is per run: runs that go side by side on several CPUs each
     still get all of it.
-    warm_start, when given, is added to the stage-1 start list of every run.
+    warm_start, when given, is added to the stage-1 start list of every run;
+    a dynamic one with BK = CK = 0 is a saddle (see `synthesize`).
     stabilization_margin > 0 asks stage 1 for abscissa < -margin instead of
     merely < 0.
     """
@@ -239,6 +240,15 @@ def _default_start(plant: Plant, order: int) -> Controller:
     return Controller(-np.eye(order), k.BK, k.CK, k.DK)
 
 
+def _stage2_start(k: Controller, scale: float, rng: np.random.Generator) -> Controller:
+    """k, or with CK drawn from N(0, scale^2) if k is on the saddle (see
+    `synthesize`); with BK = 0 the loop stays block triangular, keeping its
+    poles, and the controller's transfer function stays DK."""
+    if k.order == 0 or k.BK.any() or k.CK.any():
+        return k
+    return replace(k, CK=scale * rng.standard_normal(k.CK.shape))
+
+
 def _check_warm_start(plant: Plant, opts: SynthesisOptions) -> None:
     ws = opts.warm_start
     if ws is not None and (ws.order, ws.nu, ws.ny) != (opts.order, plant.m2, plant.p2):
@@ -347,6 +357,7 @@ def _run(
         return RunRecord(seed_r, exc.best_abscissa, math.inf, time.perf_counter() - t_run), None
     used = time.perf_counter() - t_run
     remaining = max(opts.cpumax_seconds - used, 1e-3)
+    k1 = _stage2_start(k1, opts.init_scale, _phase_rng(seed_r, 4))
     k2, absc2, cert = optimize_performance(
         plant, k1, replace(opts, cpumax_seconds=remaining), run_seed=seed_r
     )
@@ -443,7 +454,10 @@ def synthesize(plant: Plant, opts: SynthesisOptions | None = None) -> SynthesisR
     runs whose certificate converged, the earliest on a tie; an unconverged
     one wins only when no run's converged.  Runs that fail to stabilize are
     recorded with stage2_norm = +inf; the overall status is
-    NO_STABILIZING_CONTROLLER only when every run fails.
+    NO_STABILIZING_CONTROLLER only when every run fails.  A dynamic
+    controller with BK = CK = 0, such as the zero start, is a saddle of both
+    stage objectives, where no gradient moves AK, BK or CK; when stage 1
+    returns one, stage 2 starts from it with CK drawn from N(0, init_scale^2).
     """
     opts = opts if opts is not None else SynthesisOptions()
     if opts.order > plant.n:

@@ -17,11 +17,14 @@ from fixedhinf import (
     StateSpace,
     UnstableSystem,
     analysis,
+    hinf_gradient,
     hinf_norm,
     lft_closed_loop,
+    pack_controller,
     spectral_abscissa,
     unpack_controller,
 )
+from fixedhinf.synthesis import _stage2_oracle
 
 
 def test_abscissa_of_diagonal_matrix():
@@ -108,16 +111,35 @@ def test_lightly_damped_norm_is_certified_by_one_or_two_solves():
     assert got == pytest.approx(res.gamma, rel=1e-12)
 
 
-def test_grid_fallback_is_not_converged(monkeypatch):
-    # a grid search brackets nothing, so it may not claim convergence
-    def unusable(sys, gamma):
-        raise np.linalg.LinAlgError("Hamiltonian solve failed")
+def _raising_hamiltonian(sys, gamma):
+    raise np.linalg.LinAlgError("Hamiltonian solve failed")
 
-    monkeypatch.setattr(analysis, "_hamiltonian", unusable)
-    res = hinf_norm(_oscillator(2.0, 0.1))
-    assert not res.converged
-    assert res.iterations == 1
-    assert res.gamma == pytest.approx(1.0 / (0.2 * np.sqrt(0.99)), rel=1e-12)
+
+def _nan_eigvals(m):
+    return np.full(len(m), np.nan + 0j)
+
+
+@pytest.mark.parametrize(
+    "target, name, unusable, message",
+    [
+        (analysis, "_hamiltonian", _raising_hamiltonian, "iteration failed on a Hamiltonian probe"),
+        (np.linalg, "eigvals", _nan_eigvals, "a Hamiltonian probe has non-finite eigenvalues"),
+    ],
+    ids=["raises", "not-finite"],
+)
+def test_an_unusable_hamiltonian_probe_is_an_eigen_failure(
+    monkeypatch, interior_plant, target, name, unusable, message
+):
+    """A probe that cannot be eigendecomposed brackets nothing, and no grid
+    search stands in for it: the norm raises EigenFailure, and the stage-2
+    oracle takes the point as f = +inf."""
+    theta = pack_controller(Controller.static([[-2.0]]))
+    oracle = _stage2_oracle(interior_plant, 0, 1e-7)
+    assert math.isfinite(oracle(theta, math.inf)[0])
+    monkeypatch.setattr(target, name, unusable)
+    with pytest.raises(EigenFailure, match=message):
+        hinf_norm(_oscillator(2.0, 0.1))
+    assert oracle(theta, math.inf) == (math.inf, None)
 
 
 def test_norm_attained_at_infinity():
@@ -186,8 +208,7 @@ def test_probe_eigenvalues_give_away_a_near_tied_peak(rng):
     sys = lft_closed_loop(plant, unpack_controller(theta, 0, 2, 2))
     norm = hinf_norm(sys)
     sigma_d = float(np.linalg.norm(sys.D, 2))
-    _, (start,) = analysis._lower_bounds(norm._ev, [sigma_d], ())
-    omega, sigma = analysis._polish_many(norm._ev, [start])[0]
+    ((omega, sigma),) = analysis._lower_bounds(norm._ev, [sigma_d], (), math.inf)
     assert omega == pytest.approx(2.02745, rel=1e-5)
     assert sigma < norm.gamma < sigma * (1.0 + 1e-7)
     assert norm.converged and norm.iterations == 1
@@ -239,12 +260,16 @@ def test_norm_rejects_marginally_stable_system():
         hinf_norm(sys)
 
 
-def test_norm_validates_rel_tol():
+def test_norm_validates_rel_tol(interior_plant):
+    # below 1e-12 the level set cannot bracket the tolerance
     sys = StateSpace([[-1.0]], [[1.0]], [[1.0]], [[0.0]])
-    with pytest.raises(ValueError):
-        hinf_norm(sys, rel_tol=0.0)
-    with pytest.raises(ValueError):
-        hinf_norm(sys, rel_tol=0.5)
+    for rel_tol in (0.0, 1e-13, 0.5):
+        with pytest.raises(ValueError, match="rel_tol"):
+            hinf_norm(sys, rel_tol=rel_tol)
+    assert hinf_norm(sys, rel_tol=1e-12).gamma == pytest.approx(1.0, rel=1e-12)
+    k = Controller.static([[-2.0]])
+    with pytest.raises(ValueError, match="rel_tol"):
+        hinf_gradient(interior_plant, k, rel_tol=1e-13)
 
 
 def test_norm_agrees_with_grid_oracle(rng):
