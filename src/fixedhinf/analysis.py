@@ -27,8 +27,8 @@ scan included: the result carries the evaluator on.
 One routine, `_hinf`, runs the norm over a stack of systems of one shape,
 whose blocks carry a leading member axis: `hinf_norm` passes a stack of one,
 `hinf_gradient` a closed loop as a stack of one, and the optimizer's
-stage-2 oracle one point (a line-search trial among them) as a stack of
-one, or a batch of sample points as a longer stack.
+stage-2 oracle one point as a stack of one, or a batch of sample points as
+a longer stack.
 Each member takes an eigendecomposition call of its own, for its stability
 test and its evaluator.  The lower-bound stage takes the polished best
 candidate frequency of every member: the candidates go through one padded
@@ -37,13 +37,15 @@ The level-set stage takes the Hamiltonian probes and the sigma_max pass
 after each, member by member, on the same evaluator.  numpy's stacked svd,
 solve and matmul give each member the bits of a single call, so a member
 gets the same bits in any stack, a stack of one included.
-Given a bound, a member returns after the first stage when its value
-already exceeds the bound: the optimizer's stage-2 oracle passes the
-threshold the optimizer tests, where the certified norm could not change
-the outcome; `hinf_norm` and `hinf_gradient` pass none.
-A line-search trial needs only its verdict: where the lower bound before
-polishing already exceeds the bound, the polish could not change it, and
-the trial returns it as it is.
+The bound says what a member needs, as in the optimizer's oracle
+contract.  At +inf, which `hinf_norm` and `hinf_gradient` pass, every
+member is certified.  A finite bound is the threshold a line-search trial
+tests, and a value above it is a verdict: a member whose lower bound
+before polishing already exceeds it returns that value as it is, since
+the polish could only raise it, and one whose polished lower bound exceeds
+it returns after the first stage.  At -inf, which gradient-sampling sample
+points take in a run without a target, every member returns its polished
+lower bound, with no level set.
 
 A probe whose Hamiltonian cannot be formed or eigendecomposed is an
 EigenFailure, as a failed eigendecomposition of A is: no frequency grid
@@ -450,7 +452,6 @@ def _hinf(
     *,
     bound: float,
     hints: tuple[float, ...] = (),
-    trial: bool = False,
 ) -> list:
     """H-infinity norms of a stack of finite systems of order n > 0, each
     certified only where it may be at most bound.  Returns per member its
@@ -464,9 +465,9 @@ def _hinf(
     others.  Each group takes one lower-bound stage (see `_lower_bounds`),
     then each of its members whose lower bound is at most the bound takes
     the level-set stage on the same evaluator; a lower bound above the bound
-    is returned with converged=False and 0 iterations.  With trial (a
-    line-search trial) a member is polished only where its lower bound
-    before polishing is at most the bound.
+    is returned with converged=False and 0 iterations.  At a finite bound
+    (a line-search trial's) a member is polished only where its lower bound
+    before polishing is at most the bound; at -inf every member is.
     """
     out: list = [None] * len(sys.A)
     groups, modal, lams, residues = [], [], [], []
@@ -497,7 +498,7 @@ def _hinf(
         stacked = np.array([r.T for r in residues]).swapaxes(1, 2)
         D = sys.D if len(modal) == len(sys.A) else sys.D[modal]
         groups.insert(0, (_FreqEvaluator(np.array(lams), D, stacked), modal))
-    limit = bound if trial else math.inf
+    limit = math.inf if bound == -math.inf else bound
     for ev, ks in groups:
         peaks = _lower_bounds(ev, [sigma_d[k] for k in ks], hints, limit)
         for i, (k, peak) in enumerate(zip(ks, peaks)):

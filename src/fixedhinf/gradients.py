@@ -235,7 +235,6 @@ def _hinf_branch(
     rel_tol: float,
     bound: float,
     hints: tuple[float, ...] = (),
-    trial: bool = False,
 ) -> list:
     """Closed-loop H-infinity norms of a stack of loops from
     `_Interconnection.close`, with their factors L and R and their error
@@ -248,16 +247,16 @@ def _hinf_branch(
     NormResult, the gradient over the packed controller, of ports (nu, ny),
     of the branch that attains its value, whether the value is certified,
     and the singular values at the peak; or the member's IllPosed,
-    UnstableSystem or EigenFailure.  A trial (see `_hinf`) takes no
-    gradient, and no singular values, where the value exceeds the bound.
+    UnstableSystem or EigenFailure.  At a finite bound a value above it is
+    a verdict (see `_hinf`): it takes no gradient and no singular values.
     """
     out: list = list(errors)
     posed = [j for j, error in enumerate(errors) if error is None]
-    found = _hinf(cl, rel_tol, bound=bound, hints=hints, trial=trial)
+    found = _hinf(cl, rel_tol, bound=bound, hints=hints)
     ok = [
         k
         for k, res in enumerate(found)
-        if not isinstance(res, Exception) and not (trial and res[0].gamma > bound)
+        if not isinstance(res, Exception) and not -math.inf < bound < res[0].gamma
     ]
     grads: list = [None] * len(found)
     svals: list = [None] * len(found)

@@ -13,26 +13,28 @@ incumbent (below):
 3. Gradient sampling over a shrinking radius schedule, a randomized method
    with convergence guarantees that is much slower per iteration.
 
-An oracle is called as oracle(x, bound) and returns (f, grad).  Every
-decision the phases take on a value compares it with a threshold, and bound
-is that threshold: when f(x) <= bound the oracle must return f(x) exactly,
-and otherwise it may return any value in (bound, f(x)], with the gradient of
-the branch that attains the returned value.  Each call site passes the
-threshold it tests: the weak-Wolfe sufficient-decrease level at a line-search
-trial, the Armijo level at a gradient-sampling trial, the iterate's f at a
-bundle ball sample, -inf at gradient-sampling sample points and +inf at a
-phase's start.  The run's target raises every bound to at least the target,
-so a value below the target is always exact.  A cheap lower bound that
-already exceeds the threshold thus decides the same comparison as f(x)
-itself: which value in (bound, f(x)] comes back changes no accept/reject
-decision and no count of evaluations.  Only the gradients that the bundle
-and sampling phases collect at their samples can differ, with the branch
-the returned value belongs to.  At sample points only the gradient is
-read, and gradient sampling needs the gradient of f itself there.  The
-bound -inf that gradient_sampling passes there lets the oracle answer with
-the gradient of a lower branch; +inf would be sound.  That is a known
-defect, still open.  An oracle that always returns f(x) meets the
-contract.
+An oracle is called as oracle(x, bound) and returns (f, grad).  The bound
+alone says what the call needs, and it is one of three kinds:
+
+- A finite bound is the threshold the phase compares f with: the
+  weak-Wolfe sufficient-decrease level at a line-search trial, the Armijo
+  level at a gradient-sampling trial.  When f(x) <= bound the oracle must
+  return f(x) exactly, with its gradient.  Otherwise it may return any
+  value in (bound, f(x)], and grad None: a value above the bound is a
+  verdict whatever it is, and no phase reads a gradient there.
+- +inf asks for f(x) and its gradient: at a phase's start and at a bundle
+  ball sample, whose gradient joins the bundle.
+- -inf asks for a value and its gradient, which may be those of a lower
+  branch: at gradient-sampling sample points in a run without a target.
+  Gradient sampling needs the gradient of f itself there, and +inf would
+  be sound.  That is a known defect, still open.
+
+The run's target raises every bound to at least the target, and sample
+points in a run with a target go at +inf, so a value below the target is
+always exact.  A cheap lower bound that already exceeds a finite bound thus
+decides the same comparison as f(x) itself: which value in (bound, f(x)]
+comes back changes no accept/reject decision and no count of evaluations.
+An oracle that always returns f(x) and its gradient meets the contract.
 
 A value is exact when it is at most its call's bound, raised to the
 target.  The incumbent is the evaluated (x, f, grad) with the least exact
@@ -41,23 +43,19 @@ a bundle sample.  A phase returns the incumbent, under hanso the run's, and
 hanso refines from it and returns it.  The run meets its target once the
 incumbent is below it.
 
-Line-search trials go to the oracle one at a time.  A trial's gradient is
-read only where f <= bound, so an oracle with a batch form (below) is
-called as oracle(x, bound, trial=True) at a trial: it may return grad None
-where f > bound, and the stage-2 oracle then returns its lower bound
-before polishing it and takes no gradient.
-
+Line-search trials and bundle ball samples go to the oracle one at a time.
 An oracle may also carry a batch form, oracle.batch(xs, bound), which
 returns one (f, grad) per row of xs under one bound: each row is what one
 call at the oracle's state before the batch would return, and the batch
 changes no state that the oracle carries from call to call (the stage-2
 oracle's state is the peak frequency of its last certified call).
 Gradient sampling hands it the sample points of an iteration, drawn first
-in the order single draws would take.  The tracker counts the rows in
-order, checks the stop rule before each as around single calls, and drops
-the rest after a row below the target.  Counts and the incumbent are thus
-those of single calls, and a deadline overshoots by at most one batch.  An
-oracle without a batch form is called one point at a time.
+in the order single draws would take, under the sample points' bound.
+The tracker counts the rows in order, checks the stop rule before each as
+around single calls, and drops the rest after a row below the target.
+Counts and the incumbent are thus those of single calls, and a deadline
+overshoots by at most one batch.  An oracle without a batch form is called
+one point at a time.
 
 Infeasible points are signalled by f = +inf with grad = None, and f = +inf
 is the only feasibility signal.  The line searches retreat rather than
@@ -168,20 +166,13 @@ class _Tracker:
         bound = max(bound, self.target)
         return self._count(x, *self.oracle(x, bound), bound)
 
-    def trial(self, x: np.ndarray, level: float) -> tuple[float, np.ndarray | None]:
-        """The oracle at a line-search trial, as `call`, which says so to an
-        oracle with a batch form (see the module docstring)."""
-        if self.batch is None:
-            return self.call(x, level)
-        level = max(level, self.target)
-        return self._count(x, *self.oracle(x, level, trial=True), level)
-
-    def call_many(self, xs: np.ndarray, bound: float) -> list[tuple[float, np.ndarray | None]]:
+    def call_many(self, xs: np.ndarray) -> list[tuple[float, np.ndarray | None]]:
         """The oracle at the sample points xs, in order, up to the first
         stop, with the stop rule checked before each point as around single
-        calls: in one batch when the oracle has a batch form (see the
+        calls: in one batch when the oracle has a batch form, at bound -inf
+        in a run without a target and +inf in one with a target (see the
         module docstring)."""
-        bound = max(bound, self.target)
+        bound = -math.inf if self.target == -math.inf else math.inf
         out: list = []
         if self.stop:
             return out
@@ -274,7 +265,7 @@ def _weak_wolfe(
     for _ in range(_LINE_SEARCH_STEPS):
         xt = x + t * d
         level = f0 + _WOLFE_C1 * t * slope0
-        ft, gt = track.trial(xt, level)
+        ft, gt = track.call(xt, level)
         if not math.isfinite(ft) or ft > level:
             beta = t
         elif gt @ d < _WOLFE_C2 * slope0:
@@ -462,7 +453,7 @@ def bundle_phase(
             # with a gradient sampled nearby, shrinking the radius when that
             # stops helping either
             xs = x + radius * _ball_sample(rng, dim)
-            fs, gs = track.call(xs, f)
+            fs, gs = track.call(xs, math.inf)
             if math.isfinite(fs):
                 bundle.append((xs, gs))
                 if fs < f:
@@ -517,7 +508,7 @@ def gradient_sampling(
                 break
             it += 1
             xs = x + radius * np.array([_ball_sample(rng, dim) for _ in range(m)])
-            samples = track.call_many(xs, -math.inf)
+            samples = track.call_many(xs)
             grads = [g] + [gs for fs, gs in samples if math.isfinite(fs)]
             d, _ = min_norm_convex_hull(grads)
             measure = float(np.linalg.norm(d))
@@ -532,7 +523,7 @@ def gradient_sampling(
                     break
                 xt = x - t * d
                 level = f_prev - _WOLFE_C1 * t * measure * measure
-                ft, gt = track.trial(xt, level)
+                ft, gt = track.call(xt, level)
                 if math.isfinite(ft) and ft <= level:
                     x, f, g = xt, ft, gt
                     accepted = True
@@ -569,8 +560,10 @@ def hanso(
 
     The oracle is called as oracle(x, bound) (see the module docstring): it
     must return f(x) exactly when f(x) <= bound, and may return any value in
-    (bound, f(x)] otherwise.  Every point the run accepts, and the returned
-    f_best, has an exact f.
+    (bound, f(x)] otherwise, at a finite bound with grad None.  Every point
+    the run accepts, and the returned f_best, has an exact f.  In a run with
+    a target, gradient-sampling sample points are exact too, so one of them
+    can be the incumbent of a run that misses its target.
     """
     if len(starts) == 0:
         raise ValueError("hanso needs at least one start point")

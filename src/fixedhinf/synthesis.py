@@ -168,34 +168,34 @@ def _stage1_oracle(plant: Plant, order: int):
 
 def _stage2_oracle(plant: Plant, order: int, rel_tol: float):
     """The closed-loop H-infinity norm, certified only where the optimizer
-    can accept the point: a lower bound above `bound` is returned as it is.
-    The peak frequency of the last certified call joins the next lower
-    bound's candidates, so that the bound usually finds the peak the
-    optimizer is following.  Without a bound the value and gradient are
-    those of `hinf_gradient`.  A loop that does not exist (see
-    `_Interconnection.close`), an unstable one or a failed eigenvalue
-    iteration is f = +inf.  The loop is closed straight from theta, on
-    padding built once for the oracle.
+    can accept the point (see the optimize module).  At a finite bound a
+    lower bound above it is a verdict, returned with no gradient, and
+    unpolished where it exceeds the bound before polishing; at -inf every
+    point gets its polished lower bound and that branch's gradient; at +inf
+    the value and gradient are those of `hinf_gradient`.  The peak
+    frequency of the last certified call joins the next lower bound's
+    candidates, so that the bound usually finds the peak the optimizer is
+    following.  A loop that does not exist (see `_Interconnection.close`),
+    an unstable one or a failed eigenvalue iteration is f = +inf.  The loop
+    is closed straight from theta, on padding built once for the oracle.
 
-    A trial, oracle(theta, bound, trial=True) (see the optimize module),
-    returns a lower bound above its bound before polishing it, with no
-    gradient.  The batch form, oracle.batch(thetas, bound), returns one
-    (f, grad) per row of thetas, each what a call at the oracle's state
-    before the batch would return, and moves no hint.  The rows go through
-    the stacked computation in chunks of capped memory (see _batch_size).
+    The batch form, oracle.batch(thetas, bound), returns one (f, grad) per
+    row of thetas, each what a call at the oracle's state before the batch
+    would return, and moves no hint.  The rows go through the stacked
+    computation in chunks of capped memory (see _batch_size).
     """
     loop = _Interconnection(plant, order)
     ports = (plant.m2, plant.p2)
     size = _batch_size(loop.N)
     hints = ()
 
-    def evaluate(thetas: np.ndarray, bound: float, trial: bool = False) -> list:
+    def evaluate(thetas: np.ndarray, bound: float) -> list:
         closed = loop.close(loop.gain(thetas))
-        return _hinf_branch(ports, *closed, rel_tol=rel_tol, bound=bound, hints=hints, trial=trial)
+        return _hinf_branch(ports, *closed, rel_tol=rel_tol, bound=bound, hints=hints)
 
-    def oracle(theta: np.ndarray, bound: float, trial: bool = False):
+    def oracle(theta: np.ndarray, bound: float):
         nonlocal hints
-        (found,) = evaluate(theta[None], bound, trial)
+        (found,) = evaluate(theta[None], bound)
         if isinstance(found, Exception):
             return math.inf, None
         norm, grad, certified, _ = found
@@ -271,7 +271,9 @@ def stabilize(
     minimization returns the first evaluated controller that meets the
     margin.  Raises NoStabilizingController, saying whether every start was
     infeasible (hanso's status "infeasible"), the search stalled or it ran
-    out of time; the best abscissa is attached to it.
+    out of time; the best abscissa is attached to it.  That is the run's
+    incumbent (see `hanso`), which with the margin as the run's target may
+    be a gradient-sampling sample point.
     """
     opts = opts if opts is not None else SynthesisOptions()
     hopts = _hanso_options(opts, run_seed)

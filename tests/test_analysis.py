@@ -502,9 +502,10 @@ def test_a_stack_gives_each_member_its_bits_alone(rng):
 
 
 def test_a_trial_is_polished_only_where_its_lower_bound_may_be_certified(rng, monkeypatch):
-    """A trial whose lower bound before polishing exceeds its bound is not
-    polished, and returns that bound, above the bound and at most the
-    norm; any other trial gets the bits of a plain call."""
+    """A trial, a call at a finite bound, whose lower bound before
+    polishing exceeds its bound is not polished, and returns that bound,
+    above the bound and at most the norm; any other trial gets the bits of
+    a call at +inf."""
     n = 6
     members = [stable_system(rng, n, 2, 2, margin=0.3) for _ in range(5)]
     # the third member is ill conditioned and takes the solve path
@@ -525,11 +526,11 @@ def test_a_trial_is_polished_only_where_its_lower_bound_may_be_certified(rng, mo
     monkeypatch.setattr(analysis, "_polish_many", counted)
     for sys, bound, gamma in zip(members, bounds, gammas):
         polished.clear()
-        norm, flag = _alone(sys, bound, hints=(0.7,), trial=True)
+        norm, flag = _alone(sys, bound, hints=(0.7,))
         assert flag == (bound > gamma)
         if flag:
             assert polished
-            want, want_flag = _alone(sys, bound, hints=(0.7,))
+            want, want_flag = _alone(sys, math.inf, hints=(0.7,))
             assert want_flag and _norm_bits(norm) == _norm_bits(want)
         else:
             assert polished == []

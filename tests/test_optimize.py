@@ -396,7 +396,8 @@ def test_sampling_reports_the_iteration_limit():
 def _recording(fn, loose_seed=None):
     """fn as an oracle that records every (x, bound) it is asked; with a
     seed, above its bound it returns a value drawn from (bound, f] instead
-    of f, the loosest answer the oracle contract allows."""
+    of f, and at a finite bound no gradient, the loosest answer the oracle
+    contract allows."""
     rng = np.random.default_rng(loose_seed)
     calls = []
 
@@ -408,6 +409,7 @@ def _recording(fn, loose_seed=None):
             drawn = f - rng.uniform() * (f - lo)
             # rounding may land on the bound itself, outside the interval
             f = drawn if drawn > bound else f
+            g = None if math.isfinite(bound) else g
         return f, g
 
     return oracle, calls
@@ -491,22 +493,22 @@ def test_hanso_refines_from_and_returns_the_least_exact_value(monkeypatch):
 def _batched(fn):
     """fn as an oracle with a batch form.  Both forms record each point
     they evaluate, and calls records ("batch", rows, bound) for each batch
-    and ("call", trial) for each plain call.  The batch form evaluates
-    every row; a trial returns no gradient above its bound."""
+    and ("call", bound) for each plain call.  The batch form evaluates
+    every row; a value above a finite bound comes with no gradient."""
     points, calls = [], []
 
-    def evaluate(x, bound, trial):
+    def evaluate(x, bound):
         points.append(x.copy())
         f, g = fn(x, bound)
-        return f, (None if trial and f > bound else g)
+        return f, (None if -math.inf < bound < f else g)
 
-    def oracle(x, bound, trial=False):
-        calls.append(("call", trial))
-        return evaluate(x, bound, trial)
+    def oracle(x, bound):
+        calls.append(("call", bound))
+        return evaluate(x, bound)
 
     def batch(xs, bound):
         calls.append(("batch", len(xs), bound))
-        return [evaluate(x, bound, False) for x in xs]
+        return [evaluate(x, bound) for x in xs]
 
     oracle.batch = batch
     return oracle, points, calls
@@ -555,18 +557,20 @@ def test_the_batch_form_changes_no_run(fn, run):
 
 @pytest.mark.parametrize("with_batch", [False, True])
 def test_a_target_hit_inside_a_batch_counts_up_to_the_hit(with_batch):
-    oracle, points, _ = _batched(quadratic([0.0]))
+    oracle, points, calls = _batched(quadratic([0.0]))
     if not with_batch:
         del oracle.batch
     track = optimize._Tracker(oracle, 60.0, target=0.5)
     xs = np.array([[2.0], [1.5], [0.5], [0.1], [3.0]])
-    got = track.call_many(xs, -math.inf)
+    got = track.call_many(xs)
     # the third point is the first below the target; nothing after it counts
     assert [f for f, _ in got] == [4.0, 2.25, 0.25]
     assert track.n_evals == 3 and track.stop == "target"
     assert np.array_equal(track.best[0], [0.5]) and track.best[1] == 0.25
-    # the batch form evaluates every row; single calls stop at the hit
+    # the batch form evaluates every row; single calls stop at the hit.
+    # In a run with a target sample points are exact
     assert len(points) == (5 if with_batch else 3)
+    assert calls == ([("batch", 5, math.inf)] if with_batch else [("call", math.inf)] * 3)
 
 
 def _halving_table(values, slow_at=None):
@@ -587,8 +591,13 @@ def _halving_table(values, slow_at=None):
 def _search(track, f0=1.0):
     """`_weak_wolfe` from x = 0 along d = 1 with slope -1 at f0: its trials
     are x = 1, 1/2, 1/4, ... while they are rejected, at the levels
-    f0 - 1e-4 x."""
+    f0 - 1e-4 x (see _levels)."""
     return optimize._weak_wolfe(track, np.zeros(1), f0, np.array([-1.0]), np.ones(1), -1.0)
+
+
+def _levels(f0, count):
+    """The plain calls of `_search`'s first count trials, each at its level."""
+    return [("call", f0 + optimize._WOLFE_C1 * 2.0**-k * -1.0) for k in range(count)]
 
 
 @pytest.mark.parametrize("with_batch", [False, True])
@@ -603,8 +612,8 @@ def test_a_line_search_evaluates_no_trial_past_the_accepted_one(with_batch):
     assert (t, ft, outcome) == (2.0**-5, 0.5, "wolfe") and np.array_equal(xt, [2.0**-5])
     assert track.n_evals == len(points) == 6
     assert [x[0] for x in points] == [2.0**-k for k in range(6)]
-    # each trial is a plain call, and says so to an oracle with a batch form
-    assert calls == [("call", with_batch)] * 6
+    # each trial is a plain call at its level, with a batch form or without
+    assert calls == _levels(1.0, 6)
 
 
 @pytest.mark.parametrize("with_batch", [False, True])
@@ -619,7 +628,7 @@ def test_a_rejected_trial_equal_to_the_target_continues_the_chain(with_batch):
     _search(track, 0.0)
     assert track.n_evals == len(points) == 3
     assert track.stop == "target" and track.best[1] == 0.5
-    assert calls == [("call", with_batch)] * 3
+    assert calls == [("call", 2.0)] * 3
 
 
 def test_a_target_hit_ends_a_line_search_at_that_trial():
@@ -631,7 +640,7 @@ def test_a_target_hit_ends_a_line_search_at_that_trial():
     assert _search(track, 0.0)[4] == "fail"
     assert track.stop == "target" and track.best[1] == 0.5 and track.n_evals == 4
     assert np.array_equal(track.best[0], [0.125])
-    assert len(points) == 4 and calls == [("call", True)] * 4
+    assert len(points) == 4 and calls == [("call", 1.0)] * 4
 
 
 def test_a_deadline_ends_a_line_search_after_the_trial_that_passes_it():
@@ -641,7 +650,7 @@ def test_a_deadline_ends_a_line_search_after_the_trial_that_passes_it():
     # the fourth trial passes the deadline; it counts, and none follows it
     assert _search(track)[4] == "fail"
     assert track.n_evals == len(points) == 4 and track.stop == "budget"
-    assert calls == [("call", True)] * 4
+    assert calls == _levels(1.0, 4)
 
 
 def _reference_weak_wolfe(track, x, f0, g0, d, slope0):
@@ -699,8 +708,9 @@ def _walled(fn, wall):
     ids=["kink", "kink-long", "rosenbrock", "linf", "wall", "short", "no-descent"],
 )
 def test_weak_wolfe_with_trial_chains_equals_the_serial_search(fn, x, scale):
-    """On an oracle with a batch form, each trial goes alone as a plain
-    call that says it is a trial, and the search is the reference's."""
+    """On an oracle with a batch form, which returns no gradient above a
+    finite bound, each trial goes alone as a plain call at the reference's
+    bound, and the search is the reference's."""
     x = np.array(x)
     f0, g0 = fn(x, math.inf)
     d = -scale * g0
@@ -710,7 +720,7 @@ def test_weak_wolfe_with_trial_chains_equals_the_serial_search(fn, x, scale):
     batched, points, calls = _batched(fn)
     got = optimize._weak_wolfe(optimize._Tracker(batched, 60.0), x, f0, g0, d, slope0)
     assert len(points) == len(plain_calls)
-    assert calls == [("call", True)] * len(points)
+    assert calls == [("call", bound) for _, bound in plain_calls]
     assert all(np.array_equal(p, q) for (p, _), q in zip(plain_calls, points))
     assert got[0] == want[0] and got[2] == want[2] and got[4] == want[4]
     assert np.array_equal(got[1], want[1]) and np.array_equal(got[3], want[3])
@@ -719,14 +729,15 @@ def test_weak_wolfe_with_trial_chains_equals_the_serial_search(fn, x, scale):
 def test_armijo_trials_halve_the_step_thirty_times():
     """One gradient-sampling iteration whose every trial is infeasible:
     30 trials x - t d at the Armijo levels f - c1 t |d|^2, t = 1, 1/2, ...,
-    2^-29, each a plain call, after the iteration's batch of samples."""
+    2^-29, each a plain call at its level, after the iteration's batch of
+    samples."""
     x0 = np.array([1.0, 1.1])
     f0, g0 = max_plus_quad(x0, math.inf)
     batched, points, calls = _batched(max_plus_quad)
     trials, samples = [], []
 
-    def oracle(x, bound, trial=False):
-        if trial:
+    def oracle(x, bound):
+        if math.isfinite(bound):
             trials.append((x.copy(), bound))
             return math.inf, None
         return batched(x, bound)
@@ -739,7 +750,7 @@ def test_armijo_trials_halve_the_step_thirty_times():
     oracle.batch = batch
     res = gradient_sampling(oracle, x0, OptOptions(max_iters=1, rng_seed=4))
     assert res.status == "iteration-limit" and res.n_evals == 1 + 4 + 30
-    assert calls == [("call", False), ("batch", 4, -math.inf)]
+    assert calls == [("call", math.inf), ("batch", 4, -math.inf)]
     d, _ = min_norm_convex_hull([g0] + samples)
     measure = float(np.linalg.norm(d))
     assert len(trials) == 30

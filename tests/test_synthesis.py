@@ -658,7 +658,12 @@ def test_stage2_oracle_below_the_norm_skips_the_level_set(rng, monkeypatch):
     for bound in (-math.inf, 0.0, 0.5 * norm):
         f, g = synthesis_module._stage2_oracle(plant, 0, 1e-7)(theta, bound)
         assert bound < f <= norm
-        assert g.shape == theta.shape and np.all(np.isfinite(g))
+        # a value above a finite bound is a verdict, with no gradient; -inf
+        # asks for the gradient of the value returned
+        if bound == -math.inf:
+            assert g.shape == theta.shape and np.all(np.isfinite(g))
+        else:
+            assert g is None
     # sigma_max at the poles already exceeds half the norm on this loop
     assert solves == []
 
@@ -894,15 +899,15 @@ def test_stage2_trial_rows_pay_only_for_their_verdict(monkeypatch):
     bounds = [0.0, 0.0, 0.0, 1e-3, 1e-3, 2.0 * exact[5]]
     serial, trials = _hinted_pair(plant, 0, np.array([-0.5]))
     counts = _stage2_call_counts(monkeypatch)
-    got = [trials(theta, bound, trial=True) for theta, bound in zip(thetas[:5], bounds)]
+    got = [trials(theta, bound) for theta, bound in zip(thetas[:5], bounds)]
     # no rejected trial is polished or gets a gradient
     assert counts == {"polish": 0, "gradient": 0}
     for (f, g), bound, f_exact in zip(got, bounds, exact):
         assert g is None
         assert f == math.inf or bound < f <= f_exact
     assert [math.isinf(f) for f, _ in got] == [True, True, True, False, False]
-    # the accepted trial gets a plain call's bits, polish and gradient
-    _same_bits(trials(thetas[5], bounds[5], trial=True), serial(thetas[5], bounds[5]))
+    # the accepted trial gets the bits of a call at +inf, polish and gradient
+    _same_bits(trials(thetas[5], bounds[5]), serial(thetas[5], math.inf))
     assert counts["gradient"] == 2 and counts["polish"] >= 2
     # and moves the hint as the plain call does
     hints = []
@@ -915,12 +920,31 @@ def test_stage2_trial_rows_pay_only_for_their_verdict(monkeypatch):
     assert hints[0] == hints[1]
 
 
-def test_stage2_trial_chains_equal_single_calls(rng):
+def _replayed(plant, order, history):
+    """A stage-2 oracle at the state of one whose certified calls were at
+    the points of history, in order, each replayed at +inf."""
+    oracle = synthesis_module._stage2_oracle(plant, order, 1e-7)
+    for theta in history:
+        oracle(theta, math.inf)
+    return oracle
+
+
+def test_stage2_trial_chains_equal_single_calls(rng, monkeypatch):
     """Random trial chains along a line, at the weak-Wolfe levels, one call
-    per trial: every trial has the verdict of a plain call at its bound,
-    and its bits where it is accepted; a rejected trial's value lies in
-    (bound, the plain call's value], with no gradient.  The hint after the
-    chain is the one plain calls leave."""
+    per trial: every trial has the verdict of a call at +inf from the same
+    oracle state, and its bits where it is accepted; a rejected trial's
+    value lies in (bound, the +inf call's value], with no gradient.  The
+    reference reaches the chain's state by replaying the calls the chain
+    certified, so the hint after the chain is checked too."""
+    certified = []
+    real = synthesis_module._hinf_branch
+
+    def recording(*args, **kwargs):
+        (found,) = real(*args, **kwargs)
+        certified.append(not isinstance(found, Exception) and found[2])
+        return [found]
+
+    monkeypatch.setattr(synthesis_module, "_hinf_branch", recording)
     chains = 0
     for case in range(12):
         order = case % 3
@@ -937,38 +961,58 @@ def test_stage2_trial_chains_equal_single_calls(rng):
         ts = 2.0 ** -np.arange(8.0) * 4.0
         thetas = x + ts[:, None] * d
         bounds = (f0 - 1e-4 * ts * f0).tolist()
-        serial, trials = _hinted_pair(plant, order, x)
+        history = [x]
+        trials = _replayed(plant, order, history)
         for theta, bound in zip(thetas, bounds):
-            want = serial(theta, bound)
-            f, g = trials(theta, bound, trial=True)
+            certified.clear()
+            f, g = trials(theta, bound)
+            (moved,) = certified
+            want = _replayed(plant, order, history)(theta, math.inf)
             if want[0] <= bound:
                 _same_bits((f, g), want)
             else:
                 assert g is None
-                assert f == want[0] or bound < f <= want[0]
+                assert bound < f <= want[0]
+            if moved:
+                history.append(theta)
         probe = x + 0.01 * d
-        _same_bits(trials(probe, -math.inf), serial(probe, -math.inf))
+        _same_bits(trials(probe, -math.inf), _replayed(plant, order, history)(probe, -math.inf))
     assert chains >= 6
 
 
-def test_no_line_search_trial_reaches_the_batch_form(monkeypatch):
-    """hanso on a stage-2 oracle sends the batch form only gradient
-    sampling's sample points, under bound -inf, and every line-search trial
-    as one plain call with trial=True.  The other plain calls are the start
-    and the bundle phase's ball samples.  On this plant every phase makes
-    trials, and both the BFGS and the bundle phase reject some of them."""
-    plant = random_plant(np.random.default_rng(0), 4, 2, 2, 2, 2, stable=True)
+@pytest.mark.parametrize("target", [-math.inf, 0.0], ids=["no-target", "target"])
+def test_a_finite_bound_reaches_the_stage2_oracle_only_at_a_line_search_trial(
+    monkeypatch, target
+):
+    """hanso on a stage-2 oracle calls it at a finite bound only at a
+    weak-Wolfe or Armijo trial, each a plain call.  The other plain calls,
+    the start and the bundle phase's ball samples, ask at +inf for the
+    exact value and its gradient.  The batch form gets only gradient
+    sampling's sample points: under bound -inf in a run without a target,
+    and +inf in a run with one, so that a sample value below the target is
+    exact.  On this plant every phase makes trials, both the BFGS and the
+    bundle phase reject some of them, and the bundle phase draws ball
+    samples."""
+    plant = random_plant(np.random.default_rng(4), 4, 2, 2, 2, 2, stable=True)
     oracle = synthesis_module._stage2_oracle(plant, 0, 1e-7)
-    phase = [None]
-    batches, plain, balls = [], [], []
+    phase, searching, drawn = [None], [False], [False]
+    batches, plain = [], []
 
     def batch(thetas, bound, **kwargs):
         batches.append((phase[0], len(thetas), bound, kwargs))
         return oracle.batch(thetas, bound, **kwargs)
 
     def wrapped(theta, bound, **kwargs):
-        f, g = oracle(theta, bound, **kwargs)
-        plain.append((phase[0], kwargs.get("trial", False), f > bound and g is None))
+        assert not kwargs
+        f, g = oracle(theta, bound)
+        if searching[0]:
+            kind = "wolfe"
+        elif phase[0] == "gradient_sampling":
+            kind = "armijo"
+        else:
+            kind = "ball" if drawn[0] else "start"
+        drawn[0] = False
+        plain.append((phase[0], kind, bound, f > bound and g is None))
         return f, g
 
     # the oracle's attributes, with the batch form wrapped
@@ -983,17 +1027,36 @@ def test_no_line_search_trial_reaches_the_batch_form(monkeypatch):
 
     for name in ("bfgs_nonsmooth", "bundle_phase", "gradient_sampling"):
         monkeypatch.setattr(optimize_module, name, entering(name, getattr(optimize_module, name)))
+    weak_wolfe = optimize_module._weak_wolfe
+
+    def search(*args):
+        searching[0] = True
+        try:
+            return weak_wolfe(*args)
+        finally:
+            searching[0] = False
+
+    monkeypatch.setattr(optimize_module, "_weak_wolfe", search)
     ball_sample = optimize_module._ball_sample
-    monkeypatch.setattr(
-        optimize_module, "_ball_sample", lambda *a: balls.append(phase[0]) or ball_sample(*a)
+
+    def draw(*args):
+        drawn[0] = phase[0] == "bundle_phase"
+        return ball_sample(*args)
+
+    monkeypatch.setattr(optimize_module, "_ball_sample", draw)
+    res = optimize_module.hanso(
+        wrapped, [np.zeros(4)], OptOptions(max_iters=20, rng_seed=5), target=target
     )
-    res = optimize_module.hanso(wrapped, [np.zeros(4)], OptOptions(max_iters=3, rng_seed=5))
-    assert "sampling:" in res.status
-    assert not any(kwargs.get("trial") for *_, kwargs in batches)
-    assert batches and all(b == ("gradient_sampling", 8, -math.inf, {}) for b in batches)
+    assert "sampling:" in res.status and not res.status.endswith("target")
+    sample_bound = -math.inf if target == -math.inf else math.inf
+    assert batches and all(b == ("gradient_sampling", 8, sample_bound, {}) for b in batches)
     assert res.n_evals == len(plain) + 8 * len(batches)
-    not_trials = [p for p, trial, _ in plain if not trial]
-    assert not_trials == ["bfgs_nonsmooth"] + ["bundle_phase"] * balls.count("bundle_phase")
+    trials = [(p, bound, rejected) for p, kind, bound, rejected in plain if kind in ("wolfe", "armijo")]
+    others = [(p, kind, bound) for p, kind, bound, _ in plain if kind not in ("wolfe", "armijo")]
+    # every trial is at a finite bound, raised to the target, and nothing else is
+    assert all(math.isfinite(bound) and bound >= target for _, bound, _ in trials)
+    assert others[0] == ("bfgs_nonsmooth", "start", math.inf)
+    assert others[1:] and all(o == ("bundle_phase", "ball", math.inf) for o in others[1:])
     for name in ("bfgs_nonsmooth", "bundle_phase"):
-        assert any(p == name and trial and rejected for p, trial, rejected in plain)
-    assert any(p == "gradient_sampling" and trial for p, trial, _ in plain)
+        assert any(p == name and rejected for p, _, rejected in trials)
+    assert any(p == "gradient_sampling" for p, _, _ in trials)
