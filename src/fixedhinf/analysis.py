@@ -42,10 +42,10 @@ contract.  At +inf, which `hinf_norm` and `hinf_gradient` pass, every
 member is certified.  A finite bound is the threshold a line-search trial
 tests, and a value above it is a verdict: a member whose lower bound
 before polishing already exceeds it returns that value as it is, since
-the polish could only raise it, and one whose polished lower bound exceeds
-it returns after the first stage.  At -inf, which gradient-sampling sample
-points take in a run without a target, every member returns its polished
-lower bound, with no level set.
+the polish could only raise it, and one whose lower bound exceeds it
+later, once polished or at a level-set probe, returns at once.  At -inf,
+which gradient-sampling sample points take in a run without a target,
+every member returns its polished lower bound, with no level set.
 
 A probe whose Hamiltonian cannot be formed or eigendecomposed is an
 EigenFailure, as a failed eigendecomposition of A is: no frequency grid
@@ -106,8 +106,8 @@ class NormResult:
     """H-infinity norm value and where it is (approximately) attained.
 
     `converged` is False when `gamma` is only a verified lower bound, not a
-    value bracketed to the requested tolerance: the bound `_hinf` was given
-    lies below it, or 60 Hamiltonian probes did not certify it.
+    value bracketed to the requested tolerance: it passed the bound `_hinf`
+    was given, or 60 Hamiltonian probes did not certify it.
     `iterations` counts the Hamiltonian probes (eigen-solves) of the
     level-set stage, 0 where it did not run; the benchmark's
     `analysis.hinf_norm_iters` sums it.  `_ev` is the frequency evaluator of
@@ -263,11 +263,6 @@ def _sigma_slope(T0: np.ndarray, T1: np.ndarray, T2: np.ndarray) -> tuple:
     gaps = (s1 * s1)[..., None] - rest**2
     curv += 2.0 * np.sum(np.abs(cross) ** 2 / np.maximum(gaps, 1e-300), axis=-1)
     return s1, slope, curv
-
-
-def _polish(ev: _FreqEvaluator, omegas: np.ndarray, vals: np.ndarray, i: int) -> tuple[float, float]:
-    """`_polish_many` from one start on a stack of one."""
-    return _polish_many(ev, [(0, omegas, vals, i)])[0]
 
 
 def _polish_many(ev: _FreqEvaluator, starts) -> list[tuple[float, float]]:
@@ -455,19 +450,18 @@ def _hinf(
 ) -> list:
     """H-infinity norms of a stack of finite systems of order n > 0, each
     certified only where it may be at most bound.  Returns per member its
-    (NormResult, flag), the flag saying whether the lower bound was at most
-    the bound, or its error: UnstableSystem, or EigenFailure for a member
+    NormResult, or its error: UnstableSystem, or EigenFailure for a member
     whose eigenvalue iteration, on A or on a Hamiltonian probe, fails.
 
     Each member takes an eigendecomposition call of its own.  The members
     fall into evaluator groups: one stack of those with a well-conditioned
     eigenvector basis, and one factor-and-solve evaluator for each of the
     others.  Each group takes one lower-bound stage (see `_lower_bounds`),
-    then each of its members whose lower bound is at most the bound takes
-    the level-set stage on the same evaluator; a lower bound above the bound
-    is returned with converged=False and 0 iterations.  At a finite bound
-    (a line-search trial's) a member is polished only where its lower bound
-    before polishing is at most the bound; at -inf every member is.
+    then each of its members takes the level-set stage on the same
+    evaluator while its lower bound is at most the bound (see
+    `_level_set`).  At a finite bound (a line-search trial's) a member is
+    polished only where its lower bound before polishing is at most the
+    bound; at -inf every member is.
     """
     out: list = [None] * len(sys.A)
     groups, modal, lams, residues = [], [], [], []
@@ -550,20 +544,20 @@ def _level_set(
     peak: tuple[float, float] | None,
     rel_tol: float,
     bound: float,
-) -> tuple[NormResult, bool] | EigenFailure:
+) -> NormResult | EigenFailure:
     """`_hinf`'s result for one system from its lower-bound stage's peak
-    (None for a zero system), with the level-set stage when the lower bound
-    is at most `bound`.  A probe whose Hamiltonian cannot be formed or
+    (None for a zero system).  The level set probes while the lower bound
+    is at most `bound`; one above it, from that peak or a probe's, is
+    returned unconverged.  A probe whose Hamiltonian cannot be formed or
     eigendecomposed, or has non-finite eigenvalues, brackets nothing: the
     result is then EigenFailure."""
     if peak is None:
-        return NormResult(0.0, 0.0, False, True, 0, ev), 0.0 <= bound
+        return NormResult(0.0, 0.0, False, True, 0, ev)
     best_omega, best_finite = peak
     lower = max(sigma_d, best_finite)
-    certified = lower <= bound
     iterations = 0
     converged = False
-    while certified and iterations < _LEVEL_ITERS:
+    while lower <= bound and iterations < _LEVEL_ITERS:
         iterations += 1
         probe = lower * (1.0 + rel_tol)
         try:
@@ -580,7 +574,7 @@ def _level_set(
         tvals = ev.sigma_max_many(trial)
         i = int(np.argmax(tvals))
         if tvals[i] > lower * (1.0 + _MIN_REL_TOL):
-            best_omega, best_finite = _polish(ev, trial, tvals, i)
+            best_omega, best_finite = _polish_many(ev, [(0, trial, tvals, i)])[0]
             if best_finite > probe:
                 lower = best_finite
                 continue
@@ -589,8 +583,7 @@ def _level_set(
 
     at_infinity = sigma_d > best_finite
     omega_peak = 0.0 if at_infinity else best_omega
-    result = NormResult(max(sigma_d, best_finite), omega_peak, at_infinity, converged, iterations, ev)
-    return result, certified
+    return NormResult(max(sigma_d, best_finite), omega_peak, at_infinity, converged, iterations, ev)
 
 
 def hinf_norm(sys: StateSpace, *, rel_tol: float = 1e-7) -> NormResult:
@@ -611,4 +604,4 @@ def hinf_norm(sys: StateSpace, *, rel_tol: float = 1e-7) -> NormResult:
     (found,) = _hinf(sys._members(None), rel_tol, bound=math.inf)
     if isinstance(found, Exception):
         raise found
-    return found[0]
+    return found

@@ -193,6 +193,8 @@ class BenchOptions:
         SynthesisOptions(
             runs=self.runs, cpumax_seconds=self.cpumax_seconds, norm_rel_tol=self.norm_rel_tol
         )
+        if self.tolerance is not None and not 0 <= self.tolerance < np.inf:
+            raise ValueError("tolerance must be >= 0 and finite")
 
 
 @dataclass(frozen=True)

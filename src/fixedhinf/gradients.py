@@ -207,7 +207,7 @@ def hinf_gradient(
     (found,) = _hinf_branch((k.nu, k.ny), cl, L, R, errors, rel_tol=rel_tol, bound=math.inf)
     if isinstance(found, Exception):
         raise found
-    result, grad, _, svals = found
+    result, grad, svals = found
     gamma = result.gamma
     # at infinity a distinct finite peak near the norm is the competing
     # branch, which the rival scan below looks for
@@ -241,30 +241,28 @@ def _hinf_branch(
     list, under the optimizer's oracle contract; each member gets the bits
     it gets alone.
 
-    Each norm's lower bound, with the hint frequencies added to its
-    candidates, is returned uncertified when it exceeds the bound, in
-    (bound, norm]; otherwise the norm is certified.  Returns per member the
-    NormResult, the gradient over the packed controller, of ports (nu, ny),
-    of the branch that attains its value, whether the value is certified,
-    and the singular values at the peak; or the member's IllPosed,
-    UnstableSystem or EigenFailure.  At a finite bound a value above it is
-    a verdict (see `_hinf`): it takes no gradient and no singular values.
+    Each norm's lower bound, with the hints (the stage-2 oracle's: the peak
+    of its last call whose level set ran) among its candidates, is returned
+    unconverged once it exceeds the bound, in (bound, norm]; otherwise the
+    norm is certified.  Returns per member the NormResult, the gradient
+    over the packed controller, of ports (nu, ny), of the branch that
+    attains its value, and the singular values at the peak; or the member's
+    IllPosed, UnstableSystem or EigenFailure.  At a finite bound a value
+    above it is a verdict (see `_hinf`): it takes no gradient and no
+    singular values.
     """
-    out: list = list(errors)
-    posed = [j for j, error in enumerate(errors) if error is None]
     found = _hinf(cl, rel_tol, bound=bound, hints=hints)
+    rows = [res if isinstance(res, Exception) else (res, None, None) for res in found]
     ok = [
         k
         for k, res in enumerate(found)
-        if not isinstance(res, Exception) and not -math.inf < bound < res[0].gamma
+        if not isinstance(res, Exception) and not -math.inf < bound < res.gamma
     ]
-    grads: list = [None] * len(found)
-    svals: list = [None] * len(found)
     if ok:
-        if len(ok) < len(posed):
+        if len(ok) < len(found):
             cl, L, R = cl._members(ok), L[ok], R[ok]
-        for k, grad, sval in zip(ok, *_peak_gradient(ports, cl, L, R, [found[k][0] for k in ok])):
-            grads[k], svals[k] = grad, sval
-    for j, res, grad, sval in zip(posed, found, grads, svals):
-        out[j] = res if isinstance(res, Exception) else (res[0], grad, res[1], sval)
-    return out
+        for k, grad, sval in zip(ok, *_peak_gradient(ports, cl, L, R, [found[k] for k in ok])):
+            rows[k] = (found[k], grad, sval)
+    # cl holds the loops that exist, in order
+    posed = iter(rows)
+    return [next(posed) if error is None else error for error in errors]

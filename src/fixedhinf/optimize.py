@@ -48,7 +48,7 @@ An oracle may also carry a batch form, oracle.batch(xs, bound), which
 returns one (f, grad) per row of xs under one bound: each row is what one
 call at the oracle's state before the batch would return, and the batch
 changes no state that the oracle carries from call to call (the stage-2
-oracle's state is the peak frequency of its last certified call).
+oracle's state is the peak of its last call whose level set ran).
 Gradient sampling hands it the sample points of an iteration, drawn first
 in the order single draws would take, under the sample points' bound.
 The tracker counts the rows in order, checks the stop rule before each as
@@ -120,9 +120,9 @@ class OptOptions:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.max_iters < 1:
+        if not self.max_iters >= 1:
             raise ValueError("max_iters must be >= 1")
-        if self.cpu_budget_seconds <= 0:
+        if not self.cpu_budget_seconds > 0:
             raise ValueError("cpu_budget_seconds must be positive")
 
 

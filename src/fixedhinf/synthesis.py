@@ -92,18 +92,21 @@ class SynthesisOptions:
     max_iters: int = 1000
 
     def __post_init__(self):
-        if self.order < 0:
+        # each check is written so that NaN fails it
+        if not self.order >= 0:
             raise ValueError("order must be >= 0")
-        if self.runs < 1:
+        if not self.runs >= 1:
             raise ValueError("runs must be >= 1")
-        if self.cpumax_seconds <= 0:
+        if not self.cpumax_seconds > 0:
             raise ValueError("cpumax_seconds must be positive")
-        if self.init_scale <= 0:
-            raise ValueError("init_scale must be positive")
-        if self.stabilization_margin < 0:
-            raise ValueError("stabilization_margin must be >= 0")
-        if self.stage1_starts < 1:
+        if not 0 < self.init_scale < math.inf:
+            raise ValueError("init_scale must be positive and finite")
+        if not 0 <= self.stabilization_margin < math.inf:
+            raise ValueError("stabilization_margin must be >= 0 and finite")
+        if not self.stage1_starts >= 1:
             raise ValueError("stage1_starts must be >= 1")
+        if not self.max_iters >= 1:
+            raise ValueError("max_iters must be >= 1")
         _check_rel_tol(self.norm_rel_tol)
 
 
@@ -173,11 +176,12 @@ def _stage2_oracle(plant: Plant, order: int, rel_tol: float):
     unpolished where it exceeds the bound before polishing; at -inf every
     point gets its polished lower bound and that branch's gradient; at +inf
     the value and gradient are those of `hinf_gradient`.  The peak
-    frequency of the last certified call joins the next lower bound's
-    candidates, so that the bound usually finds the peak the optimizer is
-    following.  A loop that does not exist (see `_Interconnection.close`),
-    an unstable one or a failed eigenvalue iteration is f = +inf.  The loop
-    is closed straight from theta, on padding built once for the oracle.
+    frequency of the last call whose level set ran joins the next lower
+    bound's candidates, so that the bound usually finds the peak the
+    optimizer is following.  A loop that does not exist (see
+    `_Interconnection.close`), an unstable one or a failed eigenvalue
+    iteration is f = +inf.  The loop is closed straight from theta, on
+    padding built once for the oracle.
 
     The batch form, oracle.batch(thetas, bound), returns one (f, grad) per
     row of thetas, each what a call at the oracle's state before the batch
@@ -198,8 +202,8 @@ def _stage2_oracle(plant: Plant, order: int, rel_tol: float):
         (found,) = evaluate(theta[None], bound)
         if isinstance(found, Exception):
             return math.inf, None
-        norm, grad, certified, _ = found
-        if certified:
+        norm, grad, _ = found
+        if norm.iterations:
             hints = (norm.omega_peak,)
         return norm.gamma, grad
 

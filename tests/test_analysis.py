@@ -192,7 +192,7 @@ def test_polish_stops_where_the_open_bracket_still_rises(monkeypatch, interior_p
     i = omegas.size - 1
     assert int(np.argmax(vals)) == i
     calls = _count_slope_calls(monkeypatch)
-    omega, sigma = analysis._polish(ev, omegas, vals, i)
+    ((omega, sigma),) = analysis._polish_many(ev, [(0, omegas, vals, i)])
     assert len(calls) <= 8
     assert omega >= omegas[i] and vals[i] <= sigma < gain
 
@@ -392,7 +392,7 @@ def _norm_bits(norm: analysis.NormResult):
 
 
 def _alone(sys: StateSpace, bound, **kwargs):
-    """The (NormResult, flag) of sys run as a stack of one."""
+    """The NormResult of sys run as a stack of one."""
     (found,) = analysis._hinf(sys._members(None), 1e-7, bound=bound, **kwargs)
     return found
 
@@ -405,11 +405,12 @@ def _stacked(members):
 
 @pytest.mark.parametrize("hints", [(), (0.7,)])
 def test_a_stack_of_one_equals_hinf(rng, hints):
-    """A stack of one, on the modal and the solve path, certifies where its
-    lower bound is at most the bound and then gives hinf_norm's norm (its
-    bits, without hints); otherwise it returns that lower bound, above the
-    bound and below the norm to within its tolerance, unconverged and with
-    no level-set iteration."""
+    """A stack of one, on the modal and the solve path, converges exactly
+    where the bound lies above the norm, and then gives hinf_norm's norm
+    (its bits, without hints); otherwise it returns a lower bound, above the
+    bound and below the norm to within its tolerance, unconverged.  Only a
+    finite bound below the norm may take level-set probes before its lower
+    bound passes the bound: at -inf no level set runs."""
     n = 30
     jordan = -np.eye(n) + np.diag(np.ones(n - 1), 1)
     systems = [stable_system(rng, int(rng.integers(1, 9)), 2, 3, margin=0.1) for _ in range(6)]
@@ -418,16 +419,15 @@ def test_a_stack_of_one_equals_hinf(rng, hints):
     for sys in systems:
         want = hinf_norm(sys)
         for bound in (-math.inf, 0.5 * want.gamma, 2.0 * want.gamma, math.inf):
-            got, flag = _alone(sys, bound, hints=hints)
-            if bound != 0.5 * want.gamma:
-                assert flag == (bound > want.gamma)
-            if flag and not hints:
+            got = _alone(sys, bound, hints=hints)
+            assert got.converged == (bound > want.gamma)
+            if got.converged and not hints:
                 assert _norm_bits(got) == _norm_bits(want)
-            elif flag:
-                assert got.converged and math.isclose(got.gamma, want.gamma, rel_tol=1e-6)
+            elif got.converged:
+                assert math.isclose(got.gamma, want.gamma, rel_tol=1e-6)
             else:
                 assert bound < got.gamma <= want.gamma * (1.0 + 1e-7)
-                assert not got.converged and got.iterations == 0
+                assert bound == 0.5 * want.gamma or got.iterations == 0
 
 
 def test_a_stack_reports_each_members_failure(rng):
@@ -437,7 +437,7 @@ def test_a_stack_reports_each_members_failure(rng):
     stack = StateSpace._unchecked(*(np.stack([a, b, a]) for a, b in blocks))
     stack.A[2, 0, 0] = math.nan
     got = analysis._hinf(stack, 1e-7, bound=math.inf)
-    assert _norm_bits(got[0][0]) == _norm_bits(hinf_norm(stable))
+    assert _norm_bits(got[0]) == _norm_bits(hinf_norm(stable))
     assert isinstance(got[1], UnstableSystem)
     assert isinstance(got[2], EigenFailure)
 
@@ -460,7 +460,7 @@ def test_a_member_whose_eigenvalue_iteration_fails_fails_alone(rng, monkeypatch)
     monkeypatch.setattr(np.linalg, "eig", fails_on_broken)
     gc.collect()
     got = analysis._hinf(stack, 1e-7, bound=math.inf)
-    assert _norm_bits(got[0][0]) == want
+    assert _norm_bits(got[0]) == want
     assert isinstance(got[1], UnstableSystem)
     assert isinstance(got[2], EigenFailure)
     # an error kept with a traceback would hold the stack in a reference cycle
@@ -470,7 +470,7 @@ def test_a_member_whose_eigenvalue_iteration_fails_fails_alone(rng, monkeypatch)
 
 def test_a_stack_gives_each_member_its_bits_alone(rng):
     """Every member of a stack gets the bits of the same system run as a
-    stack of one, at every bound, with and without hints, certified or not.
+    stack of one, at every bound, with and without hints, converged or not.
     Members with real eigenvalues share a stack with members whose
     eigenvalues are complex: each member's own eigendecomposition keeps its
     real V real, and with one output C V takes a matrix-vector product
@@ -496,16 +496,15 @@ def test_a_stack_gives_each_member_its_bits_alone(rng):
         for bound in sorted(bounds):
             for hints in ((), (0.7,)):
                 got = analysis._hinf(stack, 1e-7, bound=bound, hints=hints)
-                for sys, (norm, flag) in zip(members, got):
-                    want, want_flag = _alone(sys, bound, hints=hints)
-                    assert flag == want_flag and _norm_bits(norm) == _norm_bits(want)
+                for sys, norm in zip(members, got):
+                    assert _norm_bits(norm) == _norm_bits(_alone(sys, bound, hints=hints))
 
 
 def test_a_trial_is_polished_only_where_its_lower_bound_may_be_certified(rng, monkeypatch):
     """A trial, a call at a finite bound, whose lower bound before
-    polishing exceeds its bound is not polished, and returns that bound,
-    above the bound and at most the norm; any other trial gets the bits of
-    a call at +inf."""
+    polishing exceeds its bound is not polished and takes no probe, and
+    returns that bound, above the bound and at most the norm; a trial whose
+    bound lies above its norm gets the bits of a call at +inf."""
     n = 6
     members = [stable_system(rng, n, 2, 2, margin=0.3) for _ in range(5)]
     # the third member is ill conditioned and takes the solve path
@@ -526,12 +525,35 @@ def test_a_trial_is_polished_only_where_its_lower_bound_may_be_certified(rng, mo
     monkeypatch.setattr(analysis, "_polish_many", counted)
     for sys, bound, gamma in zip(members, bounds, gammas):
         polished.clear()
-        norm, flag = _alone(sys, bound, hints=(0.7,))
-        assert flag == (bound > gamma)
-        if flag:
+        norm = _alone(sys, bound, hints=(0.7,))
+        assert norm.converged == (bound > gamma)
+        if norm.converged:
             assert polished
-            want, want_flag = _alone(sys, math.inf, hints=(0.7,))
-            assert want_flag and _norm_bits(norm) == _norm_bits(want)
+            assert _norm_bits(norm) == _norm_bits(_alone(sys, math.inf, hints=(0.7,)))
         else:
             assert polished == []
-            assert bound < norm.gamma <= gamma and not norm.converged
+            assert bound < norm.gamma <= gamma and norm.iterations == 0
+
+
+def test_the_level_set_stops_once_its_lower_bound_passes_the_bound(rng):
+    """At a finite bound between the lower-bound stage's value and the
+    norm, the level set works only while the value may still be at most
+    the bound: a probe whose polished peak passes the bound ends it, with
+    that peak, above the bound and at most the norm, unconverged.  On these
+    systems hinf_norm takes two probes, the first of which finds the norm's
+    peak, so the bounded call takes one."""
+    stopped = 0
+    for _ in range(300):
+        sys = stable_system(rng, int(rng.integers(2, 9)), 2, 2, margin=0.2)
+        lower = _alone(sys, -math.inf).gamma
+        want = hinf_norm(sys)
+        if want.iterations != 2 or lower * (1.0 + 1e-6) >= want.gamma:
+            continue
+        bound = 0.5 * (lower + want.gamma)
+        got = _alone(sys, bound)
+        assert got.iterations == 1 and not got.converged
+        assert bound < got.gamma <= want.gamma
+        stopped += 1
+        if stopped == 3:
+            break
+    assert stopped == 3

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -93,6 +94,10 @@ def test_case_validation_rejects_bad_definitions():
         (dict(runs=0), "runs"),
         (dict(cpumax_seconds=0.0), "cpumax_seconds"),
         (dict(norm_rel_tol=0.5), "rel_tol"),
+        (dict(cpumax_seconds=math.nan), "cpumax_seconds"),
+        (dict(norm_rel_tol=math.nan), "rel_tol"),
+        (dict(tolerance=math.nan), "tolerance"),
+        (dict(tolerance=-1.0), "tolerance"),
     ],
 )
 def test_bench_options_reject_out_of_range_values(tmp_path, bad, match):

@@ -10,6 +10,8 @@ import pytest
 from conftest import INTERIOR_OPTIMUM, stable_system
 from fixedhinf import (
     Controller,
+    StateSpace,
+    analysis,
     hinf_norm,
     load_controller,
     save_controller,
@@ -47,6 +49,19 @@ def test_norm_prints_seventeen_digit_value(tmp_path, rng, capsys):
     assert got == want
     # 17 significant digits round-trip doubles exactly
     assert float(f"{want:.17g}") == want
+
+
+def test_norm_names_a_peak_at_infinity_and_an_unmet_tolerance(tmp_path, monkeypatch, capsys):
+    # 2 - 1/(s + 1) rises from 1 at dc to its peak 2 at infinity
+    path = _write_statespace(tmp_path, StateSpace([[-1.0]], [[1.0]], [[-1.0]], [[2.0]]))
+    assert main(["norm", str(path)]) == 0
+    assert capsys.readouterr().out == "2 0 attained-at-infinity\n"
+    # with no Hamiltonian probe allowed, 1/(s + 1) gets its lower bound, the
+    # peak 1 at dc, unbracketed
+    path = _write_statespace(tmp_path, StateSpace([[-1.0]], [[1.0]], [[1.0]], [[0.0]]))
+    monkeypatch.setattr(analysis, "_LEVEL_ITERS", 0)
+    assert main(["norm", str(path)]) == 0
+    assert capsys.readouterr().out == "1 0 tolerance-not-met\n"
 
 
 def test_norm_closed_loop_with_controller(tmp_path, interior_plant, toy_plant_file, capsys):
@@ -136,6 +151,10 @@ def test_usage_error_exits_two(capsys):
     [
         ["synth", "--plant", "{plant}", "--order", "0", "--runs", "0"],
         ["synth", "--plant", "{plant}", "--order", "0", "--norm-rel-tol", "0.5"],
+        # NaN fails every range check
+        ["synth", "--plant", "{plant}", "--order", "0", "--cpumax", "nan"],
+        ["synth", "--plant", "{plant}", "--order", "0", "--scale", "nan"],
+        ["synth", "--plant", "{plant}", "--order", "0", "--margin", "nan"],
         ["norm", "{plant}", "--rel-tol", "0.5"],
         # checked before any case runs, also for a case whose data is absent
         ["bench", "--suite", "{suite}", "--cases", "HE1", "--norm-rel-tol", "0.5"],

@@ -67,6 +67,10 @@ def test_options_validation():
         OptOptions(max_iters=0)
     with pytest.raises(ValueError):
         OptOptions(cpu_budget_seconds=0.0)
+    with pytest.raises(ValueError):
+        OptOptions(cpu_budget_seconds=math.nan)
+    with pytest.raises(ValueError):
+        OptOptions(max_iters=math.nan)
 
 
 def test_bfgs_smooth_quadratic():

@@ -164,6 +164,30 @@ def test_synthesis_options_reject_an_out_of_range_norm_tolerance(rel_tol):
     assert SynthesisOptions(norm_rel_tol=1e-12).norm_rel_tol == 1e-12
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("order", -1),
+        ("runs", 0),
+        ("cpumax_seconds", 0.0),
+        ("cpumax_seconds", math.nan),
+        ("init_scale", 0.0),
+        ("init_scale", math.nan),
+        ("init_scale", math.inf),
+        ("stabilization_margin", -0.1),
+        ("stabilization_margin", math.nan),
+        ("stabilization_margin", math.inf),
+        ("norm_rel_tol", math.nan),
+        ("stage1_starts", 0),
+        ("max_iters", 0),
+    ],
+)
+def test_synthesis_options_reject_out_of_range_values(field, value):
+    # checked at construction, before any run starts; NaN fails every check
+    with pytest.raises(ValueError, match=field.removeprefix("norm_")):
+        SynthesisOptions(**{field: value})
+
+
 def test_optimize_performance_no_authority_returns_start_norm():
     # B2 = 0 and C2 only measured: controller cannot move the closed loop
     plant = Plant.from_blocks(
@@ -346,6 +370,43 @@ def test_a_run_that_raises_in_a_child_raises_in_the_caller(interior_plant, monke
     monkeypatch.setattr(synthesis_module, "_run", fails_at_run_one)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     with pytest.raises(EigenFailure, match="run 1 failed"):
+        synthesize(interior_plant, SynthesisOptions(order=0, runs=2, max_iters=20, **QUICK))
+    assert len(forks) == 1
+    _assert_reaped(forks)
+
+
+def test_a_child_that_ends_without_a_result_raises_in_the_caller(
+    interior_plant, monkeypatch, forks
+):
+    real = synthesis_module._run
+
+    def exits_at_run_one(plant, opts, r):
+        if r == 1:
+            os._exit(3)
+        return real(plant, opts, r)
+
+    monkeypatch.setattr(synthesis_module, "_run", exits_at_run_one)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    with pytest.raises(RuntimeError, match="a synthesis child ended with status"):
+        synthesize(interior_plant, SynthesisOptions(order=0, runs=2, max_iters=20, **QUICK))
+    assert len(forks) == 1
+    _assert_reaped(forks)
+
+
+def test_a_child_error_that_cannot_be_pickled_raises_in_the_caller(
+    interior_plant, monkeypatch, forks
+):
+    real = synthesis_module._run
+
+    def fails_at_run_one(plant, opts, r):
+        if r == 1:
+            # a lambda cannot be pickled, and neither can an error that holds one
+            raise EigenFailure("run 1 failed", lambda: None)
+        return real(plant, opts, r)
+
+    monkeypatch.setattr(synthesis_module, "_run", fails_at_run_one)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    with pytest.raises(RuntimeError, match="a synthesis child could not send EigenFailure"):
         synthesize(interior_plant, SynthesisOptions(order=0, runs=2, max_iters=20, **QUICK))
     assert len(forks) == 1
     _assert_reaped(forks)
@@ -921,11 +982,12 @@ def test_stage2_trial_rows_pay_only_for_their_verdict(monkeypatch):
 
 
 def _replayed(plant, order, history):
-    """A stage-2 oracle at the state of one whose certified calls were at
-    the points of history, in order, each replayed at +inf."""
+    """A stage-2 oracle at the state of one whose calls that ran the level
+    set were the (theta, bound) of history, in order, each replayed at its
+    own bound."""
     oracle = synthesis_module._stage2_oracle(plant, order, 1e-7)
-    for theta in history:
-        oracle(theta, math.inf)
+    for theta, bound in history:
+        oracle(theta, bound)
     return oracle
 
 
@@ -934,14 +996,16 @@ def test_stage2_trial_chains_equal_single_calls(rng, monkeypatch):
     per trial: every trial has the verdict of a call at +inf from the same
     oracle state, and its bits where it is accepted; a rejected trial's
     value lies in (bound, the +inf call's value], with no gradient.  The
-    reference reaches the chain's state by replaying the calls the chain
-    certified, so the hint after the chain is checked too."""
-    certified = []
+    reference reaches the chain's state by replaying, each at its own
+    bound, the calls of the chain whose level set ran: a level set that
+    stops once its lower bound passes the bound leaves the hint at the peak
+    that passed it.  So the hint after the chain is checked too."""
+    leveled = []
     real = synthesis_module._hinf_branch
 
     def recording(*args, **kwargs):
         (found,) = real(*args, **kwargs)
-        certified.append(not isinstance(found, Exception) and found[2])
+        leveled.append(not isinstance(found, Exception) and found[0].iterations > 0)
         return [found]
 
     monkeypatch.setattr(synthesis_module, "_hinf_branch", recording)
@@ -961,12 +1025,12 @@ def test_stage2_trial_chains_equal_single_calls(rng, monkeypatch):
         ts = 2.0 ** -np.arange(8.0) * 4.0
         thetas = x + ts[:, None] * d
         bounds = (f0 - 1e-4 * ts * f0).tolist()
-        history = [x]
+        history = [(x, math.inf)]
         trials = _replayed(plant, order, history)
         for theta, bound in zip(thetas, bounds):
-            certified.clear()
+            leveled.clear()
             f, g = trials(theta, bound)
-            (moved,) = certified
+            (moved,) = leveled
             want = _replayed(plant, order, history)(theta, math.inf)
             if want[0] <= bound:
                 _same_bits((f, g), want)
@@ -974,7 +1038,7 @@ def test_stage2_trial_chains_equal_single_calls(rng, monkeypatch):
                 assert g is None
                 assert bound < f <= want[0]
             if moved:
-                history.append(theta)
+                history.append((theta, bound))
         probe = x + 0.01 * d
         _same_bits(trials(probe, -math.inf), _replayed(plant, order, history)(probe, -math.inf))
     assert chains >= 6
